@@ -45,23 +45,21 @@
 //! `PERF_GATE_TOLERANCE` overrides the allowed fractional regression
 //! (default `0.15` = 15 %).
 
-use std::time::Instant;
-
 use cgc_bench::forestperf::{
     measure_inference, measure_monitor, measure_monitor_drifted, measure_monitor_live,
     measure_monitor_traced, measure_swap_under_load, ForestSnapshot, SWAP_LATENCY_HEADROOM,
 };
-use cgc_ingest::{merge_sources, split_round_robin, MergeConfig, MergeSource};
-use nettrace::packet::FiveTuple;
+use cgc_bench::mergeperf::{merge_feed, merge_records_per_sec};
 use serde::Deserialize;
 
 /// Reps for the gate's fresh measurement: a notch above the snapshot
 /// regenerator's, because a flaky gate is worse than a slow one.
 const REPS: usize = 15;
 
-/// Merge-feed size for the gate re-measurement (smaller than the
-/// snapshot's 256 Ki — the gate only needs the scaling ratio).
-const MERGE_RECORDS: usize = 131_072;
+/// Merge-feed size for the gate re-measurement: the snapshot's. At a few
+/// tens of nanoseconds a record the ratio moves with how much of the feed
+/// the caches hold, so the two must measure the same feed.
+const MERGE_RECORDS: usize = 262_144;
 
 #[derive(Deserialize)]
 struct MergeRow {
@@ -101,40 +99,6 @@ impl Gate {
             self.failures.push(what.to_string());
         }
     }
-}
-
-/// Same synthetic tap feed as `bench_ingest_merge`.
-fn merge_feed(n: usize) -> Vec<cgc_core::shard::TapRecord> {
-    (0..n)
-        .map(|i| {
-            let tuple = FiveTuple::udp_v4(
-                [10, 0, 0, 1],
-                49003,
-                [100, 64, 0, (i % 16) as u8],
-                50_000 + (i % 16) as u16,
-            );
-            (i as u64 * 10, tuple, 1_200u32)
-        })
-        .collect()
-}
-
-/// Best-of-`reps` merge throughput for a `ways`-way split of `feed`.
-fn merge_records_per_sec(feed: &[cgc_core::shard::TapRecord], ways: usize, reps: usize) -> f64 {
-    let mut best = f64::MIN;
-    for _ in 0..reps {
-        let sources: Vec<MergeSource> = split_round_robin(feed, ways)
-            .into_iter()
-            .enumerate()
-            .map(|(i, part)| MergeSource::new(format!("s{i}"), part))
-            .collect();
-        let start = Instant::now();
-        let (out, stats) = merge_sources(sources, &MergeConfig::default(), None);
-        let secs = start.elapsed().as_secs_f64();
-        assert_eq!(out.len(), feed.len());
-        assert_eq!(stats.late_total(), 0);
-        best = best.max(feed.len() as f64 / secs);
-    }
-    best
 }
 
 fn committed_ratio(snapshot: &IngestSnapshot, ways: usize) -> f64 {
@@ -283,13 +247,12 @@ fn main() {
             .unwrap_or_else(|e| panic!("read {ingest_path}: {e}")),
     )
     .expect("parse committed ingest snapshot");
-    eprintln!("ingest merge scaling (fresh measurement, best of 5):");
+    eprintln!("ingest merge scaling (fresh measurement, best of {REPS}):");
     let feed = merge_feed(MERGE_RECORDS);
-    let one_way = merge_records_per_sec(&feed, 1, 5);
-    let four_way = merge_records_per_sec(&feed, 4, 5);
+    let fresh = merge_records_per_sec(&feed, &[1, 4], REPS);
     gate.check(
         "merge 4-way/1-way throughput ratio",
-        four_way / one_way,
+        fresh[1] / fresh[0],
         committed_ratio(&ingest, 4),
     );
     gate.require(

@@ -1,11 +1,28 @@
 //! Merge + adaptive-batching performance snapshot — the regenerator for
 //! `BENCH_ingest_merge.json`.
 //!
+//! **A model, superseded by `BENCHMARK.json`.** The router below is a
+//! single-threaded *replica* of the engine's sweep, written when the
+//! repository had no end-to-end benchmark: queue pushes, drains and the
+//! per-shard partition all run on one thread with nothing consuming behind
+//! them, and it still pops record by record and allocates its partitions
+//! per batch, which the engine's router no longer does (it claims runs
+//! with `BoundedQueue::pop_into` and partitions into buffers the sharded
+//! monitor keeps). A model of the hot path is not a measurement of it:
+//! what the tap path sustains, and what a record costs at each hop, is
+//! measured on the real threaded engine by `bench_e2e` (`BENCHMARK.json`,
+//! `crates/bench/src/bin/bench_e2e/README.md`). This binary and its
+//! snapshot stay as the source of `bench_gate`'s two self-normalized
+//! tripwires — the k-way merge scaling ratio and the committed
+//! adaptive-vs-fixed p99 — and for comparing batch *policies* against each
+//! other on equal footing; quote no absolute figure from them.
+//!
 //! Three measurements:
 //!
 //! 1. **K-way merge throughput** — records/s through
-//!    [`cgc_ingest::merge_sources`] for a 256 Ki-record feed split 1, 2,
-//!    4 and 8 ways (1-way is the pass-through baseline).
+//!    [`cgc_ingest::KWayMerge`] (drained record by record, nothing
+//!    materialised: `cgc_bench::mergeperf`) for a 256 Ki-record feed
+//!    split 1, 2, 4 and 8 ways (1-way is the pass-through baseline).
 //! 2. **Hand-off tail latency under a bursty schedule** — a burst lands
 //!    in the ingest queues all at once and the router drains it into the
 //!    partitioned per-shard dispatch that `MonitorSink` performs
@@ -33,57 +50,17 @@
 
 use std::time::Instant;
 
+use cgc_bench::mergeperf::{merge_feed, merge_records_per_sec};
 use cgc_core::shard::TapRecord;
-use cgc_ingest::{
-    merge_sources, split_round_robin, BackpressurePolicy, BatchPolicy, BoundedQueue, MergeConfig,
-    MergeSource,
-};
+use cgc_ingest::{BackpressurePolicy, BatchPolicy, BoundedQueue};
 use cgc_obs::Registry;
-use nettrace::packet::FiveTuple;
 use serde::Serialize;
-
-/// Synthetic tap feed: `n` records spread over 16 flows, 10 µs apart.
-fn records(n: usize) -> Vec<TapRecord> {
-    (0..n)
-        .map(|i| {
-            let tuple = FiveTuple::udp_v4(
-                [10, 0, 0, 1],
-                49003,
-                [100, 64, 0, (i % 16) as u8],
-                50_000 + (i % 16) as u16,
-            );
-            (i as u64 * 10, tuple, 1_200u32)
-        })
-        .collect()
-}
 
 #[derive(Serialize)]
 struct MergeThroughput {
     ways: usize,
     records: usize,
     records_per_sec: f64,
-}
-
-fn merge_throughput(feed: &[TapRecord], ways: usize, repeats: usize) -> MergeThroughput {
-    let mut best = f64::MIN;
-    for _ in 0..repeats {
-        let sources: Vec<MergeSource> = split_round_robin(feed, ways)
-            .into_iter()
-            .enumerate()
-            .map(|(i, part)| MergeSource::new(format!("s{i}"), part))
-            .collect();
-        let start = Instant::now();
-        let (out, stats) = merge_sources(sources, &MergeConfig::default(), None);
-        let secs = start.elapsed().as_secs_f64();
-        assert_eq!(out.len(), feed.len());
-        assert_eq!(stats.late_total(), 0);
-        best = best.max(feed.len() as f64 / secs);
-    }
-    MergeThroughput {
-        ways,
-        records: feed.len(),
-        records_per_sec: best,
-    }
 }
 
 fn policy_name(policy: BatchPolicy) -> String {
@@ -224,7 +201,7 @@ fn percentile(sorted: &[u64], q: f64) -> f64 {
 /// time from burst arrival to the completion of the dispatch that
 /// delivered it. Best-of-`reps` (lowest p99) to shed scheduler noise.
 fn bursty_latency(policy: BatchPolicy, burst: usize, reps: usize) -> LatencyProfile {
-    let feed = records(burst);
+    let feed = merge_feed(burst);
     let registry = Registry::new();
     let mut harness = DrainHarness::new(2, 4, &registry);
     let mut best: Option<Vec<u64>> = None;
@@ -275,7 +252,7 @@ struct SteadyThroughput {
 /// at its small-batch end. Throughput must not regress vs any fixed size.
 fn steady_throughput(policy: BatchPolicy, n: usize, reps: usize) -> SteadyThroughput {
     const CHUNK: usize = 512;
-    let feed = records(n);
+    let feed = merge_feed(n);
     let registry = Registry::new();
     let mut harness = DrainHarness::new(2, 4, &registry);
     let mut best = f64::MIN;
@@ -342,17 +319,20 @@ fn main() {
         .unwrap_or_else(|| "BENCH_ingest_merge.json".into());
 
     // 1. K-way merge throughput.
-    let feed = records(262_144);
-    let mut merge_tp = Vec::new();
-    for ways in [1usize, 2, 4, 8] {
-        let m = merge_throughput(&feed, ways, 5);
-        eprintln!(
-            "merge {}-way: {:.1}M records/s",
-            m.ways,
-            m.records_per_sec / 1e6
-        );
-        merge_tp.push(m);
-    }
+    let feed = merge_feed(262_144);
+    const WAYS: [usize; 4] = [1, 2, 4, 8];
+    let merge_tp: Vec<MergeThroughput> = WAYS
+        .iter()
+        .zip(merge_records_per_sec(&feed, &WAYS, 15))
+        .map(|(&ways, records_per_sec)| {
+            eprintln!("merge {ways}-way: {:.1}M records/s", records_per_sec / 1e6);
+            MergeThroughput {
+                ways,
+                records: feed.len(),
+                records_per_sec,
+            }
+        })
+        .collect();
 
     // 2. Bursty hand-off tail latency, adaptive vs fixed drain_batch.
     const BURST: usize = 65_536;

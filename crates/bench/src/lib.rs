@@ -24,6 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 pub mod forestperf;
+pub mod mergeperf;
 
 /// How launch attributes are derived from a session for an evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

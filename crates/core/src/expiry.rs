@@ -20,6 +20,8 @@ use std::sync::Arc;
 use nettrace::clock::{RealClock, SharedClock};
 use nettrace::units::Micros;
 
+use crate::wordhash::WordHashBuilder;
+
 /// Per-entry bookkeeping: the newest bucket holding a live entry for the
 /// key, and the exact last-seen time.
 #[derive(Debug, Clone, Copy)]
@@ -38,8 +40,9 @@ struct Slot {
 pub struct ExpiryWheel<K> {
     /// Bucket index -> keys last touched within that bucket's time range.
     buckets: BTreeMap<u64, Vec<K>>,
-    /// Live entry per key.
-    slots: HashMap<K, Slot>,
+    /// Live entry per key, probed on every [`touch`](Self::touch) — once
+    /// per packet — hence the keyed word hasher rather than SipHash.
+    slots: HashMap<K, Slot, WordHashBuilder>,
     /// Bucket width in microseconds.
     width: Micros,
     /// Entries examined across all drain/evict operations (stale included) —
@@ -64,7 +67,7 @@ impl<K: Copy + Eq + Hash> ExpiryWheel<K> {
     pub fn with_clock(bucket_width: Micros, clock: SharedClock) -> Self {
         ExpiryWheel {
             buckets: BTreeMap::new(),
-            slots: HashMap::new(),
+            slots: HashMap::with_hasher(WordHashBuilder::new()),
             width: bucket_width.max(1),
             scanned: 0,
             clock,

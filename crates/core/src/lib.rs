@@ -43,6 +43,7 @@ pub mod qoe;
 pub mod shard;
 pub mod stage;
 pub mod title;
+mod wordhash;
 
 pub use bundle::{ModelBundle, ModelSource};
 pub use expiry::ExpiryWheel;

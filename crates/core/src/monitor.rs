@@ -35,6 +35,7 @@ use crate::expiry::ExpiryWheel;
 use crate::filter::{CloudGamingFilter, FilterConfig, Platform};
 use crate::metrics::{MonitorMetrics, PipelineMetrics};
 use crate::pipeline::{AnalyzerConfig, QoeInputs, SessionAnalyzer, SessionReport};
+use crate::wordhash::WordHashBuilder;
 
 /// Tap monitor configuration.
 #[derive(Debug, Clone, Copy)]
@@ -146,10 +147,16 @@ struct FlowEntry<'b> {
 /// Multiplexing front end driving one analyzer per detected gaming flow.
 ///
 /// Flow keys are interned: the normalized five-tuple maps to a `u32` arena
-/// slot once on admission, and all per-packet bookkeeping (expiry touches,
-/// entry access) runs on the slot id — hashing a 4-byte key instead of the
-/// 40-byte tuple, with entries reused through a free list so steady-state
-/// flow churn performs no per-flow allocation in the table itself.
+/// slot on admission, with entries reused through a free list so
+/// steady-state flow churn performs no per-flow allocation in the table
+/// itself. A packet still costs two table probes — its tuple in the intern
+/// map to find the slot, then the slot id in the expiry wheel — so both
+/// tables hash whole words under a per-table random key
+/// (`wordhash`: two folds for an IPv4 tuple, one for a slot id, plus the
+/// finishing fold) instead of running SipHash over the tuple's bytes.
+/// The registry's packet counters, which every shard worker shares, are
+/// published once per [`ingest_batch`](Self::ingest_batch) (and once per
+/// direct [`ingest`](Self::ingest) call), not once per packet.
 pub struct TapMonitor<'b> {
     /// Fixed bundle or hot-swappable [`LiveModel`] slot; every admitted
     /// flow pins the version serving at that moment.
@@ -159,7 +166,7 @@ pub struct TapMonitor<'b> {
     config: MonitorConfig,
     filter: CloudGamingFilter,
     /// Normalized tuple → arena slot.
-    flows: HashMap<FiveTuple, u32>,
+    flows: HashMap<FiveTuple, u32, WordHashBuilder>,
     /// Slot-indexed entries; `None` marks a slot on the free list.
     arena: Vec<Option<FlowEntry<'b>>>,
     /// Reusable arena slots of finalized flows.
@@ -233,7 +240,7 @@ impl<'b> TapMonitor<'b> {
             models: models.into(),
             config,
             filter: CloudGamingFilter::new(config.filter),
-            flows: HashMap::new(),
+            flows: HashMap::with_hasher(WordHashBuilder::new()),
             arena: Vec::new(),
             free: Vec::new(),
             expiry: ExpiryWheel::new(config.expiry_bucket),
@@ -285,6 +292,14 @@ impl<'b> TapMonitor<'b> {
     /// sender) and RTP payload length. Packets of flows without a platform
     /// port signature are counted and dropped.
     pub fn ingest(&mut self, ts: Micros, wire_tuple: &FiveTuple, payload_len: u32) {
+        let before = (self.ingested_packets, self.ignored_packets);
+        self.ingest_one(ts, wire_tuple, payload_len);
+        self.publish_packet_counts(before);
+    }
+
+    /// [`ingest`](Self::ingest) without the registry update: counts into
+    /// the monitor's own fields only, the caller publishes.
+    fn ingest_one(&mut self, ts: Micros, wire_tuple: &FiveTuple, payload_len: u32) {
         // Orient the conversation: the platform-signature port is the server.
         let (down_tuple, platform, dir) = if let Some(p) = Platform::from_port(wire_tuple.src_port)
         {
@@ -293,12 +308,10 @@ impl<'b> TapMonitor<'b> {
             (wire_tuple.reversed(), p, Direction::Upstream)
         } else {
             self.ignored_packets += 1;
-            self.metrics.ignored.inc();
             return;
         };
         if self.filter.pre_check(&down_tuple).is_none() {
             self.ignored_packets += 1;
-            self.metrics.ignored.inc();
             return;
         }
 
@@ -371,7 +384,6 @@ impl<'b> TapMonitor<'b> {
         entry.last_seen = ts;
         self.expiry.touch(slot, ts);
         self.ingested_packets += 1;
-        self.metrics.ingested.inc();
         // Rebase to flow-relative time for the analyzer.
         let mut pkt = Packet::new(ts.saturating_sub(entry.started_at), dir, payload_len);
         pkt.marker = false;
@@ -391,10 +403,25 @@ impl<'b> TapMonitor<'b> {
         self.metrics.batches.inc();
         let batch_ns = std::sync::Arc::clone(&self.metrics.batch_ns);
         let span = batch_ns.span();
+        let before = (self.ingested_packets, self.ignored_packets);
         for (ts, tuple, len) in records {
-            self.ingest(*ts, tuple, *len);
+            self.ingest_one(*ts, tuple, *len);
         }
+        self.publish_packet_counts(before);
         span.finish();
+    }
+
+    /// Adds what the monitor counted since `before` — its
+    /// `(ingested, ignored)` packet counts then — to the registry counters.
+    fn publish_packet_counts(&self, before: (u64, u64)) {
+        let ingested = self.ingested_packets - before.0;
+        if ingested > 0 {
+            self.metrics.ingested.add(ingested);
+        }
+        let ignored = self.ignored_packets - before.1;
+        if ignored > 0 {
+            self.metrics.ignored.add(ignored);
+        }
     }
 
     /// Overrides the QoS context of one flow (e.g. when the gray-box QoE

@@ -2,8 +2,8 @@
 //!
 //! One serial [`TapMonitor`] saturates a core long before it saturates an
 //! ISP tap. [`ShardedTapMonitor`] scales the front end across worker
-//! threads: packets are hashed by normalized five-tuple
-//! ([`FiveTuple::shard_hash`]) onto `W` shards, each owned by a dedicated
+//! threads: packets are routed by the word-wise, direction-invariant
+//! [`FiveTuple::route_hash`] onto `W` shards, each owned by a dedicated
 //! worker thread running its own `TapMonitor` over a shared
 //! [`ModelBundle`]. Because the hash is direction-invariant, both
 //! directions of a conversation land on the same worker, and because each
@@ -14,12 +14,15 @@
 //! Records travel in batches to amortize channel overhead; control
 //! messages (`set_qoe`, `finish_idle`, stats snapshots) are interleaved
 //! into the same per-shard queues, so they apply at a well-defined point
-//! in each shard's packet stream.
+//! in each shard's packet stream. Each of those queues is bounded: a
+//! caller that has run a few batches ahead of a shard's worker waits for
+//! it, so the batches in flight — and the buffers that carry them, which
+//! the workers hand back for reuse — stay a fixed, small set.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver, Sender, SyncSender};
 use nettrace::packet::FiveTuple;
 use nettrace::pcap::PcapRecord;
 use nettrace::units::Micros;
@@ -130,6 +133,15 @@ impl MonitorStats {
     }
 }
 
+/// Messages a shard's channel holds before the sender waits. The bound
+/// is what carries a slow worker's backpressure upstream: a router that
+/// has run this many batches ahead sleeps in `send`, its ingest queue
+/// deepens, the next drain batch grows, and the producer meets its
+/// backpressure policy — instead of the whole backlog piling up behind
+/// the bounded queues in freshly allocated buffers. A worker that keeps
+/// up never sees the channel more than a message or two deep.
+const IN_FLIGHT: usize = 8;
+
 enum ShardMsg {
     Batch(Vec<TapRecord>),
     SetQoe(FiveTuple, QoeInputs),
@@ -188,12 +200,14 @@ fn shard_worker(
 
 /// Parallel tap front end: W worker shards, each a [`TapMonitor`].
 ///
-/// The ingest path is the hot path: hashing plus a `Vec` push, with one
-/// channel send per `batch_size` records. All heavyweight per-packet work
-/// (filtering, flow lookup, analyzer updates) happens on the worker
-/// threads.
+/// The ingest path is the hot path: per record one routing hash (three
+/// multiply-xorshift rounds, see [`FiveTuple::route_hash`]) and one copy
+/// into the shard's pending buffer; per `batch_size` records (or per
+/// [`ingest_batch`](Self::ingest_batch) call) one channel send per shard.
+/// All heavyweight per-packet work (filtering, flow lookup, analyzer
+/// updates) happens on the worker threads.
 pub struct ShardedTapMonitor {
-    senders: Vec<Sender<ShardMsg>>,
+    senders: Vec<SyncSender<ShardMsg>>,
     handles: Vec<JoinHandle<(Vec<MonitoredSession>, ShardStats)>>,
     pending: Vec<Vec<TapRecord>>,
     depth_gauges: Vec<Arc<Gauge>>,
@@ -264,7 +278,7 @@ impl ShardedTapMonitor {
         let mut depth_gauges = Vec::with_capacity(shards);
         let (recycle_tx, recycle_rx) = channel::unbounded();
         for i in 0..shards {
-            let (tx, rx) = channel::unbounded();
+            let (tx, rx) = channel::bounded(IN_FLIGHT);
             let m = models.clone();
             let mc = config.monitor;
             let mm = monitor_metrics.clone();
@@ -320,43 +334,30 @@ impl ShardedTapMonitor {
     }
 
     /// Hands one already-drained batch to the workers in a single
-    /// dispatch per shard: the batch is partitioned by shard hash
-    /// (preserving batch order, hence per-flow order) and each non-empty
-    /// partition is sent as one channel message. Records buffered by the
-    /// record-at-a-time [`ingest`](Self::ingest) path are flushed first,
-    /// so the two paths interleave in arrival order.
+    /// dispatch per shard: the batch is partitioned by routing hash into
+    /// the per-shard buffers this front end keeps (preserving batch order,
+    /// hence per-flow order), behind anything the record-at-a-time
+    /// [`ingest`](Self::ingest) path left there, and every non-empty
+    /// buffer is sent as one channel message.
     ///
     /// This is the live-ingestion hand-off: the ingest router's drain
     /// batch — sized by its batch policy — becomes the unit of delivery
     /// to the shard workers. A small batch (shallow queues) reaches the
     /// workers immediately instead of lingering in a partially filled
     /// `batch_size` buffer; a large batch (deep queues) amortizes the
-    /// per-dispatch partition-and-send cost across thousands of records.
+    /// per-dispatch send cost across thousands of records. Per record the
+    /// router pays one [`FiveTuple::route_hash`] and one copy.
     pub fn ingest_batch(&mut self, records: &[TapRecord]) {
         let shards = self.senders.len();
         if shards == 1 {
             // Degenerate single-shard front end: no partitioning needed.
-            self.flush_shard(0);
-            let mut buf = self.take_buf();
-            buf.extend_from_slice(records);
-            self.depth_gauges[0].inc();
-            let _ = self.senders[0].send(ShardMsg::Batch(buf));
-            return;
-        }
-        // Partition into recycled buffers; at steady state these come back
-        // from the workers already grown to batch capacity.
-        let mut parts: Vec<Vec<TapRecord>> = (0..shards).map(|_| self.take_buf()).collect();
-        for &(ts, tuple, len) in records {
-            parts[tuple.shard(shards)].push((ts, tuple, len));
-        }
-        for (shard, part) in parts.into_iter().enumerate() {
-            if part.is_empty() {
-                continue;
+            self.pending[0].extend_from_slice(records);
+        } else {
+            for record in records {
+                self.pending[record.1.shard(shards)].push(*record);
             }
-            self.flush_shard(shard);
-            self.depth_gauges[shard].inc();
-            let _ = self.senders[shard].send(ShardMsg::Batch(part));
         }
+        self.flush();
     }
 
     /// Overrides the QoS context of one flow on its shard. The shard's
@@ -642,5 +643,37 @@ mod tests {
         let (out, final_stats) = sharded.finish_all();
         assert_eq!(out.len(), 1);
         assert_eq!(final_stats.total().finalized_flows, 1);
+    }
+
+    #[test]
+    fn a_slow_worker_holds_the_caller_to_a_bounded_backlog() {
+        // Partitioning a batch is far cheaper than analysing it, so a
+        // caller that never pauses runs ahead of the worker; the channel
+        // bound must stop it a few batches out.
+        let registry = Registry::new();
+        let mut sharded = ShardedTapMonitor::with_registry(
+            Arc::new(bundle()),
+            ShardedMonitorConfig::with_shards(1),
+            &registry,
+        );
+        let depth = MonitorMetrics::shard_queue_depth(&registry, 0);
+        let gaming = FiveTuple::udp_v4([10, 0, 0, 1], 49003, [100, 64, 1, 1], 50_000);
+        const BATCHES: u64 = 100;
+        const PER: u64 = 2_048;
+        let mut deepest = 0;
+        for b in 0..BATCHES {
+            let batch: Vec<TapRecord> = (0..PER)
+                .map(|i| ((b * PER + i) * 100, gaming, 1200))
+                .collect();
+            sharded.ingest_batch(&batch);
+            deepest = deepest.max(depth.get());
+        }
+        // What the channel holds plus the batch the worker has in hand.
+        assert!(
+            deepest <= IN_FLIGHT as i64 + 1,
+            "{deepest} batches in flight"
+        );
+        let (_, stats) = sharded.finish_all();
+        assert_eq!(stats.total().ingested_packets, BATCHES * PER);
     }
 }

@@ -579,19 +579,31 @@ pub fn fleet_progress_line(done: usize, total: usize, delta: &cgc_obs::Snapshot)
 /// The reporter loop behind [`run_fleet`]'s `telemetry_every` heartbeat:
 /// polls `done` until it reaches `total`, and each time `every` further
 /// units complete, calls `emit` with the completion count and the
-/// registry's counter *delta* since the previous report. Extracted (and
-/// parameterized over `emit`) so the delta mechanics are testable without
-/// racing a real fleet.
+/// registry's counter *delta* since the previous report — since `baseline`
+/// for the first one. Extracted (and parameterized over `emit`) so the
+/// delta mechanics are testable without racing a real fleet.
+///
+/// `baseline` is a snapshot of `registry` taken **before the workers
+/// start**. The reporter runs on its own thread and may first be scheduled
+/// after workers have counted; a baseline taken there would swallow those
+/// increments and the deltas would no longer sum to the final totals.
 pub fn telemetry_reporter(
     registry: &cgc_obs::Registry,
+    baseline: cgc_obs::Snapshot,
     done: &std::sync::atomic::AtomicUsize,
     total: usize,
     every: usize,
     emit: &mut dyn FnMut(usize, cgc_obs::Snapshot),
 ) {
-    telemetry_reporter_with_slo(registry, done, total, every, None, &mut |d, delta, _| {
-        emit(d, delta)
-    });
+    telemetry_reporter_with_slo(
+        registry,
+        baseline,
+        done,
+        total,
+        every,
+        None,
+        &mut |d, delta, _| emit(d, delta),
+    );
 }
 
 /// [`telemetry_reporter`] with an SLO verdict riding along: each report
@@ -600,6 +612,7 @@ pub fn telemetry_reporter(
 /// ok/degraded/critical next to the counter deltas.
 pub fn telemetry_reporter_with_slo(
     registry: &cgc_obs::Registry,
+    baseline: cgc_obs::Snapshot,
     done: &std::sync::atomic::AtomicUsize,
     total: usize,
     every: usize,
@@ -610,7 +623,7 @@ pub fn telemetry_reporter_with_slo(
     if every == 0 {
         return;
     }
-    let mut prev = registry.snapshot();
+    let mut prev = baseline;
     let mut reported = 0usize;
     loop {
         // Acquire pairs with the workers' Release increment: a completion
@@ -669,6 +682,10 @@ pub fn run_fleet_with_models(models: FleetModels<'_>, cfg: &FleetConfig) -> Vec<
             .is_some_and(|flag| flag.load(Ordering::Relaxed))
     };
 
+    // The heartbeat's first delta is measured from here, before any worker
+    // can have counted anything.
+    let baseline = (cfg.telemetry_every > 0).then(|| cgc_obs::Registry::global().snapshot());
+
     // Scoped workers: a panicking worker propagates when the scope joins.
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -692,7 +709,7 @@ pub fn run_fleet_with_models(models: FleetModels<'_>, cfg: &FleetConfig) -> Vec<
                 }
             });
         }
-        if cfg.telemetry_every > 0 {
+        if let Some(baseline) = baseline {
             // The reporter exits on its own once every session is done, so
             // the scope still joins promptly. Burn rates run on the wall
             // clock — the same axis the heartbeat intervals live on.
@@ -700,6 +717,7 @@ pub fn run_fleet_with_models(models: FleetModels<'_>, cfg: &FleetConfig) -> Vec<
                 let slo = cgc_obs::SloHub::real_time(cgc_obs::SloConfig::default());
                 telemetry_reporter_with_slo(
                     cgc_obs::Registry::global(),
+                    baseline,
                     &done,
                     cfg.n_sessions,
                     cfg.telemetry_every,
@@ -883,7 +901,8 @@ pub struct TapReplayRun {
     /// Per-source merge accounting: how many records each input feed
     /// contributed and how many arrived beyond the reordering tolerance
     /// (still delivered). A single-feed replay shows one source with
-    /// zero late.
+    /// zero late. The merge is streamed, so a cancelled replay reports
+    /// what had been merged when it stopped, not the whole feed.
     pub merge: cgc_ingest::MergeStats,
     /// Records admitted into the ingest queues.
     pub enqueued: u64,
@@ -939,13 +958,18 @@ pub fn run_tap_fleet_replay(
 /// Replays one or more independently captured tap feeds — each with its
 /// own label and clock-skew offset — through the live ingestion path.
 ///
-/// The sources are first fused by the k-way merge ([`cgc_ingest::merge`])
-/// into one globally time-ordered stream on the shared clock axis, then
-/// paced, queued and drained into the sharded monitor exactly like
-/// [`run_tap_fleet_replay`]. Per-source contribution and lateness
-/// counters (`cgc_ingest_merge_records_total{source=…}`,
+/// The sources are fused by the k-way merge ([`cgc_ingest::merge`]) into
+/// one globally time-ordered stream on the shared clock axis, and the
+/// replay drives that merge record by record — the fused feed is never
+/// materialised, and merging overlaps the router and the shard workers —
+/// pacing, queueing and draining each record into the sharded monitor
+/// exactly like [`run_tap_fleet_replay`]. Per-source contribution and
+/// lateness counters (`cgc_ingest_merge_records_total{source=…}`,
 /// `cgc_ingest_merge_late_total{source=…}`) register on the run's
-/// private registry and surface in [`TapReplayRun::merge`].
+/// private registry and surface in [`TapReplayRun::merge`]; after a
+/// cancelled replay both count what the merge had released by then (the
+/// records delivered plus the one in hand when the flag was seen), not
+/// the whole feed.
 pub fn run_tap_feed_replay(
     bundle: &std::sync::Arc<ModelBundle>,
     shards: usize,
@@ -964,7 +988,7 @@ pub fn run_tap_feed_replay(
         }
         None => (cgc_obs::TraceSink::disabled(), None),
     };
-    let (feed, merge_stats) = cgc_ingest::merge_sources(sources, &opts.merge, Some(&registry));
+    let mut merge = cgc_ingest::KWayMerge::new(sources, opts.merge, Some(&registry));
     let (sink, journal) = cgc_obs::Journal::new(cgc_obs::JournalConfig::default(), &registry);
     let monitor = cgc_core::ShardedTapMonitor::with_observability(
         std::sync::Arc::clone(bundle),
@@ -984,18 +1008,16 @@ pub fn run_tap_feed_replay(
     let producer = engine.producer();
     let metrics = engine.metrics().clone();
     let replay_stats = cgc_ingest::replay(
-        &feed,
+        merge.by_ref(),
         &*clock,
         &opts.replay,
         Some(&metrics),
         opts.cancel.as_deref(),
         |record| {
             if trace_sink.is_enabled() {
-                // The merge fused the stream eagerly up front, but its
-                // spans are stamped here, per record at release time:
-                // stamping the whole feed before replay would flood the
-                // span ring ahead of the first drain and drop every
-                // later stage's spans at pace 0.
+                // The replay pulls each record out of the merge right
+                // before releasing it, so one stamp here serves both the
+                // Merge and the Ingest span.
                 let flow = record.1.flow_id();
                 trace_sink.record(flow, 0, TraceStage::Merge, record.0, 0);
                 trace_sink.record(flow, 0, TraceStage::Ingest, record.0, 0);
@@ -1021,7 +1043,7 @@ pub fn run_tap_feed_replay(
             timelines,
         },
         replay: replay_stats,
-        merge: merge_stats,
+        merge: merge.stats(),
         enqueued: run.enqueued,
         handed_off: run.handed_off,
         dropped: run.dropped,
@@ -1362,11 +1384,13 @@ mod tests {
         let dropped = registry.counter("cgc_ingest_dropped_total", "");
         let accepted = registry.counter("cgc_ingest_enqueued_total", "");
         let reports: Mutex<Vec<(usize, Option<cgc_obs::SloReport>)>> = Mutex::new(Vec::new());
+        let baseline = registry.snapshot();
 
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 telemetry_reporter_with_slo(
                     &registry,
+                    baseline,
                     &done,
                     4,
                     2,
@@ -1530,10 +1554,20 @@ mod tests {
         let before = registry.snapshot();
 
         std::thread::scope(|scope| {
+            // The baseline is taken here, before the "worker" below counts:
+            // taken on the reporter thread it would race the first batch.
+            let baseline = before.clone();
             scope.spawn(|| {
-                telemetry_reporter(&registry, &done, EVERY * BATCHES, EVERY, &mut |d, delta| {
-                    reports.lock().unwrap().push((d, delta));
-                });
+                telemetry_reporter(
+                    &registry,
+                    baseline,
+                    &done,
+                    EVERY * BATCHES,
+                    EVERY,
+                    &mut |d, delta| {
+                        reports.lock().unwrap().push((d, delta));
+                    },
+                );
             });
             for batch in 0..BATCHES {
                 counter.add(10 + batch as u64);
@@ -1569,7 +1603,9 @@ mod tests {
         let registry = cgc_obs::Registry::new();
         let done = std::sync::atomic::AtomicUsize::new(5);
         let mut calls = 0usize;
-        telemetry_reporter(&registry, &done, 5, 0, &mut |_, _| calls += 1);
+        telemetry_reporter(&registry, registry.snapshot(), &done, 5, 0, &mut |_, _| {
+            calls += 1
+        });
         assert_eq!(calls, 0);
     }
 

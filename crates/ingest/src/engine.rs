@@ -11,15 +11,22 @@
 //!                                          └──────────────────────┘
 //! ```
 //!
-//! Records are routed to queues by the direction-invariant five-tuple
-//! hash, so both directions of a conversation traverse the same queue
-//! and a single producer's per-flow packet order survives end to end.
+//! Records are routed to queues by the direction-invariant routing hash
+//! ([`FiveTuple::shard`]: three multiply-xorshift rounds over the tuple's
+//! words, no normalization, no division), so both directions of a
+//! conversation traverse the same queue and a single producer's per-flow
+//! packet order survives end to end. A push is that hash, one copy of
+//! the record into its ring slot and one counter increment; the flow's
+//! identity hash ([`FiveTuple::flow_id`], byte-serial FNV-1a) is only
+//! computed when a trace sink is enabled.
 //! Each sweep the router sizes a per-queue drain batch from its
 //! [`BatchPolicy`] — under the default adaptive policy the observed
 //! queue depth picks the size, so shallow queues hand records off with
 //! minimal latency while deep queues amortize per-batch sink overhead —
-//! and hands it to the sink. Queue depths, batch counts, the chosen
-//! batch sizes (`cgc_ingest_batch_size`) and hand-off totals are
+//! claims that many records from the ring in one run
+//! ([`BoundedQueue::pop_into`]: one compare-exchange per batch, not per
+//! record) and hands them to the sink. Queue depths, batch counts, the
+//! chosen batch sizes (`cgc_ingest_batch_size`) and hand-off totals are
 //! exported on every sweep.
 //!
 //! Shutdown is graceful by construction: [`IngestEngine::shutdown`]
@@ -257,7 +264,7 @@ pub struct IngestProducer {
 
 impl IngestProducer {
     /// Pushes one tap observation, routing by the direction-invariant
-    /// five-tuple hash. Returns `false` when the record was *not*
+    /// [`FiveTuple::shard`]. Returns `false` when the record was *not*
     /// admitted (engine shutting down, or rejected under `drop_newest`);
     /// either way the loss is counted, never silent.
     pub fn push(&self, ts: Micros, wire_tuple: &FiveTuple, payload_len: u32) -> bool {
@@ -487,12 +494,7 @@ fn router_loop<S: BatchSink>(
             // the batch smaller or larger than ideal, never incorrect.
             let target = batch.size_for(queue.len());
             buf.clear();
-            while buf.len() < target {
-                match queue.try_pop() {
-                    Some(record) => buf.push(record),
-                    None => break,
-                }
-            }
+            queue.pop_into(&mut buf, target);
             shared.metrics.queue_depth[i].set(queue.len() as i64);
             if !buf.is_empty() {
                 shared.metrics.batch_size.record(buf.len() as u64);

@@ -16,7 +16,10 @@
 //!   **stable by source index** (then by within-source arrival order).
 //! * **Bounded reordering tolerance** — real capture feeds are only
 //!   *mostly* sorted (multi-queue NICs reorder within a small window).
-//!   Each source runs through a lookahead buffer (itself a min-heap)
+//!   Each source runs through a lookahead buffer — a deque kept sorted
+//!   by `(ts, arrival)`: an in-order arrival is appended, a disordered
+//!   one is binary-search inserted, so an already sorted source pays a
+//!   queue's push and pop per record, not a heap's sifts —
 //!   that holds records until the source has been seen
 //!   [`MergeConfig::tolerance_us`] past them, fixing any local disorder
 //!   within that window. A record arriving *later* than the tolerance
@@ -48,7 +51,7 @@
 //! ```
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use cgc_core::shard::TapRecord;
@@ -147,44 +150,19 @@ impl MergeStats {
     }
 }
 
-/// A record waiting in a per-source lookahead buffer, ordered by
-/// `(ts, seq)` so equal timestamps keep their arrival order.
-struct Buffered {
-    ts: Micros,
-    seq: u64,
-    record: TapRecord,
-}
-
-impl PartialEq for Buffered {
-    fn eq(&self, other: &Self) -> bool {
-        self.ts == other.ts && self.seq == other.seq
-    }
-}
-impl Eq for Buffered {}
-impl PartialOrd for Buffered {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Buffered {
-    /// Reversed so `BinaryHeap` (a max-heap) pops the smallest first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.ts, other.seq).cmp(&(self.ts, self.seq))
-    }
-}
-
 /// One source mid-merge: the not-yet-buffered remainder of the feed, a
-/// lookahead min-heap absorbing local disorder, and lateness bookkeeping.
+/// sorted lookahead queue absorbing local disorder, and lateness
+/// bookkeeping.
 struct SourceState {
     rest: std::vec::IntoIter<TapRecord>,
     offset: SkewMicros,
-    buf: BinaryHeap<Buffered>,
+    /// Lookahead, sorted by offset-corrected timestamp with equal
+    /// timestamps in arrival order; the front is the oldest.
+    buf: VecDeque<TapRecord>,
     /// Newest (offset-corrected) timestamp pushed into the buffer — the
     /// source's read frontier; `frontier - tolerance` is what the buffer
     /// has provably seen past.
     frontier: Micros,
-    /// Arrival counter feeding the stable `seq` tie-breaker.
-    next_seq: u64,
     /// Labeled `cgc_ingest_merge_late_total{source=}` handle, when the
     /// merge was built with a registry.
     late_counter: Option<Arc<Counter>>,
@@ -197,9 +175,8 @@ impl SourceState {
         SourceState {
             rest: source.records.into_iter(),
             offset: source.offset_us,
-            buf: BinaryHeap::new(),
+            buf: VecDeque::new(),
             frontier: 0,
-            next_seq: 0,
             late_counter,
             merged: 0,
             late: 0,
@@ -217,10 +194,10 @@ impl SourceState {
     /// dropped).
     fn fill(&mut self, cfg: &MergeConfig) {
         loop {
-            let mature = match self.buf.peek() {
+            let mature = match self.buf.front() {
                 None => false,
                 Some(oldest) => {
-                    oldest.ts.saturating_add(cfg.tolerance_us) <= self.frontier
+                    oldest.0.saturating_add(cfg.tolerance_us) <= self.frontier
                         || self.buf.len() >= cfg.lookahead_cap
                 }
             };
@@ -237,12 +214,14 @@ impl SourceState {
                         }
                     }
                     self.frontier = self.frontier.max(ts);
-                    self.buf.push(Buffered {
-                        ts,
-                        seq: self.next_seq,
-                        record: (ts, tuple, len),
-                    });
-                    self.next_seq += 1;
+                    if self.buf.back().is_none_or(|newest| newest.0 <= ts) {
+                        self.buf.push_back((ts, tuple, len));
+                    } else {
+                        // Behind everything with a timestamp up to its
+                        // own: equal timestamps keep their arrival order.
+                        let at = self.buf.partition_point(|b| b.0 <= ts);
+                        self.buf.insert(at, (ts, tuple, len));
+                    }
                 }
                 None => return, // exhausted: whatever is buffered is final
             }
@@ -251,14 +230,14 @@ impl SourceState {
 
     /// The timestamp the merge heap should key this source by.
     fn head_ts(&self) -> Option<Micros> {
-        self.buf.peek().map(|b| b.ts)
+        self.buf.front().map(|b| b.0)
     }
 
     /// Releases the oldest buffered record.
     fn release(&mut self) -> TapRecord {
-        let b = self.buf.pop().expect("release on a non-empty buffer");
+        let record = self.buf.pop_front().expect("release on a non-empty buffer");
         self.merged += 1;
-        b.record
+        record
     }
 }
 
@@ -652,6 +631,104 @@ mod tests {
                     .collect();
                 assert_eq!(merged, original, "flow {flow} reordered by {m}-way split");
             }
+        }
+    }
+
+    /// The merge with the lookahead it had before the sorted deque: a
+    /// min-heap on `(ts, arrival seq)` per source. The reference the deque
+    /// is held to, record for record; the k-way step is a linear scan for
+    /// the smallest `(head ts, source index)`.
+    fn heap_reference(sources: &[MergeSource], cfg: &MergeConfig) -> (Vec<TapRecord>, Vec<u64>) {
+        use std::cmp::Reverse;
+        struct Src<'a> {
+            input: &'a MergeSource,
+            next: usize,
+            buf: BinaryHeap<Reverse<(Micros, usize)>>,
+            frontier: Micros,
+            late: u64,
+        }
+        impl Src<'_> {
+            fn fill(&mut self, cfg: &MergeConfig) {
+                loop {
+                    let mature = self.buf.peek().is_some_and(|Reverse((ts, _))| {
+                        ts.saturating_add(cfg.tolerance_us) <= self.frontier
+                            || self.buf.len() >= cfg.lookahead_cap
+                    });
+                    if mature {
+                        return;
+                    }
+                    let Some(record) = self.input.records.get(self.next) else {
+                        return;
+                    };
+                    let ts = shift_micros(record.0, self.input.offset_us);
+                    if ts < self.frontier.saturating_sub(cfg.tolerance_us) {
+                        self.late += 1;
+                    }
+                    self.frontier = self.frontier.max(ts);
+                    self.buf.push(Reverse((ts, self.next)));
+                    self.next += 1;
+                }
+            }
+        }
+        let mut srcs: Vec<Src> = sources
+            .iter()
+            .map(|input| Src {
+                input,
+                next: 0,
+                buf: BinaryHeap::new(),
+                frontier: 0,
+                late: 0,
+            })
+            .collect();
+        for s in &mut srcs {
+            s.fill(cfg);
+        }
+        let mut out = Vec::new();
+        while let Some(i) = (0..srcs.len())
+            .filter_map(|i| srcs[i].buf.peek().map(|Reverse((ts, _))| (*ts, i)))
+            .min()
+            .map(|(_, i)| i)
+        {
+            let Reverse((ts, seq)) = srcs[i].buf.pop().expect("peeked");
+            let (_, tuple, len) = srcs[i].input.records[seq];
+            out.push((ts, tuple, len));
+            srcs[i].fill(cfg);
+        }
+        (out, srcs.iter().map(|s| s.late).collect())
+    }
+
+    proptest! {
+        /// The sorted-deque lookahead releases exactly the sequence the
+        /// binary-heap lookahead released, with the same late counts: over
+        /// disorder inside and beyond the tolerance, runs of equal
+        /// timestamps, skewed sources and a lookahead cap small enough to
+        /// force early releases.
+        #[test]
+        fn deque_lookahead_matches_heap_reference(
+            feeds in prop::collection::vec(
+                (prop::collection::vec(0u64..300, 0..150), -20i64..20),
+                1..5
+            ),
+            tolerance_us in 0u64..60,
+            lookahead_cap in prop_oneof![1usize..6, Just(65_536usize)],
+        ) {
+            let sources: Vec<MergeSource> = feeds
+                .iter()
+                .enumerate()
+                .map(|(s, (ts, offset))| {
+                    let records = ts
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &t)| (t, tuple(s as u8), (s * 1_000 + i) as u32))
+                        .collect();
+                    MergeSource::with_offset(format!("s{s}"), *offset, records)
+                })
+                .collect();
+            let cfg = MergeConfig { tolerance_us, lookahead_cap };
+            let (want, want_late) = heap_reference(&sources, &cfg);
+            let (got, stats) = merge_sources(sources, &cfg, None);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(stats.late, want_late);
         }
     }
 

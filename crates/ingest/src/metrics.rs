@@ -22,7 +22,7 @@ pub struct IngestMetrics {
     pub dropped_oldest: Arc<Counter>,
     /// Records lost under `drop_newest` (rejected at the queue mouth).
     pub dropped_newest: Arc<Counter>,
-    /// Pushes that had to spin on a full queue under `block`.
+    /// Pushes that had to wait on a full queue under `block`.
     pub blocked: Arc<Counter>,
     /// Pushes rejected because the engine had begun shutting down.
     pub rejected_closed: Arc<Counter>,

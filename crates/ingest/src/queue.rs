@@ -5,9 +5,11 @@
 //! deployment absorbs bursts. Three policies cover the deployment
 //! trade-offs, and every outcome is *counted, never silent*:
 //!
-//! * [`BackpressurePolicy::Block`] — lossless: the producer spins until
-//!   space frees up. Right for offline replay and for taps that can
-//!   tolerate producer stall (kernel buffer upstream).
+//! * [`BackpressurePolicy::Block`] — lossless: the producer waits until
+//!   space frees up (a short spin, then yields, then 100 µs sleeps, so a
+//!   stalled producer leaves its core to the threads it is waiting for).
+//!   Right for offline replay and for taps that can tolerate producer
+//!   stall (kernel buffer upstream).
 //! * [`BackpressurePolicy::DropOldest`] — freshest-data-wins: evict the
 //!   oldest queued record to admit the new one. Right for live
 //!   classification where stale packets are worth less than current ones.
@@ -19,12 +21,14 @@
 //! `cgc-obs`' event ring ([`EventRing`]); this module adds the policy
 //! layer and capacity bookkeeping.
 
+use std::time::Duration;
+
 use cgc_obs::event::EventRing;
 
 /// What a producer does when its queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackpressurePolicy {
-    /// Spin until space frees up — lossless, producer pays the stall.
+    /// Wait until space frees up — lossless, producer pays the stall.
     #[default]
     Block,
     /// Evict the oldest queued record to admit the new one.
@@ -66,7 +70,7 @@ impl std::fmt::Display for BackpressurePolicy {
 pub enum PushOutcome {
     /// Enqueued without contention.
     Accepted,
-    /// Enqueued after spinning on a full ring (`Block`).
+    /// Enqueued after waiting on a full ring (`Block`).
     AcceptedAfterBlock,
     /// Enqueued after evicting `n` older records (`DropOldest`).
     AcceptedDroppingOldest(u64),
@@ -142,6 +146,13 @@ impl<T> BoundedQueue<T> {
         self.ring.try_pop()
     }
 
+    /// Dequeues up to `max` records onto the end of `out` in queue order,
+    /// claiming the whole run with one atomic operation; returns how many
+    /// (0 when empty).
+    pub fn pop_into(&self, out: &mut Vec<T>, max: usize) -> usize {
+        self.ring.pop_into(out, max)
+    }
+
     /// Enqueues under `policy`, resolving overflow per the policy table
     /// above. Never loses a record silently: the returned outcome carries
     /// the exact displaced/rejected count.
@@ -152,17 +163,25 @@ impl<T> BoundedQueue<T> {
         };
         match policy {
             BackpressurePolicy::Block => {
+                // Same shape as the router's idle back-off: a full ring
+                // holds `capacity` records of work for the consumer, so
+                // once a short spin has not found space the producer is
+                // only in its way — on a box with fewer cores than
+                // threads a spinning producer takes the core the router
+                // or a shard worker needs to make that space.
                 let mut spins = 0u32;
                 loop {
                     match self.ring.try_push(value) {
                         Ok(()) => return PushOutcome::AcceptedAfterBlock,
                         Err(v) => value = v,
                     }
-                    spins = spins.wrapping_add(1);
-                    if spins.is_multiple_of(64) {
+                    spins = spins.saturating_add(1);
+                    if spins < 64 {
+                        std::hint::spin_loop();
+                    } else if spins < 128 {
                         std::thread::yield_now();
                     } else {
-                        std::hint::spin_loop();
+                        std::thread::sleep(Duration::from_micros(100));
                     }
                 }
             }

@@ -21,10 +21,12 @@
 //!
 //! Multi-source captures (several NICs, several pcaps) are fused into
 //! the single sorted feed this module expects by the k-way merge in
-//! [`crate::merge`]; a record the merge flagged late (beyond the
+//! [`crate::merge`] — [`replay()`] takes the merge itself, so the fused
+//! feed is consumed as it is produced; a record the merge flagged late (beyond the
 //! reordering tolerance) simply has a past deadline here and is
 //! released immediately rather than re-sorted or dropped.
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use cgc_core::shard::TapRecord;
@@ -94,13 +96,19 @@ pub fn pcap_feed(records: &[PcapRecord]) -> Vec<TapRecord> {
 /// Replays `records` against `clock`, releasing each to `deliver` at its
 /// paced deadline. Records must be sorted by timestamp (capture order).
 ///
+/// `records` is anything that yields tap records, owned or borrowed: a
+/// slice of a materialised feed, or a [`KWayMerge`](crate::KWayMerge)
+/// driven record by record, in which case merging overlaps whatever
+/// `deliver` feeds and the merged feed never exists as a whole.
+///
 /// `metrics`, when given, counts releases (`cgc_ingest_replayed_total`)
 /// and records per-release lag (`cgc_ingest_pacing_lag_us`). `cancel`,
 /// when given, is checked before every release so a Ctrl-C can stop a
 /// long replay between records; the cut is reported in the stats, never
-/// silent.
-pub fn replay<F>(
-    records: &[TapRecord],
+/// silent. The record in hand when the flag is seen has been taken from
+/// `records` and is not released.
+pub fn replay<I, F>(
+    records: I,
     clock: &dyn Clock,
     config: &ReplayConfig,
     metrics: Option<&IngestMetrics>,
@@ -108,14 +116,16 @@ pub fn replay<F>(
     mut deliver: F,
 ) -> ReplayStats
 where
+    I: IntoIterator,
+    I::Item: Borrow<TapRecord>,
     F: FnMut(TapRecord),
 {
     let mut stats = ReplayStats::default();
-    let Some(&(first_ts, _, _)) = records.first() else {
-        return stats;
-    };
-    let origin = clock.now();
-    for &record in records {
+    // Replay-clock origin and first record timestamp, read at the first
+    // record: an empty feed never consults the clock.
+    let mut anchor: Option<(Micros, Micros)> = None;
+    for item in records {
+        let record: TapRecord = *item.borrow();
         if let Some(flag) = cancel {
             if flag.load(Ordering::Relaxed) {
                 stats.cancelled = true;
@@ -123,6 +133,7 @@ where
             }
         }
         if config.paced() {
+            let (origin, first_ts) = *anchor.get_or_insert_with(|| (clock.now(), record.0));
             let deadline = origin + config.scale(record.0.saturating_sub(first_ts));
             clock.sleep_until(deadline);
             let lag = clock.now().saturating_sub(deadline);
@@ -240,9 +251,111 @@ mod tests {
     }
 
     #[test]
+    fn streaming_the_merge_equals_replaying_the_merged_feed() {
+        use crate::merge::{merge_sources, KWayMerge, MergeConfig, MergeSource};
+        use cgc_obs::Registry;
+
+        // Three skewed taps with disorder inside the tolerance, one record
+        // beyond it and timestamps shared across taps.
+        let mk = |flow: u8, ts: &[Micros]| -> Vec<TapRecord> {
+            let t = FiveTuple::udp_v4([10, 0, 0, flow], 49003, [100, 64, 1, flow], 50_000);
+            ts.iter()
+                .enumerate()
+                .map(|(i, &ts)| (ts, t, u32::from(flow) * 100 + i as u32))
+                .collect()
+        };
+        let sources = || {
+            vec![
+                MergeSource::new("a", mk(1, &[1_000, 3_000, 2_900, 9_000, 9_000, 20_000])),
+                MergeSource::with_offset("b", 500, mk(2, &[500, 8_500, 2_000, 19_500])),
+                MergeSource::with_offset("c", -250, mk(3, &[1_250, 9_250, 9_250])),
+            ]
+        };
+        let cfg = MergeConfig {
+            tolerance_us: 200,
+            ..MergeConfig::default()
+        };
+        let config = ReplayConfig { pace: 2.0 };
+
+        let materialised_registry = Registry::new();
+        let (feed, merged_stats) = merge_sources(sources(), &cfg, Some(&materialised_registry));
+        assert_eq!(merged_stats.late, [0, 1, 0], "the feed exercises lateness");
+        let clock = VirtualClock::starting_at(77);
+        let mut from_feed = Vec::new();
+        let feed_stats = replay(&feed, &clock, &config, None, None, |r| {
+            from_feed.push((clock.now(), r))
+        });
+
+        let streamed_registry = Registry::new();
+        let mut merge = KWayMerge::new(sources(), cfg, Some(&streamed_registry));
+        let clock = VirtualClock::starting_at(77);
+        let mut from_merge = Vec::new();
+        let merge_replay_stats = replay(merge.by_ref(), &clock, &config, None, None, |r| {
+            from_merge.push((clock.now(), r))
+        });
+
+        assert_eq!(from_merge, from_feed, "same records at the same instants");
+        assert_eq!(merge_replay_stats, feed_stats);
+        assert_eq!(merge.stats(), merged_stats);
+        let (streamed, materialised) = (
+            streamed_registry.snapshot(),
+            materialised_registry.snapshot(),
+        );
+        for family in [
+            "cgc_ingest_merge_records_total",
+            "cgc_ingest_merge_late_total",
+        ] {
+            for label in ["a", "b", "c"] {
+                let labels = [("source", label)];
+                assert_eq!(
+                    streamed.counter_with(family, &labels),
+                    materialised.counter_with(family, &labels),
+                    "{family}{{source={label}}}"
+                );
+            }
+            assert_eq!(streamed.counter(family), materialised.counter(family));
+        }
+        assert_eq!(
+            streamed.counter("cgc_ingest_merge_records_total"),
+            Some(feed.len() as u64)
+        );
+    }
+
+    #[test]
+    fn a_cancelled_streamed_replay_leaves_the_rest_in_the_merge() {
+        use crate::merge::{KWayMerge, MergeConfig, MergeSource};
+        let clock = VirtualClock::starting_at(0);
+        let mut merge = KWayMerge::new(
+            vec![MergeSource::new("a", feed(&[0, 1, 2, 3, 4]))],
+            MergeConfig::default(),
+            None,
+        );
+        let cancel = AtomicBool::new(false);
+        let mut released = 0u64;
+        let stats = replay(
+            merge.by_ref(),
+            &clock,
+            &ReplayConfig::as_fast_as_possible(),
+            None,
+            Some(&cancel),
+            |_| {
+                released += 1;
+                cancel.store(released == 2, Ordering::Relaxed);
+            },
+        );
+        assert!(stats.cancelled);
+        assert_eq!(stats.released, 2);
+        // The third record was in hand when the flag was seen; the merge
+        // counts it as released, and the other two were never merged.
+        assert_eq!(merge.stats().merged, [3]);
+        assert_eq!(merge.count(), 2);
+    }
+
+    #[test]
     fn empty_feed_is_a_no_op() {
         let clock = VirtualClock::starting_at(0);
-        let stats = replay(&[], &clock, &ReplayConfig::default(), None, None, |_| {
+        let empty: &[TapRecord] = &[];
+        let stats = replay(empty, &clock, &ReplayConfig::default(), None, None, |_| {
             panic!("nothing to deliver")
         });
         assert_eq!(stats, ReplayStats::default());

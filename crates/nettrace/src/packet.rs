@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::net::{IpAddr, Ipv4Addr};
 
 use crate::units::Micros;
@@ -66,7 +67,7 @@ impl fmt::Display for Direction {
 /// the `dst` side the client, i.e. the tuple is written in the *downstream*
 /// orientation; [`FiveTuple::normalized`] maps both directions of a
 /// bidirectional conversation onto one key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FiveTuple {
     /// Server-side address.
     pub src_ip: IpAddr,
@@ -116,9 +117,11 @@ impl FiveTuple {
 
     /// Stable 64-bit hash of the *normalized* tuple (FNV-1a over the
     /// endpoint bytes). Both directions of a conversation hash identically,
-    /// and the value is independent of the process's `HashMap` seed, so it
-    /// can be used to partition flows across worker shards
-    /// deterministically.
+    /// and the value is independent of the process's `HashMap` seed. This is
+    /// the flow's identity ([`FiveTuple::flow_id`]): journals and traces
+    /// store it, so its values never change. It costs 37 dependent byte
+    /// steps, which is why per-record routing uses
+    /// [`FiveTuple::route_hash`] instead.
     pub fn shard_hash(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -144,9 +147,42 @@ impl FiveTuple {
         mix(h, &[n.proto as u8])
     }
 
-    /// Shard index for a pool of `n` workers (`n = 0` is treated as 1).
+    /// Word-wise routing hash, direction-invariant by construction: each
+    /// `(ip, port)` endpoint is mixed on its own, the two are combined
+    /// commutatively, and the protocol is folded in last — no
+    /// normalization, no per-byte loop. Stable across processes, so
+    /// partitioning by it is deterministic, but *not* the flow's identity:
+    /// nothing may store it (that is [`FiveTuple::flow_id`]).
+    pub fn route_hash(&self) -> u64 {
+        /// SplitMix64 finalizer: every input bit reaches every output bit.
+        fn mix(mut x: u64) -> u64 {
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            x ^ (x >> 31)
+        }
+        fn endpoint(ip: &IpAddr, port: u16) -> u64 {
+            match ip {
+                IpAddr::V4(v4) => mix((u64::from(u32::from(*v4)) << 16) | u64::from(port)),
+                IpAddr::V6(v6) => {
+                    let bits = u128::from(*v6);
+                    // The constant keeps a V6 address whose upper half is
+                    // zero apart from the V4 address with the same low bits.
+                    mix(mix((bits >> 64) as u64 ^ 0x9e37_79b9_7f4a_7c15)
+                        ^ bits as u64
+                        ^ u64::from(port).rotate_left(48))
+                }
+            }
+        }
+        let ends = endpoint(&self.src_ip, self.src_port)
+            .wrapping_add(endpoint(&self.dst_ip, self.dst_port));
+        mix(ends ^ self.proto as u64)
+    }
+
+    /// Shard index for a pool of `n` workers (`n = 0` is treated as 1):
+    /// [`FiveTuple::route_hash`] scaled into `0..n` by a multiply-high, so
+    /// routing a record costs no division.
     pub fn shard(&self, n: usize) -> usize {
-        (self.shard_hash() % n.max(1) as u64) as usize
+        ((u128::from(self.route_hash()) * n.max(1) as u128) >> 64) as usize
     }
 
     /// The flow's journal/flight-recorder id: the direction-invariant
@@ -164,6 +200,36 @@ impl FiveTuple {
             client_ip: self.dst_ip,
             client_port: self.dst_port,
         }
+    }
+}
+
+/// Hashes the tuple as whole words — two for an IPv4 pair — where the
+/// derived implementation fed a hasher seven separate fields. Flow tables
+/// hash a tuple per packet; equal tuples still hash equal under any hasher.
+impl Hash for FiveTuple {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match (self.src_ip, self.dst_ip) {
+            (IpAddr::V4(src), IpAddr::V4(dst)) => {
+                state.write_u64((u64::from(u32::from(src)) << 32) | u64::from(u32::from(dst)));
+            }
+            (src, dst) => {
+                for ip in [src, dst] {
+                    match ip {
+                        IpAddr::V4(v4) => state.write_u32(v4.into()),
+                        IpAddr::V6(v6) => state.write_u128(v6.into()),
+                    }
+                }
+            }
+        }
+        // Address families go in with the ports and the protocol, so a V4
+        // address never reads as the start of a V6 one.
+        state.write_u64(
+            (u64::from(self.src_port) << 32)
+                | (u64::from(self.dst_port) << 16)
+                | ((self.proto as u64) << 8)
+                | (u64::from(self.src_ip.is_ipv6()) << 1)
+                | u64::from(self.dst_ip.is_ipv6()),
+        );
     }
 }
 
@@ -226,6 +292,9 @@ impl Packet {
 mod tests {
     use super::*;
 
+    /// `flow_id()` of `10.0.0.1:49003 <-> 192.168.1.5:50123` over UDP.
+    const GOLDEN_FLOW_ID: u64 = 0xca7e_debd_ea39_7572;
+
     #[test]
     fn direction_flip_is_involutive() {
         assert_eq!(Direction::Downstream.flip(), Direction::Upstream);
@@ -269,6 +338,97 @@ mod tests {
         assert_eq!(t.shard(8), t.reversed().shard(8));
         // Zero workers degrade to a single shard instead of dividing by 0.
         assert_eq!(t.shard(0), 0);
+    }
+
+    #[test]
+    fn flow_id_values_are_pinned() {
+        // Journals, traces and the benchmark's input pins store this value:
+        // it is FNV-1a over the normalized tuple and must never move,
+        // whatever the routing hash does.
+        let t = FiveTuple::udp_v4([10, 0, 0, 1], 49003, [192, 168, 1, 5], 50123);
+        assert_eq!(t.flow_id(), GOLDEN_FLOW_ID);
+        assert_eq!(t.reversed().flow_id(), GOLDEN_FLOW_ID);
+        assert_eq!(t.shard_hash(), GOLDEN_FLOW_ID);
+        assert_ne!(t.route_hash(), t.flow_id(), "routing is not identity");
+    }
+
+    fn v6(last: u16) -> IpAddr {
+        IpAddr::V6(std::net::Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 7, last))
+    }
+
+    #[test]
+    fn route_hash_is_direction_invariant_for_every_family_mix() {
+        let v4 = FiveTuple::udp_v4([10, 0, 0, 1], 49003, [192, 168, 1, 5], 50123);
+        let v6_pair = FiveTuple {
+            src_ip: v6(1),
+            dst_ip: v6(2),
+            ..v4
+        };
+        let mixed = FiveTuple {
+            dst_ip: v6(2),
+            ..v4
+        };
+        let tcp = FiveTuple {
+            proto: Protocol::Tcp,
+            ..v4
+        };
+        let all = [v4, v6_pair, mixed, tcp];
+        for t in all {
+            assert_eq!(t.route_hash(), t.reversed().route_hash(), "{t}");
+            for n in [0usize, 1, 2, 3, 8, 1000] {
+                assert_eq!(t.shard(n), t.reversed().shard(n));
+                assert!(t.shard(n) < n.max(1));
+            }
+        }
+        // Different conversations route apart; so do a V4 address and the
+        // V6 address with the same low bits.
+        for (i, a) in all.iter().enumerate() {
+            for b in &all[i + 1..] {
+                assert_ne!(a.route_hash(), b.route_hash(), "{a} vs {b}");
+            }
+        }
+        let low = FiveTuple {
+            src_ip: IpAddr::V6(std::net::Ipv6Addr::from(u128::from(u32::from(
+                Ipv4Addr::new(10, 0, 0, 1),
+            )))),
+            ..v4
+        };
+        assert_ne!(low.route_hash(), v4.route_hash());
+        // Swapping only the ports is a different conversation.
+        let swapped = FiveTuple {
+            src_port: v4.dst_port,
+            dst_port: v4.src_port,
+            ..v4
+        };
+        assert_ne!(swapped.route_hash(), v4.route_hash());
+    }
+
+    #[test]
+    fn route_hash_spreads_random_tuples() {
+        // 10 000 random conversations over 8 shards, held to the same
+        // tolerance as the structured-address test below.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut counts = [0usize; 8];
+        for _ in 0..10_000 {
+            let (a, b) = (next(), next());
+            let t = FiveTuple::udp_v4(
+                (a as u32).to_be_bytes(),
+                (a >> 32) as u16,
+                (b as u32).to_be_bytes(),
+                (b >> 32) as u16,
+            );
+            counts[t.shard(8)] += 1;
+        }
+        assert!(
+            counts.iter().all(|&c| c > 10_000 / 16),
+            "unbalanced shards: {counts:?}"
+        );
     }
 
     #[test]

@@ -483,6 +483,70 @@ impl<T> EventRing<T> {
             }
         }
     }
+
+    /// Dequeues up to `max` events onto the end of `out` in queue order and
+    /// returns how many — the run of published slots at the tail, claimed
+    /// with one compare-exchange instead of one per event. Returns 0 when
+    /// the ring is (momentarily) empty or `max` is 0. Safe beside
+    /// concurrent [`try_pop`](Self::try_pop) and `pop_into` callers: an
+    /// event goes to exactly one of them.
+    pub fn pop_into(&self, out: &mut Vec<T>, max: usize) -> usize {
+        let max = max.min(self.slots.len());
+        if max == 0 {
+            return 0;
+        }
+        let mut pos = self.tail.0.load(Ordering::Relaxed);
+        loop {
+            // Length of the published run starting at `pos`. The acquire
+            // loads pair with each producer's release store of `p + 1`.
+            let mut n = 0;
+            while n < max {
+                let p = pos.wrapping_add(n);
+                if self.slots[p & self.mask].seq.load(Ordering::Acquire) != p.wrapping_add(1) {
+                    break;
+                }
+                n += 1;
+            }
+            if n == 0 {
+                let seq = self.slots[pos & self.mask].seq.load(Ordering::Acquire);
+                if (seq as isize - pos.wrapping_add(1) as isize) < 0 {
+                    return 0; // not yet published this lap: empty
+                }
+                // Published since the scan, or `pos` is stale (another
+                // consumer moved the tail): look again from the tail.
+                pos = self.tail.0.load(Ordering::Relaxed);
+                continue;
+            }
+            // Grow before claiming, so nothing can unwind between the
+            // claim and the release of the slots.
+            out.reserve(n);
+            match self.tail.0.compare_exchange_weak(
+                pos,
+                pos.wrapping_add(n),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    for p in (0..n).map(|i| pos.wrapping_add(i)) {
+                        let slot = &self.slots[p & self.mask];
+                        // SAFETY: every slot of the run was seen published
+                        // for position `p` (acquire load of seq = p + 1
+                        // above), a published slot changes only when its
+                        // consumer releases it, and the tail moves only
+                        // forward — so the CAS finding it still at `pos`
+                        // proves no other consumer claimed any of
+                        // `pos..pos + n`; they are this thread's alone
+                        // until the seq store below.
+                        out.push(unsafe { (*slot.value.get()).assume_init_read() });
+                        slot.seq
+                            .store(p.wrapping_add(self.mask + 1), Ordering::Release);
+                    }
+                    return n;
+                }
+                Err(actual) => pos = actual,
+            }
+        }
+    }
 }
 
 impl<T> Drop for EventRing<T> {
@@ -606,6 +670,156 @@ mod tests {
     }
 
     #[test]
+    fn pop_into_takes_the_published_run_in_order() {
+        let ring = EventRing::with_capacity(8);
+        let mut out: Vec<u64> = vec![99];
+        assert_eq!(ring.pop_into(&mut out, 4), 0, "empty ring");
+        for i in 0..6u64 {
+            ring.try_push(i).unwrap();
+        }
+        assert_eq!(ring.pop_into(&mut out, 0), 0, "max 0 takes nothing");
+        assert_eq!(ring.len(), 6);
+        assert_eq!(ring.pop_into(&mut out, 4), 4);
+        assert_eq!(out, [99, 0, 1, 2, 3], "appended behind what was there");
+        // Wraps: positions 6..10 straddle the end of the slot array.
+        for i in 6..10u64 {
+            ring.try_push(i).unwrap();
+        }
+        assert_eq!(ring.try_pop(), Some(4));
+        out.clear();
+        assert_eq!(
+            ring.pop_into(&mut out, usize::MAX),
+            5,
+            "capped by what is queued"
+        );
+        assert_eq!(out, [5, 6, 7, 8, 9]);
+        assert!(ring.is_empty());
+        // Every slot is free again after the run was released.
+        for i in 0..8u64 {
+            ring.try_push(i).unwrap();
+        }
+        assert!(ring.try_push(8).is_err());
+    }
+
+    /// `PRODUCERS` threads push `(producer, 0..PER)` into a ring of
+    /// `capacity` while two consumers drain it, one popping single events
+    /// and the other runs (each also takes a turn at the other call, so
+    /// both code paths race themselves too). All threads leave a barrier
+    /// together, and a tiny ring forces a wrap-around on every lap.
+    fn hammer(capacity: usize) {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Barrier;
+        const PRODUCERS: usize = 3;
+        const PER: usize = 20_000;
+        let ring = Arc::new(EventRing::<(usize, usize)>::with_capacity(capacity));
+        let taken = Arc::new(AtomicUsize::new(0));
+        let start = Arc::new(Barrier::new(PRODUCERS + 2));
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let (ring, start) = (Arc::clone(&ring), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..PER {
+                        let mut value = (p, i);
+                        while let Err(back) = ring.try_push(value) {
+                            value = back;
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        let consumers: Vec<_> = (0..2usize)
+            .map(|c| {
+                let (ring, start, taken) =
+                    (Arc::clone(&ring), Arc::clone(&start), Arc::clone(&taken));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut got: Vec<(usize, usize)> = Vec::new();
+                    let mut turn = c;
+                    while taken.load(Ordering::Relaxed) < PRODUCERS * PER {
+                        turn += 1;
+                        // Consumer 0 mostly pops one, consumer 1 mostly runs.
+                        let n = if (turn % 8 == 0) == (c == 0) {
+                            ring.pop_into(&mut got, 1 + turn % 7)
+                        } else {
+                            ring.try_pop().map_or(0, |v| {
+                                got.push(v);
+                                1
+                            })
+                        };
+                        if n == 0 {
+                            std::thread::yield_now();
+                        } else {
+                            taken.fetch_add(n, Ordering::Relaxed);
+                        }
+                    }
+                    got
+                })
+            })
+            .collect();
+        for h in producers {
+            h.join().unwrap();
+        }
+        let mut seen = vec![vec![false; PER]; PRODUCERS];
+        for h in consumers {
+            let got = h.join().unwrap();
+            // Per-producer FIFO: what one consumer took of one producer's
+            // values, it took in the order they were pushed.
+            let mut last = [None; PRODUCERS];
+            for (p, i) in got {
+                assert!(
+                    last[p] < Some(i),
+                    "capacity {capacity}: producer {p} reordered"
+                );
+                last[p] = Some(i);
+                assert!(!seen[p][i], "capacity {capacity}: ({p}, {i}) popped twice");
+                seen[p][i] = true;
+            }
+        }
+        assert!(
+            seen.iter().flatten().all(|&s| s),
+            "capacity {capacity}: a pushed value was never popped"
+        );
+        assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn mixed_consumers_take_every_value_exactly_once() {
+        for capacity in [2, 4, 64] {
+            hammer(capacity);
+        }
+    }
+
+    #[test]
+    fn dropping_a_non_empty_ring_drops_each_value_once() {
+        use std::sync::atomic::AtomicUsize;
+        struct Counted(Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let drops = Arc::new(AtomicUsize::new(0));
+        let ring = EventRing::with_capacity(8);
+        for _ in 0..7 {
+            assert!(ring.try_push(Counted(Arc::clone(&drops))).is_ok());
+        }
+        let mut out = Vec::new();
+        assert_eq!(ring.pop_into(&mut out, 3), 3);
+        drop(ring.try_pop());
+        assert_eq!(
+            drops.load(Ordering::Relaxed),
+            1,
+            "popped values are the caller's"
+        );
+        drop(out);
+        assert_eq!(drops.load(Ordering::Relaxed), 4);
+        drop(ring); // three values still queued
+        assert_eq!(drops.load(Ordering::Relaxed), 7);
+    }
+
+    #[test]
     fn event_jsonl_schema_is_flat_and_stable() {
         let e = Event {
             flow: 0xabcd,
@@ -660,5 +874,48 @@ mod tests {
             .to_string(),
             "closed (evicted, unconfirmed)"
         );
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::EventRing;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    proptest! {
+        /// On one thread the ring is a bounded FIFO: any interleaving of
+        /// `try_push`, `try_pop` and `pop_into` returns what a `VecDeque`
+        /// capped at the ring's capacity returns.
+        #[test]
+        fn ring_matches_a_bounded_vecdeque(
+            capacity in 0usize..9,
+            ops in prop::collection::vec((0u8..3, 0usize..12), 0..200)
+        ) {
+            let ring = EventRing::with_capacity(capacity);
+            let mut model: VecDeque<usize> = VecDeque::new();
+            let mut next = 0usize;
+            for (op, arg) in ops {
+                match op {
+                    0 => {
+                        let accepted = ring.try_push(next).is_ok();
+                        prop_assert_eq!(accepted, model.len() < ring.capacity());
+                        if accepted {
+                            model.push_back(next);
+                        }
+                        next += 1;
+                    }
+                    1 => prop_assert_eq!(ring.try_pop(), model.pop_front()),
+                    _ => {
+                        let mut out = vec![usize::MAX];
+                        let n = ring.pop_into(&mut out, arg);
+                        let want: Vec<usize> = model.drain(..arg.min(model.len())).collect();
+                        prop_assert_eq!(n, want.len());
+                        prop_assert_eq!(&out[1..], &want[..]);
+                    }
+                }
+                prop_assert_eq!(ring.len(), model.len());
+            }
+        }
     }
 }
