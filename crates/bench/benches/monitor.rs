@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use cgc_core::monitor::{MonitorConfig, TapMonitor};
 use cgc_core::shard::{ShardedMonitorConfig, ShardedTapMonitor};
+use cgc_core::Obs;
 use cgc_deploy::train::{train_bundle, TrainConfig};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nettrace::packet::FiveTuple;
@@ -57,7 +58,8 @@ fn bench_monitor(c: &mut Criterion) {
 
     g.bench_function("serial_10k_flows", |b| {
         b.iter(|| {
-            let mut monitor = TapMonitor::new(&bundle, MonitorConfig::default());
+            let mut monitor =
+                TapMonitor::with_obs(&bundle, MonitorConfig::default(), Obs::global());
             for (ts, tuple, len) in &feed {
                 monitor.ingest(*ts, tuple, *len);
             }
@@ -79,9 +81,11 @@ fn bench_monitor(c: &mut Criterion) {
     for shards in shard_counts {
         g.bench_function(&format!("sharded_w{shards}_10k_flows"), |b| {
             b.iter(|| {
-                let mut monitor = ShardedTapMonitor::new(
+                let mut monitor = ShardedTapMonitor::with_obs(
                     Arc::clone(&bundle),
                     ShardedMonitorConfig::with_shards(shards),
+                    cgc_obs::Registry::global(),
+                    Obs::global(),
                 );
                 for (ts, tuple, len) in &feed {
                     monitor.ingest(*ts, tuple, *len);

@@ -101,7 +101,10 @@ fn regime_row(
     let base = FleetConfig {
         duration_scale: scale.duration_scale,
         telemetry_every: 0,
-        drift: Some(drift_sink),
+        obs: std::sync::Arc::new(cgc_core::Obs {
+            drift: drift_sink,
+            ..cgc_core::Obs::on(&registry)
+        }),
         ..FleetConfig::default()
     };
     run_fleet(
@@ -122,7 +125,7 @@ fn regime_row(
             n_sessions: scale.measure_sessions,
             impaired_fraction: 1.0,
             impair_profile: Some(*profile),
-            quality: Some(quality_sink),
+            quality: quality_sink,
             ..base
         },
     );

@@ -13,8 +13,10 @@ use std::time::{Duration, Instant};
 
 use cgc_core::bundle::ModelBundle;
 use cgc_core::monitor::{MonitorConfig, TapMonitor};
+use cgc_core::Obs;
 use cgc_deploy::train::{train_bundle, TrainConfig};
 use cgc_lifecycle::LiveModel;
+use cgc_obs::{DriftSink, TraceSink};
 use mlcore::{argmax, Classifier, Dataset, RandomForest, RandomForestConfig};
 use nettrace::packet::FiveTuple;
 use nettrace::units::Micros;
@@ -219,7 +221,7 @@ fn monitor_feed() -> Vec<(Micros, FiveTuple, u32)> {
 /// Trains a quick bundle and replays the interleaved 10 k-flow feed
 /// through a serial [`TapMonitor`], best-of-`reps`.
 pub fn measure_monitor(reps: usize) -> MonitorPerf {
-    measure_monitor_with_sinks(reps, None, None)
+    measure_monitor_with_sinks(reps, TraceSink::disabled(), DriftSink::disabled())
 }
 
 /// [`measure_monitor`] with span tracing attached at `1/sample` head
@@ -232,7 +234,7 @@ pub fn measure_monitor_traced(reps: usize, sample: u64) -> MonitorPerf {
         cgc_obs::TraceConfig::default().with_sample(sample),
         &registry,
     );
-    measure_monitor_with_sinks(reps, Some(sink), None)
+    measure_monitor_with_sinks(reps, sink, DriftSink::disabled())
 }
 
 /// [`measure_monitor`] with a live drift sink attached, so every title
@@ -242,7 +244,7 @@ pub fn measure_monitor_traced(reps: usize, sample: u64) -> MonitorPerf {
 pub fn measure_monitor_drifted(reps: usize) -> MonitorPerf {
     let registry = cgc_obs::Registry::new();
     let (sink, _engine) = cgc_obs::DriftEngine::new(cgc_obs::DriftConfig::default(), &registry);
-    measure_monitor_with_sinks(reps, None, Some(sink))
+    measure_monitor_with_sinks(reps, TraceSink::disabled(), sink)
 }
 
 /// [`measure_monitor`] with the monitor served from a [`LiveModel`] hot
@@ -255,7 +257,7 @@ pub fn measure_monitor_live(reps: usize) -> MonitorPerf {
     let feed = monitor_feed();
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let mut monitor = TapMonitor::new(&live, MonitorConfig::default());
+        let mut monitor = TapMonitor::with_obs(&live, MonitorConfig::default(), Obs::global());
         let start = Instant::now();
         for (ts, tuple, len) in &feed {
             monitor.ingest(*ts, tuple, *len);
@@ -315,7 +317,7 @@ impl SwapPerf {
 /// One full feed replay against `live`, returning per-chunk ingest wall
 /// times in nanoseconds.
 fn chunk_latencies(live: &LiveModel<ModelBundle>, feed: &[(Micros, FiveTuple, u32)]) -> Vec<f64> {
-    let mut monitor = TapMonitor::new(live, MonitorConfig::default());
+    let mut monitor = TapMonitor::with_obs(live, MonitorConfig::default(), Obs::global());
     let mut latencies = Vec::with_capacity(feed.len() / SWAP_CHUNK + 1);
     for chunk in feed.chunks(SWAP_CHUNK) {
         let start = Instant::now();
@@ -389,22 +391,17 @@ pub fn measure_swap_under_load(reps: usize) -> SwapPerf {
     }
 }
 
-fn measure_monitor_with_sinks(
-    reps: usize,
-    trace: Option<cgc_obs::TraceSink>,
-    drift: Option<cgc_obs::DriftSink>,
-) -> MonitorPerf {
+fn measure_monitor_with_sinks(reps: usize, trace: TraceSink, drift: DriftSink) -> MonitorPerf {
     let bundle = Arc::new(train_bundle(&TrainConfig::quick()));
     let feed = monitor_feed();
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let mut monitor = TapMonitor::new(&bundle, MonitorConfig::default());
-        if let Some(sink) = &trace {
-            monitor.set_trace(sink.clone());
-        }
-        if let Some(sink) = &drift {
-            monitor.set_drift(sink.clone());
-        }
+        let obs = Obs {
+            trace: trace.clone(),
+            drift: drift.clone(),
+            ..Obs::clone(&Obs::global())
+        };
+        let mut monitor = TapMonitor::with_obs(&bundle, MonitorConfig::default(), obs);
         let start = Instant::now();
         for (ts, tuple, len) in &feed {
             monitor.ingest(*ts, tuple, *len);

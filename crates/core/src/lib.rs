@@ -48,7 +48,7 @@ mod wordhash;
 pub use bundle::{ModelBundle, ModelSource};
 pub use expiry::ExpiryWheel;
 pub use filter::{CloudGamingFilter, FilterConfig, Platform};
-pub use metrics::{MonitorMetrics, PipelineMetrics};
+pub use metrics::{MonitorMetrics, Obs, PipelineMetrics};
 pub use monitor::{MonitorConfig, MonitoredSession, ShardStats, TapMonitor};
 pub use pattern::{PatternInferrer, PatternInferrerConfig, PatternPrediction, PatternTracker};
 pub use pipeline::{AnalyzerConfig, QoeInputs, SessionAnalyzer, SessionReport};

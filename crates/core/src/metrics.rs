@@ -12,31 +12,69 @@
 //!   counts by label, confidence distributions, QoE calibration flips).
 //!
 //! Handles are `Arc`s resolved once per monitor/analyzer; recording is a
-//! relaxed atomic op. Constructors take a [`Registry`] so tests can
-//! assert exact counts against an isolated registry, while production
-//! paths default to the cached global set.
+//! relaxed atomic op. Both sets travel, with the three hot-path sinks,
+//! in one [`Obs`] context handed to [`TapMonitor`](crate::TapMonitor),
+//! [`ShardedTapMonitor`](crate::ShardedTapMonitor) and
+//! [`SessionAnalyzer`](crate::SessionAnalyzer) at construction:
+//! [`Obs::on`] a private [`Registry`] for exact assertions, or the cached
+//! [`Obs::global`].
 
 use cgc_domain::{ActivityPattern, GameTitle, QoeLevel, Stage};
-use cgc_obs::{Counter, Gauge, Histogram, Registry};
+use cgc_obs::quality::slug;
+use cgc_obs::{Counter, DriftSink, EventSink, Gauge, Histogram, Registry, TraceSink};
 use std::sync::{Arc, OnceLock};
 
-/// Prometheus-safe label value: lowercase alphanumerics with `_`.
-fn slug(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    let mut last_sep = true;
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-            last_sep = false;
-        } else if !last_sep {
-            out.push('_');
-            last_sep = true;
+/// Everything the live path records into: where its metrics go and which
+/// journal, trace and drift sinks its decisions feed. Built once by
+/// whoever owns the run (the CLI's `main`, a fleet driver, a test) and
+/// passed down at construction; nothing on the live path reaches for a
+/// process-global sink.
+///
+/// ```
+/// use cgc_core::Obs;
+/// use cgc_obs::{Journal, JournalConfig, Registry};
+///
+/// let registry = Registry::new();
+/// let (sink, _journal) = Journal::new(JournalConfig::default(), &registry);
+/// let obs = Obs {
+///     journal: sink,
+///     ..Obs::on(&registry)
+/// };
+/// assert!(obs.journal.is_enabled() && !obs.trace.is_enabled());
+/// ```
+#[derive(Debug, Clone)]
+pub struct Obs {
+    /// Tap front-end health series.
+    pub monitor: MonitorMetrics,
+    /// Classifier-stage series.
+    pub pipeline: PipelineMetrics,
+    /// Flight recorder: flow lifecycle and decision events.
+    pub journal: EventSink,
+    /// Span recorder: Shard/Slot/Classifier/Verdict stage crossings.
+    pub trace: TraceSink,
+    /// Label-free drift detection: every inference's score pair.
+    pub drift: DriftSink,
+}
+
+impl Obs {
+    /// Metrics registered on `registry`, every sink disabled (each costs
+    /// one branch per decision until replaced by a live one).
+    pub fn on(registry: &Registry) -> Obs {
+        Obs {
+            monitor: MonitorMetrics::register(registry),
+            pipeline: PipelineMetrics::register(registry),
+            journal: EventSink::disabled(),
+            trace: TraceSink::disabled(),
+            drift: DriftSink::disabled(),
         }
     }
-    while out.ends_with('_') {
-        out.pop();
+
+    /// [`Obs::on`] the process-wide [`Registry::global`], built once and
+    /// shared.
+    pub fn global() -> Arc<Obs> {
+        static GLOBAL: OnceLock<Arc<Obs>> = OnceLock::new();
+        Arc::clone(GLOBAL.get_or_init(|| Arc::new(Obs::on(Registry::global()))))
     }
-    out
 }
 
 /// Tap front-end (monitor + shard) telemetry handles.
@@ -103,12 +141,6 @@ impl MonitorMetrics {
                 "Wall time to ingest one record batch, nanoseconds",
             ),
         }
-    }
-
-    /// The set registered against [`Registry::global`].
-    pub fn global() -> &'static MonitorMetrics {
-        static GLOBAL: OnceLock<MonitorMetrics> = OnceLock::new();
-        GLOBAL.get_or_init(|| MonitorMetrics::register(Registry::global()))
     }
 
     /// Per-shard queue-depth gauge (`cgc_shard_queue_depth{shard="i"}`),
@@ -249,12 +281,6 @@ impl PipelineMetrics {
         }
     }
 
-    /// The set registered against [`Registry::global`].
-    pub fn global() -> &'static PipelineMetrics {
-        static GLOBAL: OnceLock<PipelineMetrics> = OnceLock::new();
-        GLOBAL.get_or_init(|| PipelineMetrics::register(Registry::global()))
-    }
-
     /// Record one slot's stage decision.
     pub fn record_stage_slot(&self, stage: Stage) {
         let i = Stage::ALL.iter().position(|s| *s == stage).expect("stage");
@@ -294,14 +320,6 @@ impl PipelineMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slug_normalizes_names() {
-        assert_eq!(slug("Baldur's Gate 3"), "baldur_s_gate_3");
-        assert_eq!(slug("CS:GO"), "cs_go");
-        assert_eq!(slug("Spectate-and-play"), "spectate_and_play");
-        assert_eq!(slug("Fortnite"), "fortnite");
-    }
 
     #[test]
     fn monitor_register_is_idempotent() {

@@ -19,11 +19,11 @@
 //! [`ShardedTapMonitor`](crate::shard::ShardedTapMonitor).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use cgc_obs::drift::DriftSink;
 use cgc_obs::event::{CloseCause, EventKind};
 use cgc_obs::journal::EventSink;
-use cgc_obs::{TraceSink, TraceStage};
+use cgc_obs::TraceStage;
 use nettrace::flow::FlowStats;
 use nettrace::packet::{Direction, FiveTuple, Packet};
 use nettrace::pcap::PcapRecord;
@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use crate::bundle::ModelSource;
 use crate::expiry::ExpiryWheel;
 use crate::filter::{CloudGamingFilter, FilterConfig, Platform};
-use crate::metrics::{MonitorMetrics, PipelineMetrics};
+use crate::metrics::Obs;
 use crate::pipeline::{AnalyzerConfig, QoeInputs, SessionAnalyzer, SessionReport};
 use crate::wordhash::WordHashBuilder;
 
@@ -179,62 +179,23 @@ pub struct TapMonitor<'b> {
     finalized_flows: u64,
     evicted_flows: u64,
     batches: u64,
-    metrics: MonitorMetrics,
-    pipeline_metrics: PipelineMetrics,
-    /// Flight-recorder sink handed to every flow's analyzer (disabled by
-    /// default on injected-registry monitors; `new` wires the global one).
-    journal: EventSink,
-    /// Span recorder handed to every flow's analyzer; the monitor itself
-    /// records the Shard hand-off span at flow admission.
-    trace: TraceSink,
-    /// Drift-score sink handed to every flow's analyzer (disabled by
-    /// default on injected-registry monitors; `new` wires the global one).
-    drift: DriftSink,
+    /// Metrics and sinks, shared with every flow's analyzer; the monitor
+    /// itself counts into `obs.monitor`, journals admission and closure,
+    /// and records the Shard hand-off span at flow admission.
+    obs: Arc<Obs>,
     /// Wheel-scan count already published to the registry counter.
     expiry_published: u64,
 }
 
 impl<'b> TapMonitor<'b> {
     /// A monitor over a trained bundle (or a hot-swappable
-    /// [`LiveModel`](cgc_lifecycle::LiveModel) slot), recording
-    /// telemetry into the process-wide registry.
-    pub fn new(models: impl Into<ModelSource<'b>>, config: MonitorConfig) -> Self {
-        let mut monitor = Self::with_metrics(
-            models,
-            config,
-            MonitorMetrics::global().clone(),
-            PipelineMetrics::global().clone(),
-        );
-        // Like the metrics: the global-registry constructor records into
-        // the process-wide journal (free until one is installed).
-        monitor.set_journal(cgc_obs::journal::global_sink());
-        monitor.set_trace(cgc_obs::trace::global_sink());
-        monitor.set_drift(cgc_obs::drift::global_sink());
-        monitor
-    }
-
-    /// A monitor recording telemetry into `registry` instead of the
-    /// process-wide one (used by tests and tools that need isolation).
-    pub fn with_registry(
+    /// [`LiveModel`](cgc_lifecycle::LiveModel) slot) recording into `obs`:
+    /// its own health series, and the metrics and sinks every admitted
+    /// flow's analyzer shares.
+    pub fn with_obs(
         models: impl Into<ModelSource<'b>>,
         config: MonitorConfig,
-        registry: &cgc_obs::Registry,
-    ) -> Self {
-        Self::with_metrics(
-            models,
-            config,
-            MonitorMetrics::register(registry),
-            PipelineMetrics::register(registry),
-        )
-    }
-
-    /// A monitor recording telemetry into injected handles (used by
-    /// tests and tools that need an isolated registry).
-    pub fn with_metrics(
-        models: impl Into<ModelSource<'b>>,
-        config: MonitorConfig,
-        metrics: MonitorMetrics,
-        pipeline_metrics: PipelineMetrics,
+        obs: impl Into<Arc<Obs>>,
     ) -> Self {
         TapMonitor {
             models: models.into(),
@@ -250,34 +211,25 @@ impl<'b> TapMonitor<'b> {
             finalized_flows: 0,
             evicted_flows: 0,
             batches: 0,
-            metrics,
-            pipeline_metrics,
-            journal: EventSink::disabled(),
-            trace: TraceSink::disabled(),
-            drift: DriftSink::disabled(),
+            obs: obs.into(),
             expiry_published: 0,
         }
+    }
+
+    /// [`with_obs`](Self::with_obs) with metrics on `registry` and every
+    /// sink disabled.
+    pub fn with_registry(
+        models: impl Into<ModelSource<'b>>,
+        config: MonitorConfig,
+        registry: &cgc_obs::Registry,
+    ) -> Self {
+        Self::with_obs(models, config, Obs::on(registry))
     }
 
     /// Routes this monitor's lifecycle events (and those of every flow
     /// analyzer created afterwards) into `sink`.
     pub fn set_journal(&mut self, sink: EventSink) {
-        self.journal = sink;
-    }
-
-    /// Routes stage-boundary spans (this monitor's Shard hand-offs and
-    /// every subsequently admitted flow's Slot/Classifier/Verdict spans)
-    /// into `sink`. Flows admitted before the call keep their old sink.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Routes classifier score observations (confidence + margin, from
-    /// every subsequently admitted flow's inferences) into `sink` for
-    /// label-free drift detection. Flows admitted before the call keep
-    /// their old sink.
-    pub fn set_drift(&mut self, sink: DriftSink) {
-        self.drift = sink;
+        Arc::make_mut(&mut self.obs).journal = sink;
     }
 
     /// Replaces the clock behind [`finish_idle_now`](Self::finish_idle_now):
@@ -327,15 +279,14 @@ impl<'b> TapMonitor<'b> {
                 // borrows this exact bundle for its whole life, so a
                 // concurrent hot-swap redirects only future admissions.
                 let (bundle, model_version) = self.models.pin();
-                let mut analyzer = SessionAnalyzer::with_metrics(
+                let analyzer = SessionAnalyzer::with_obs(
                     bundle,
                     self.config.analyzer,
                     self.config.qoe,
-                    self.pipeline_metrics.clone(),
+                    Arc::clone(&self.obs),
+                    flow_id,
+                    ts,
                 );
-                analyzer.attach_journal(self.journal.clone(), flow_id, ts);
-                analyzer.attach_trace(self.trace.clone());
-                analyzer.attach_drift(self.drift.clone());
                 let entry = FlowEntry {
                     analyzer,
                     key,
@@ -349,8 +300,8 @@ impl<'b> TapMonitor<'b> {
                 };
                 let slot = self.alloc_slot(entry);
                 self.flows.insert(key, slot);
-                self.metrics.active_flows.inc();
-                self.journal.emit(
+                self.obs.monitor.active_flows.inc();
+                self.obs.journal.emit(
                     flow_id,
                     ts,
                     EventKind::FlowAdmitted {
@@ -363,7 +314,7 @@ impl<'b> TapMonitor<'b> {
                 // generation. Fixed bundles (version 0) skip the event —
                 // nothing can swap, so there is nothing to attribute.
                 if self.models.is_live() {
-                    self.journal.emit(
+                    self.obs.journal.emit(
                         flow_id,
                         ts,
                         EventKind::ModelVersion {
@@ -374,9 +325,7 @@ impl<'b> TapMonitor<'b> {
                 // One Shard span per flow, at admission: the hand-off of
                 // the flow to this monitor (one shard of the parallel
                 // front end, or the whole serial one).
-                if self.trace.is_enabled() {
-                    self.trace.record(flow_id, 0, TraceStage::Shard, ts, 0);
-                }
+                self.obs.trace.record(flow_id, 0, TraceStage::Shard, ts, 0);
                 slot
             }
         };
@@ -400,9 +349,9 @@ impl<'b> TapMonitor<'b> {
     /// counting it in [`ShardStats::batches`].
     pub fn ingest_batch(&mut self, records: &[(Micros, FiveTuple, u32)]) {
         self.batches += 1;
-        self.metrics.batches.inc();
-        let batch_ns = std::sync::Arc::clone(&self.metrics.batch_ns);
-        let span = batch_ns.span();
+        self.obs.monitor.batches.inc();
+        let obs = Arc::clone(&self.obs);
+        let span = obs.monitor.batch_ns.span();
         let before = (self.ingested_packets, self.ignored_packets);
         for (ts, tuple, len) in records {
             self.ingest_one(*ts, tuple, *len);
@@ -416,11 +365,11 @@ impl<'b> TapMonitor<'b> {
     fn publish_packet_counts(&self, before: (u64, u64)) {
         let ingested = self.ingested_packets - before.0;
         if ingested > 0 {
-            self.metrics.ingested.add(ingested);
+            self.obs.monitor.ingested.add(ingested);
         }
         let ignored = self.ignored_packets - before.1;
         if ignored > 0 {
-            self.metrics.ignored.add(ignored);
+            self.obs.monitor.ignored.add(ignored);
         }
     }
 
@@ -533,7 +482,7 @@ impl<'b> TapMonitor<'b> {
         let scanned = self.expiry.entries_scanned();
         let delta = scanned.saturating_sub(self.expiry_published);
         if delta > 0 {
-            self.metrics.expiry_scanned.add(delta);
+            self.obs.monitor.expiry_scanned.add(delta);
             self.expiry_published = scanned;
         }
     }
@@ -545,15 +494,15 @@ impl<'b> TapMonitor<'b> {
             let session = self.finalize(entry, CloseCause::Evicted);
             self.evicted.push(session);
             self.evicted_flows += 1;
-            self.metrics.evicted.inc();
+            self.obs.monitor.evicted.inc();
         }
         self.publish_expiry_scans();
     }
 
     fn finalize(&mut self, entry: FlowEntry<'b>, cause: CloseCause) -> MonitoredSession {
         self.finalized_flows += 1;
-        self.metrics.finalized.inc();
-        self.metrics.active_flows.dec();
+        self.obs.monitor.finalized.inc();
+        self.obs.monitor.active_flows.dec();
         let confirmed = self.filter.confirm(&entry.stats);
         let session = MonitoredSession {
             tuple: entry.down_tuple,
@@ -566,7 +515,7 @@ impl<'b> TapMonitor<'b> {
             // FlowClosed below is always each timeline's final event.
             report: entry.analyzer.finish(),
         };
-        self.journal.emit(
+        self.obs.journal.emit(
             entry.flow_id,
             entry.last_seen,
             EventKind::FlowClosed { cause, confirmed },
@@ -627,7 +576,7 @@ mod tests {
         }
         feed.sort_by_key(|(ts, _, _)| *ts);
 
-        let mut monitor = TapMonitor::new(&b, MonitorConfig::default());
+        let mut monitor = TapMonitor::with_obs(&b, MonitorConfig::default(), Obs::global());
         for (ts, tuple, len) in &feed {
             monitor.ingest(*ts, tuple, *len);
         }
@@ -657,7 +606,7 @@ mod tests {
     #[test]
     fn non_gaming_traffic_is_ignored() {
         let b = bundle();
-        let mut monitor = TapMonitor::new(&b, MonitorConfig::default());
+        let mut monitor = TapMonitor::with_obs(&b, MonitorConfig::default(), Obs::global());
         let web = FiveTuple::udp_v4([1, 1, 1, 1], 443, [10, 0, 0, 2], 55_000);
         for i in 0..100u64 {
             monitor.ingest(i * 1000, &web, 1200);
@@ -670,7 +619,7 @@ mod tests {
     fn idle_flows_are_finalized() {
         let b = bundle();
         let s = session(3, GameTitle::CsGo);
-        let mut monitor = TapMonitor::new(&b, MonitorConfig::default());
+        let mut monitor = TapMonitor::with_obs(&b, MonitorConfig::default(), Obs::global());
         for p in &s.packets {
             monitor.ingest(p.ts, &wire(&s, p), p.payload_len);
         }
@@ -690,7 +639,7 @@ mod tests {
         // Many live flows, one idle: the expiry pass must not examine the
         // whole table (the old implementation scanned every flow).
         let b = bundle();
-        let mut monitor = TapMonitor::new(&b, MonitorConfig::default());
+        let mut monitor = TapMonitor::with_obs(&b, MonitorConfig::default(), Obs::global());
         let mk = |i: u16| FiveTuple::udp_v4([10, 0, 0, 1], 49003, [100, 64, 1, 1], 50_000 + i);
         monitor.ingest(0, &mk(0), 1200); // goes idle
         for i in 1..400u16 {
@@ -714,7 +663,7 @@ mod tests {
         let b = bundle();
         let s = session(7, GameTitle::Fortnite);
         let clock = VirtualClock::starting_at(0);
-        let mut monitor = TapMonitor::new(&b, MonitorConfig::default());
+        let mut monitor = TapMonitor::with_obs(&b, MonitorConfig::default(), Obs::global());
         monitor.set_clock(clock.shared());
         for p in &s.packets {
             monitor.ingest(p.ts, &wire(&s, p), p.payload_len);
@@ -739,7 +688,7 @@ mod tests {
             max_flows: 2,
             ..MonitorConfig::default()
         };
-        let mut monitor = TapMonitor::new(&b, config);
+        let mut monitor = TapMonitor::with_obs(&b, config, Obs::global());
         let mk = |i: u16| FiveTuple::udp_v4([10, 0, 0, 1], 49003, [100, 64, 1, 1], 50_000 + i);
         monitor.ingest(1_000, &mk(0), 1200);
         monitor.ingest(2_000, &mk(1), 1200);
@@ -773,7 +722,7 @@ mod tests {
         let b = bundle();
         let s = session(4, GameTitle::Dota2);
         let offset = 3_600_000_000u64; // flow starts an hour into the tap
-        let mut monitor = TapMonitor::new(&b, MonitorConfig::default());
+        let mut monitor = TapMonitor::with_obs(&b, MonitorConfig::default(), Obs::global());
         for p in &s.packets {
             monitor.ingest(p.ts + offset, &wire(&s, p), p.payload_len);
         }
@@ -801,8 +750,11 @@ mod tests {
             },
             &registry,
         );
-        let mut monitor = TapMonitor::with_registry(&b, MonitorConfig::default(), &registry);
-        monitor.set_trace(sink);
+        let obs = Obs {
+            trace: sink,
+            ..Obs::on(&registry)
+        };
+        let mut monitor = TapMonitor::with_obs(&b, MonitorConfig::default(), obs);
         for p in &s.packets {
             monitor.ingest(p.ts, &wire(&s, p), p.payload_len);
         }
@@ -846,8 +798,11 @@ mod tests {
         // flow ids are FNV hashes, so `flow % u64::MAX == 0` only for 0.
         let (sink, mut collector) =
             TraceCollector::new(TraceConfig::default().with_sample(u64::MAX), &registry);
-        let mut monitor = TapMonitor::with_registry(&b, MonitorConfig::default(), &registry);
-        monitor.set_trace(sink);
+        let obs = Obs {
+            trace: sink,
+            ..Obs::on(&registry)
+        };
+        let mut monitor = TapMonitor::with_obs(&b, MonitorConfig::default(), obs);
         for p in &s.packets {
             monitor.ingest(p.ts, &wire(&s, p), p.payload_len);
         }
@@ -864,7 +819,7 @@ mod tests {
     fn set_qoe_overrides_labels() {
         let b = bundle();
         let s = session(5, GameTitle::R6Siege);
-        let mut monitor = TapMonitor::new(&b, MonitorConfig::default());
+        let mut monitor = TapMonitor::with_obs(&b, MonitorConfig::default(), Obs::global());
         // Feed the first half, then report degraded QoS, then the rest.
         let mid = s.packets.len() / 2;
         for p in &s.packets[..mid] {

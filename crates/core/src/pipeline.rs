@@ -16,12 +16,12 @@
 //! (`analyze_packets`) and launch-packets-plus-volumetrics
 //! (`analyze`) — the latter is what deployment-scale runs use.
 
+use std::sync::Arc;
+
 use cgc_domain::{ActivityPattern, QoeLevel, Stage};
-use cgc_obs::drift::DriftSink;
 use cgc_obs::event::EventKind;
-use cgc_obs::journal::EventSink;
 use cgc_obs::quality::ModelKind;
-use cgc_obs::trace::{trace_id, TraceSink, TraceStage};
+use cgc_obs::trace::{trace_id, TraceStage};
 use nettrace::packet::Packet;
 use nettrace::units::{secs_to_micros, Micros};
 use nettrace::vol::{VolSample, VolSeries};
@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 use cgc_features::vol_attrs::{raw_features, StageFeatureExtractor};
 
 use crate::bundle::ModelBundle;
-use crate::metrics::PipelineMetrics;
+use crate::metrics::{Obs, PipelineMetrics};
 use crate::pattern::{PatternPrediction, PatternTracker};
 use crate::qoe::{effective_qoe, majority_level, objective_qoe, GameContext, QosMetrics};
 use crate::title::TitlePrediction;
@@ -134,20 +134,14 @@ pub struct SessionAnalyzer<'b> {
     stage_slots: Vec<Stage>,
     qoe_slots: Vec<(QoeLevel, QoeLevel)>,
     qoe: QoeInputs,
-    metrics: PipelineMetrics,
-    /// Flight-recorder sink (disabled unless attached); decision points
-    /// emit events keyed by `flow` at tap-clock `ts_base` + flow offset.
-    journal: EventSink,
-    /// Span recorder for the Slot/Classifier/Verdict stages.
-    trace: TraceSink,
-    /// Label-free drift sink: every inference's (confidence, margin)
-    /// score pair, for reference-vs-current distribution comparison.
-    /// Disabled unless attached — one branch and zero allocation per
-    /// slot when no drift engine is installed.
-    drift: DriftSink,
+    /// Pipeline metrics plus the journal (decision events keyed by `flow`
+    /// at tap-clock `ts_base` + flow offset), trace (Slot/Classifier/
+    /// Verdict spans) and drift (every inference's (confidence, margin)
+    /// score pair) sinks — each one branch and zero allocation per
+    /// decision while disabled.
+    obs: Arc<Obs>,
     /// Head-based sampling verdict for this flow, resolved once at
-    /// [`SessionAnalyzer::attach_trace`]; sampled-out flows skip even the
-    /// per-slot modulo.
+    /// construction; sampled-out flows skip even the per-slot modulo.
     trace_sampled: bool,
     flow: u64,
     ts_base: u64,
@@ -166,19 +160,40 @@ pub struct SessionAnalyzer<'b> {
 
 impl<'b> SessionAnalyzer<'b> {
     /// A fresh analyzer against a trained bundle, recording telemetry
-    /// into the process-wide registry.
+    /// into the process-wide registry, every sink disabled.
     pub fn new(bundle: &'b ModelBundle, config: AnalyzerConfig, qoe: QoeInputs) -> Self {
-        Self::with_metrics(bundle, config, qoe, PipelineMetrics::global().clone())
+        Self::with_obs(bundle, config, qoe, Obs::global(), 0, 0)
     }
 
-    /// A fresh analyzer recording telemetry into injected handles (used
-    /// by tests and tools that need an isolated registry).
+    /// A fresh analyzer recording into injected pipeline metrics (an
+    /// isolated registry's), every sink disabled.
     pub fn with_metrics(
         bundle: &'b ModelBundle,
         config: AnalyzerConfig,
         qoe: QoeInputs,
         metrics: PipelineMetrics,
     ) -> Self {
+        let obs = Obs {
+            pipeline: metrics,
+            ..Obs::clone(&Obs::global())
+        };
+        Self::with_obs(bundle, config, qoe, obs, 0, 0)
+    }
+
+    /// A fresh analyzer recording into `obs`: decisions emit journal
+    /// events and trace spans under `flow`, timestamped `ts_base` (tap
+    /// clock, µs) plus the flow-relative offset of each decision, and
+    /// every inference feeds the drift sink. Head sampling of `flow` is
+    /// decided here, once, so a sampled-out flow pays nothing per slot.
+    pub fn with_obs(
+        bundle: &'b ModelBundle,
+        config: AnalyzerConfig,
+        qoe: QoeInputs,
+        obs: impl Into<Arc<Obs>>,
+        flow: u64,
+        ts_base: u64,
+    ) -> Self {
+        let obs = obs.into();
         SessionAnalyzer {
             bundle,
             config,
@@ -189,13 +204,10 @@ impl<'b> SessionAnalyzer<'b> {
             stage_slots: Vec::new(),
             qoe_slots: Vec::new(),
             qoe,
-            metrics,
-            journal: EventSink::disabled(),
-            trace: TraceSink::disabled(),
-            drift: DriftSink::disabled(),
-            trace_sampled: false,
-            flow: 0,
-            ts_base: 0,
+            trace_sampled: obs.trace.sampled(flow),
+            obs,
+            flow,
+            ts_base,
             pattern_recorded: false,
             latency_tick: 0,
             total_down_bytes: 0,
@@ -205,32 +217,6 @@ impl<'b> SessionAnalyzer<'b> {
             stream_sample: VolSample::default(),
             stream_any: false,
         }
-    }
-
-    /// Attaches a flight-recorder sink: subsequent decisions emit
-    /// [`EventKind`] events under `flow`, timestamped `ts_base` (tap
-    /// clock, µs) plus the flow-relative offset of each decision.
-    pub fn attach_journal(&mut self, sink: EventSink, flow: u64, ts_base: u64) {
-        self.journal = sink;
-        self.flow = flow;
-        self.ts_base = ts_base;
-    }
-
-    /// Attaches a span recorder: slot closures, the title inference, and
-    /// the session verdict record [`TraceStage`] spans under the flow id
-    /// set by [`attach_journal`](Self::attach_journal) (call that first).
-    /// The sampling decision is made here, once per flow, so sampled-out
-    /// flows pay nothing per slot.
-    pub fn attach_trace(&mut self, sink: TraceSink) {
-        self.trace_sampled = sink.is_enabled() && sink.sampled(self.flow);
-        self.trace = sink;
-    }
-
-    /// Attaches a drift sink: the title inference, every classified
-    /// slot's stage inference, and the pattern decision each emit one
-    /// (confidence, margin) score observation to the drift engine.
-    pub fn attach_drift(&mut self, sink: DriftSink) {
-        self.drift = sink;
     }
 
     /// Tap-clock timestamp of the most recently closed slot boundary.
@@ -249,14 +235,15 @@ impl<'b> SessionAnalyzer<'b> {
     /// Runs (and times) the title RF, recording the decision.
     fn classify_title(&mut self, packets: &[Packet]) -> TitlePrediction {
         let t0 = self.trace_sampled.then(std::time::Instant::now);
-        let span = self.metrics.title_infer_ns.span();
+        let span = self.obs.pipeline.title_infer_ns.span();
         let (pred, margin) = self.bundle.title.classify_scored(packets);
         span.finish();
-        self.drift
+        self.obs
+            .drift
             .observe(ModelKind::Title, pred.confidence, margin);
         if let Some(t0) = t0 {
             let ts = self.ts_base + secs_to_micros(self.config.title_window_secs);
-            self.trace.record(
+            self.obs.trace.record(
                 self.flow,
                 0,
                 TraceStage::Classifier,
@@ -264,18 +251,18 @@ impl<'b> SessionAnalyzer<'b> {
                 t0.elapsed().as_micros() as u64,
             );
         }
-        self.metrics.record_title(pred.title, pred.confidence);
+        self.obs.pipeline.record_title(pred.title, pred.confidence);
         self.title = Some(pred);
-        if self.journal.is_enabled() {
+        if self.obs.journal.is_enabled() {
             let ts = self.ts_base + secs_to_micros(self.config.title_window_secs);
-            self.journal.emit(
+            self.obs.journal.emit(
                 self.flow,
                 ts,
                 EventKind::LaunchWindowClosed {
                     packets: packets.len() as u32,
                 },
             );
-            self.journal.emit(
+            self.obs.journal.emit(
                 self.flow,
                 ts,
                 EventKind::TitleDecided {
@@ -290,7 +277,7 @@ impl<'b> SessionAnalyzer<'b> {
     /// Feeds one `I`-second volumetric slot (width must equal the bundle's
     /// `stage_slot`). Returns the classified stage once seeding completes.
     pub fn push_slot(&mut self, sample: &VolSample) -> Option<Stage> {
-        self.metrics.slots.inc();
+        self.obs.pipeline.slots.inc();
         self.slots_seen += 1;
         self.total_down_bytes += sample.down_bytes;
         let width = self.bundle.stage_slot;
@@ -321,7 +308,7 @@ impl<'b> SessionAnalyzer<'b> {
             .expect("extractor initialized")
             .push(sample);
         let t1 = sampled.then(std::time::Instant::now);
-        let stage = if self.drift.is_enabled() {
+        let stage = if self.obs.drift.is_enabled() {
             // One probability pass yields both the argmax stage and the
             // drift signal; same flat-forest walk, same stack buffer, so
             // enabling drift adds no allocation to the slot loop.
@@ -335,7 +322,8 @@ impl<'b> SessionAnalyzer<'b> {
                     runner_up = v;
                 }
             }
-            self.drift
+            self.obs
+                .drift
                 .observe(ModelKind::Stage, p[best], (p[best] - runner_up).max(0.0));
             crate::stage::STAGE_CLASSES[best]
         } else {
@@ -351,30 +339,31 @@ impl<'b> SessionAnalyzer<'b> {
                 // a scraper jumps from a slow bucket straight to the
                 // causal chain of the flow that landed in it.
                 let tid = trace_id(self.flow, slot);
-                self.metrics
+                let metrics = &self.obs.pipeline;
+                metrics
                     .feature_ns
                     .record_with_exemplar(feature, self.flow, tid);
-                self.metrics
+                metrics
                     .stage_infer_ns
                     .record_with_exemplar(infer, self.flow, tid);
             } else {
-                self.metrics.feature_ns.record(feature);
-                self.metrics.stage_infer_ns.record(infer);
+                self.obs.pipeline.feature_ns.record(feature);
+                self.obs.pipeline.stage_infer_ns.record(infer);
             }
         }
         self.tracker.push(stage, &self.bundle.pattern);
         if !self.pattern_recorded {
             if let Some(d) = self.tracker.decision() {
-                self.metrics.record_pattern(d.pattern, d.confidence);
+                self.obs.pipeline.record_pattern(d.pattern, d.confidence);
                 self.pattern_recorded = true;
                 // Two-class model: margin is top minus runner-up, i.e.
                 // 2·confidence − 1 for any confidence ≥ 0.5.
-                self.drift.observe(
+                self.obs.drift.observe(
                     ModelKind::Pattern,
                     d.confidence,
                     (2.0 * d.confidence - 1.0).max(0.0),
                 );
-                self.journal.emit(
+                self.obs.journal.emit(
                     self.flow,
                     self.slot_ts(),
                     EventKind::PatternInferred {
@@ -386,7 +375,8 @@ impl<'b> SessionAnalyzer<'b> {
         }
         self.record_slot(stage, sample);
         if self.trace_sampled {
-            self.trace
+            self.obs
+                .trace
                 .record(self.flow, slot, TraceStage::Slot, self.slot_ts(), 0);
         }
         Some(stage)
@@ -419,21 +409,21 @@ impl<'b> SessionAnalyzer<'b> {
             &self.bundle.calibration,
             &self.bundle.thresholds,
         );
-        self.metrics.record_stage_slot(stage);
-        self.metrics.record_qoe(obj, eff);
-        if self.journal.is_enabled() {
+        self.obs.pipeline.record_stage_slot(stage);
+        self.obs.pipeline.record_qoe(obj, eff);
+        if self.obs.journal.is_enabled() {
             // Transitions only: a steady stage or QoE level emits nothing,
             // keeping journal volume proportional to decisions, not slots.
             let slot = (self.slots_seen - 1) as u32;
             if self.stage_slots.last() != Some(&stage) {
-                self.journal.emit(
+                self.obs.journal.emit(
                     self.flow,
                     self.slot_ts(),
                     EventKind::StageEntered { slot, stage },
                 );
             }
             if self.qoe_slots.last() != Some(&(obj, eff)) {
-                self.journal.emit(
+                self.obs.journal.emit(
                     self.flow,
                     self.slot_ts(),
                     EventKind::QoeShift {
@@ -557,7 +547,7 @@ impl<'b> SessionAnalyzer<'b> {
         let eff: Vec<QoeLevel> = gameplay.iter().map(|&i| self.qoe_slots[i].1).collect();
         let objective_qoe = majority_level(&obj);
         let effective_qoe = majority_level(&eff);
-        self.journal.emit(
+        self.obs.journal.emit(
             self.flow,
             self.slot_ts(),
             EventKind::SessionVerdict {
@@ -566,7 +556,7 @@ impl<'b> SessionAnalyzer<'b> {
             },
         );
         if self.trace_sampled {
-            self.trace.record(
+            self.obs.trace.record(
                 self.flow,
                 self.slots_seen as u32,
                 TraceStage::Verdict,
@@ -791,9 +781,18 @@ pub(crate) mod tests {
 
         let registry = Registry::new();
         let (sink, mut engine) = DriftEngine::new(DriftConfig::default(), &registry);
-        let mut drifted =
-            SessionAnalyzer::new(&bundle, AnalyzerConfig::default(), QoeInputs::default());
-        drifted.attach_drift(sink);
+        let obs = Obs {
+            drift: sink,
+            ..Obs::on(&registry)
+        };
+        let mut drifted = SessionAnalyzer::with_obs(
+            &bundle,
+            AnalyzerConfig::default(),
+            QoeInputs::default(),
+            obs,
+            0,
+            0,
+        );
         drifted.analyze(&s.packets, &s.vol);
         let r_drift = drifted.finish();
 

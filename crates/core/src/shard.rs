@@ -34,7 +34,7 @@ use cgc_obs::{Gauge, Registry, TraceSink};
 use cgc_lifecycle::LiveModel;
 
 use crate::bundle::{ModelBundle, ModelSource};
-use crate::metrics::{MonitorMetrics, PipelineMetrics};
+use crate::metrics::{MonitorMetrics, Obs};
 use crate::monitor::{MonitorConfig, MonitoredSession, ShardStats, TapMonitor};
 use crate::pipeline::QoeInputs;
 
@@ -149,28 +149,19 @@ enum ShardMsg {
     Stats(Sender<ShardStats>),
 }
 
-// One parameter per channel/metric the worker owns; bundling them into a
-// struct would just move the argument list behind a constructor.
-#[allow(clippy::too_many_arguments)]
 fn shard_worker(
     models: SharedModels,
     config: MonitorConfig,
     rx: Receiver<ShardMsg>,
     recycle: Sender<Vec<TapRecord>>,
-    metrics: MonitorMetrics,
-    pipeline_metrics: PipelineMetrics,
-    journal: EventSink,
-    trace: TraceSink,
+    obs: Obs,
     queue_depth: Arc<Gauge>,
 ) -> (Vec<MonitoredSession>, ShardStats) {
     // The monitor borrows the shared handle owned by this stack frame, so
     // the worker is 'static while the models stay shared; a `Live` handle
     // re-resolves at every flow admission, so swaps land without restarting
     // the worker.
-    let mut monitor =
-        TapMonitor::with_metrics(models.as_source(), config, metrics, pipeline_metrics);
-    monitor.set_journal(journal);
-    monitor.set_trace(trace);
+    let mut monitor = TapMonitor::with_obs(models.as_source(), config, obs);
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Batch(mut records) => {
@@ -218,49 +209,8 @@ pub struct ShardedTapMonitor {
 }
 
 impl ShardedTapMonitor {
-    /// Spawns `config.shards` worker threads over a shared model source
-    /// (a fixed `Arc<ModelBundle>` or a hot-swappable
-    /// `Arc<LiveModel<ModelBundle>>`), recording telemetry into the
-    /// process-wide registry.
-    pub fn new(models: impl Into<SharedModels>, config: ShardedMonitorConfig) -> Self {
-        Self::with_observability(
-            models,
-            config,
-            Registry::global(),
-            cgc_obs::journal::global_sink(),
-            cgc_obs::trace::global_sink(),
-        )
-    }
-
-    /// Spawns the front end recording telemetry into `registry` (used by
-    /// tests and fleet runs that need an isolated snapshot). No journal:
-    /// flight-recording on an isolated registry requires
-    /// [`ShardedTapMonitor::with_registry_and_journal`].
-    pub fn with_registry(
-        models: impl Into<SharedModels>,
-        config: ShardedMonitorConfig,
-        registry: &Registry,
-    ) -> Self {
-        Self::with_registry_and_journal(models, config, registry, EventSink::disabled())
-    }
-
-    /// Spawns the front end with both an isolated registry and a
-    /// flight-recorder sink; every shard's monitor emits into `journal`.
-    /// Span tracing stays disabled: use
-    /// [`ShardedTapMonitor::with_observability`] to record stage spans.
-    pub fn with_registry_and_journal(
-        models: impl Into<SharedModels>,
-        config: ShardedMonitorConfig,
-        registry: &Registry,
-        journal: EventSink,
-    ) -> Self {
-        Self::with_observability(models, config, registry, journal, TraceSink::disabled())
-    }
-
-    /// Spawns the front end with the full observability set: isolated
-    /// registry, flight-recorder sink, and span recorder. Every shard's
-    /// monitor emits lifecycle events into `journal` and Shard/Slot/
-    /// Classifier/Verdict spans into `trace`.
+    /// [`with_obs`](Self::with_obs) with metrics on `registry`, the two
+    /// given sinks, and drift observation disabled.
     pub fn with_observability(
         models: impl Into<SharedModels>,
         config: ShardedMonitorConfig,
@@ -268,11 +218,31 @@ impl ShardedTapMonitor {
         journal: EventSink,
         trace: TraceSink,
     ) -> Self {
+        let obs = Obs {
+            journal,
+            trace,
+            ..Obs::on(registry)
+        };
+        Self::with_obs(models, config, registry, obs)
+    }
+
+    /// Spawns `config.shards` worker threads over a shared model source
+    /// (a fixed `Arc<ModelBundle>` or a hot-swappable
+    /// `Arc<LiveModel<ModelBundle>>`). Every shard's monitor records into
+    /// its own copy of `obs` — lifecycle events into `obs.journal`,
+    /// Shard/Slot/Classifier/Verdict spans into `obs.trace`, classifier
+    /// scores into `obs.drift` — and the per-shard queue-depth gauges
+    /// register on `registry`.
+    pub fn with_obs(
+        models: impl Into<SharedModels>,
+        config: ShardedMonitorConfig,
+        registry: &Registry,
+        obs: impl Into<Arc<Obs>>,
+    ) -> Self {
+        let obs = obs.into();
         let models = models.into();
         let shards = config.shards.max(1);
         let batch_size = config.batch_size.max(1);
-        let monitor_metrics = MonitorMetrics::register(registry);
-        let pipeline_metrics = PipelineMetrics::register(registry);
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         let mut depth_gauges = Vec::with_capacity(shards);
@@ -281,17 +251,14 @@ impl ShardedTapMonitor {
             let (tx, rx) = channel::bounded(IN_FLIGHT);
             let m = models.clone();
             let mc = config.monitor;
-            let mm = monitor_metrics.clone();
-            let pm = pipeline_metrics.clone();
-            let sink = journal.clone();
-            let tr = trace.clone();
+            let worker_obs = Obs::clone(&obs);
             let rc = recycle_tx.clone();
             let depth = MonitorMetrics::shard_queue_depth(registry, i);
             let worker_depth = Arc::clone(&depth);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("tap-shard-{i}"))
-                    .spawn(move || shard_worker(m, mc, rx, rc, mm, pm, sink, tr, worker_depth))
+                    .spawn(move || shard_worker(m, mc, rx, rc, worker_obs, worker_depth))
                     .expect("spawn shard worker"),
             );
             senders.push(tx);
@@ -461,6 +428,15 @@ mod tests {
         crate::pipeline::tests::tiny_bundle_for_streaming()
     }
 
+    fn sharded_monitor(b: &Arc<ModelBundle>, shards: usize) -> ShardedTapMonitor {
+        ShardedTapMonitor::with_obs(
+            Arc::clone(b),
+            ShardedMonitorConfig::with_shards(shards),
+            Registry::global(),
+            Obs::global(),
+        )
+    }
+
     /// Eight interleaved sessions of four titles on one tap.
     fn interleaved_feed() -> (Vec<Session>, Vec<TapRecord>) {
         let titles = [
@@ -525,7 +501,7 @@ mod tests {
         let (_, feed) = interleaved_feed();
 
         // Serial reference.
-        let mut serial = TapMonitor::new(&b, MonitorConfig::default());
+        let mut serial = TapMonitor::with_obs(&b, MonitorConfig::default(), Obs::global());
         for (ts, tuple, len) in &feed {
             serial.ingest(*ts, tuple, *len);
         }
@@ -533,13 +509,7 @@ mod tests {
         assert_eq!(reference.len(), 8);
 
         for shards in [1usize, 4] {
-            let mut sharded = ShardedTapMonitor::new(
-                Arc::clone(&b),
-                ShardedMonitorConfig {
-                    shards,
-                    ..Default::default()
-                },
-            );
+            let mut sharded = sharded_monitor(&b, shards);
             for (ts, tuple, len) in &feed {
                 sharded.ingest(*ts, tuple, *len);
             }
@@ -559,14 +529,50 @@ mod tests {
     }
 
     #[test]
+    fn drift_sink_reaches_every_shard() {
+        use cgc_obs::{DriftConfig, DriftEngine};
+        let b = Arc::new(bundle());
+        let (_, feed) = interleaved_feed();
+        // One private registry and drift engine per monitor; returns what
+        // the engine's sink accepted.
+        let observed = |shards: Option<usize>| {
+            let registry = Registry::new();
+            let (sink, _engine) = DriftEngine::new(DriftConfig::default(), &registry);
+            let obs = Obs {
+                drift: sink,
+                ..Obs::on(&registry)
+            };
+            match shards {
+                None => {
+                    let mut serial = TapMonitor::with_obs(&b, MonitorConfig::default(), obs);
+                    serial.ingest_batch(&feed);
+                    serial.finish_all();
+                }
+                Some(n) => {
+                    let config = ShardedMonitorConfig::with_shards(n);
+                    let mut sharded =
+                        ShardedTapMonitor::with_obs(Arc::clone(&b), config, &registry, obs);
+                    sharded.ingest_batch(&feed);
+                    sharded.finish_all();
+                }
+            }
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("cgc_drift_shed_total"), Some(0));
+            snap.counter("cgc_drift_observations_total").unwrap()
+        };
+        let serial = observed(None);
+        assert!(serial > 0, "the serial monitor feeds the drift engine");
+        assert_eq!(observed(Some(2)), serial, "and so does every shard");
+    }
+
+    #[test]
     fn sharded_finish_idle_matches_serial_cutoff() {
         let b = Arc::new(bundle());
         let (_, feed) = interleaved_feed();
         let last = feed.last().unwrap().0;
 
-        let mut serial = TapMonitor::new(&b, MonitorConfig::default());
-        let mut sharded =
-            ShardedTapMonitor::new(Arc::clone(&b), ShardedMonitorConfig::with_shards(4));
+        let mut serial = TapMonitor::with_obs(&b, MonitorConfig::default(), Obs::global());
+        let mut sharded = sharded_monitor(&b, 4);
         // Session ends are staggered over ~20 s, so the first cutoff
         // expires a strict subset of the flows and the second expires the
         // rest — both passes must agree with the serial monitor.
@@ -596,8 +602,7 @@ mod tests {
             fidelity: Fidelity::FullPackets,
             seed: 5,
         });
-        let mut sharded =
-            ShardedTapMonitor::new(Arc::clone(&b), ShardedMonitorConfig::with_shards(4));
+        let mut sharded = sharded_monitor(&b, 4);
         let mid = s.packets.len() / 2;
         let wire = |p: &nettrace::packet::Packet| match p.dir {
             Direction::Downstream => s.tuple,
@@ -626,8 +631,7 @@ mod tests {
     #[test]
     fn stats_snapshot_counts_everything_once() {
         let b = Arc::new(bundle());
-        let mut sharded =
-            ShardedTapMonitor::new(Arc::clone(&b), ShardedMonitorConfig::with_shards(3));
+        let mut sharded = sharded_monitor(&b, 3);
         let gaming = FiveTuple::udp_v4([10, 0, 0, 1], 49003, [100, 64, 1, 1], 50_000);
         let web = FiveTuple::udp_v4([1, 1, 1, 1], 443, [10, 0, 0, 2], 55_000);
         for i in 0..500u64 {
@@ -651,10 +655,11 @@ mod tests {
         // caller that never pauses runs ahead of the worker; the channel
         // bound must stop it a few batches out.
         let registry = Registry::new();
-        let mut sharded = ShardedTapMonitor::with_registry(
+        let mut sharded = ShardedTapMonitor::with_obs(
             Arc::new(bundle()),
             ShardedMonitorConfig::with_shards(1),
             &registry,
+            Obs::on(&registry),
         );
         let depth = MonitorMetrics::shard_queue_depth(&registry, 0);
         let gaming = FiveTuple::udp_v4([10, 0, 0, 1], 49003, [100, 64, 1, 1], 50_000);

@@ -12,6 +12,7 @@
 
 use cgc_core::bundle::{ModelBundle, ModelSource};
 use cgc_core::pipeline::{AnalyzerConfig, QoeInputs, SessionAnalyzer, SessionReport};
+use cgc_core::Obs;
 use cgc_domain::{ActivityPattern, Stage, StreamSettings};
 use cgc_features::vol_attrs::raw_features;
 use gamesim::dataset::sample_lab_settings;
@@ -71,13 +72,14 @@ pub struct FleetConfig {
     /// (correlated jitter, bufferbloat queueing, capacity schedules) with
     /// mid-session degradation onsets where the profile defines one.
     pub impair_profile: Option<ImpairmentProfile>,
-    /// Quality sink for the withheld-truth join; `None` uses the
-    /// process-global sink. Experiments sweeping several regimes in one
-    /// process install one private hub per regime through this.
-    pub quality: Option<cgc_obs::quality::QualitySink>,
-    /// Drift sink attached to every session's analyzer; `None` uses the
-    /// process-global sink.
-    pub drift: Option<cgc_obs::drift::DriftSink>,
+    /// Quality sink for the withheld-truth join (disabled by default).
+    /// Experiments sweeping several regimes in one process give each
+    /// regime its own hub through this.
+    pub quality: cgc_obs::quality::QualitySink,
+    /// What every session's analyzer records into: pipeline metrics plus
+    /// the journal (keyed by session id), trace and drift sinks. The
+    /// default is [`Obs::global`] — global-registry metrics, no sinks.
+    pub obs: std::sync::Arc<Obs>,
     /// Sample catalog titles uniformly instead of by popularity —
     /// calibration passes use this so rare titles (Hearthstone is 0.04 %
     /// of playtime) still get their demand measured.
@@ -107,8 +109,8 @@ impl Default for FleetConfig {
             unknown_variants: 8,
             impaired_fraction: 0.08,
             impair_profile: None,
-            quality: None,
-            drift: None,
+            quality: cgc_obs::quality::QualitySink::disabled(),
+            obs: Obs::global(),
             uniform_titles: false,
             deployment_days: 90, // 1 Dec 2024 – 1 Mar 2025
             workers: std::thread::available_parallelism()
@@ -424,12 +426,13 @@ fn run_one(
 
     // Run the pipeline. Flight-record against the session id (per-session
     // runs have no five-tuple hash), timestamped from the arrival instant.
-    let mut analyzer = SessionAnalyzer::new(bundle, AnalyzerConfig::default(), qoe);
-    analyzer.attach_journal(cgc_obs::journal::global_sink(), id, arrival);
-    analyzer.attach_drift(
-        cfg.drift
-            .clone()
-            .unwrap_or_else(cgc_obs::drift::global_sink),
+    let mut analyzer = SessionAnalyzer::with_obs(
+        bundle,
+        AnalyzerConfig::default(),
+        qoe,
+        std::sync::Arc::clone(&cfg.obs),
+        id,
+        arrival,
     );
     match (onset, qoe_post) {
         // Mid-session degradation: feed slots one by one and swap the QoS
@@ -460,11 +463,8 @@ fn run_one(
     // Truth join: the fleet simulator withholds the ground-truth labels
     // ("server logs") from the pipeline, then streams (truth, predicted)
     // pairs into the quality hub here — per session for title/pattern,
-    // per slot for stage. Free when no hub is installed.
-    let quality = cfg
-        .quality
-        .clone()
-        .unwrap_or_else(cgc_obs::quality::global_sink);
+    // per slot for stage. Free when the sink is disabled.
+    let quality = &cfg.quality;
     if quality.is_enabled() {
         use cgc_obs::quality::{pattern_class, stage_class, title_class, ModelKind};
         quality.emit(
@@ -632,11 +632,6 @@ pub fn telemetry_reporter_with_slo(
         let d = done.load(Ordering::Acquire);
         if d / every > reported {
             reported = d / every;
-            // Drain any installed quality/drift globals first so the
-            // snapshot below carries current accuracy and drift gauges
-            // (the SLO bridge and the heartbeat line both read them).
-            cgc_obs::quality::sync_global();
-            cgc_obs::drift::sync_global();
             let cur = registry.snapshot();
             let report = slo.map(|hub| hub.observe_and_evaluate(&cur));
             emit(d, cur.delta(&prev), report);
@@ -842,11 +837,14 @@ pub fn run_tap_fleet(bundle: &std::sync::Arc<ModelBundle>, cfg: &TapFleetConfig)
     // can make exact assertions against their own counters and timelines.
     let registry = cgc_obs::Registry::new();
     let (sink, journal) = cgc_obs::Journal::new(cgc_obs::JournalConfig::default(), &registry);
-    let mut monitor = cgc_core::ShardedTapMonitor::with_registry_and_journal(
+    let mut monitor = cgc_core::ShardedTapMonitor::with_obs(
         std::sync::Arc::clone(bundle),
         cgc_core::ShardedMonitorConfig::with_shards(cfg.shards),
         &registry,
-        sink,
+        Obs {
+            journal: sink,
+            ..Obs::on(&registry)
+        },
     );
     for (ts, tuple, len) in &feed {
         monitor.ingest(*ts, tuple, *len);
@@ -990,12 +988,15 @@ pub fn run_tap_feed_replay(
     };
     let mut merge = cgc_ingest::KWayMerge::new(sources, opts.merge, Some(&registry));
     let (sink, journal) = cgc_obs::Journal::new(cgc_obs::JournalConfig::default(), &registry);
-    let monitor = cgc_core::ShardedTapMonitor::with_observability(
+    let monitor = cgc_core::ShardedTapMonitor::with_obs(
         std::sync::Arc::clone(bundle),
         cgc_core::ShardedMonitorConfig::with_shards(shards),
         &registry,
-        sink,
-        trace_sink.clone(),
+        Obs {
+            journal: sink,
+            trace: trace_sink.clone(),
+            ..Obs::on(&registry)
+        },
     );
     let monitor_sink = match opts.idle_check {
         Some(every) => MonitorSink::with_idle_checks(monitor, every),
@@ -1203,7 +1204,7 @@ mod tests {
             workers: 2,
             impaired_fraction: 1.0,
             impair_profile: ImpairmentProfile::by_name("lossy-wifi"),
-            quality: Some(sink),
+            quality: sink,
             ..Default::default()
         };
         let records = run_fleet(&bundle, &cfg);

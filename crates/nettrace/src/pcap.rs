@@ -15,6 +15,8 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::IpAddr;
 use std::path::Path;
 
+use cgc_obs::EventSink;
+
 use crate::packet::{Direction, FiveTuple, Packet, Protocol};
 use crate::rtp::{RtpHeader, RTP_HEADER_LEN};
 use crate::units::{Micros, MICROS_PER_SEC};
@@ -202,6 +204,16 @@ fn ipv4_checksum(header: &[u8]) -> u16 {
 /// control traffic, etc.); UDP payloads that do not parse as RTP yield a
 /// record with `rtp: None` and the full UDP payload length.
 pub fn read_records(path: impl AsRef<Path>) -> Result<Vec<PcapRecord>, PcapError> {
+    read_records_journaled(path, &EventSink::disabled())
+}
+
+/// [`read_records`] that also flight-records every malformed RTP payload
+/// against its flow in `journal`, so an operator sees codec trouble on a
+/// session's own timeline.
+pub fn read_records_journaled(
+    path: impl AsRef<Path>,
+    journal: &EventSink,
+) -> Result<Vec<PcapRecord>, PcapError> {
     let mut rd = BufReader::new(File::open(path)?);
     let mut hdr = [0u8; 24];
     rd.read_exact(&mut hdr)?;
@@ -230,7 +242,7 @@ pub fn read_records(path: impl AsRef<Path>) -> Result<Vec<PcapRecord>, PcapError
         rd.read_exact(&mut frame)?;
 
         let ts: Micros = ts_sec * MICROS_PER_SEC + ts_usec;
-        match decode_frame(ts, &frame) {
+        match decode_frame(ts, &frame, journal) {
             Some(rec) => {
                 metrics.pcap_records.inc();
                 records.push(rec);
@@ -241,7 +253,7 @@ pub fn read_records(path: impl AsRef<Path>) -> Result<Vec<PcapRecord>, PcapError
     Ok(records)
 }
 
-fn decode_frame(ts: Micros, frame: &[u8]) -> Option<PcapRecord> {
+fn decode_frame(ts: Micros, frame: &[u8], journal: &EventSink) -> Option<PcapRecord> {
     if frame.len() < ETH_LEN + IPV4_LEN + UDP_LEN {
         return None;
     }
@@ -288,10 +300,7 @@ fn decode_frame(ts: Micros, frame: &[u8]) -> Option<PcapRecord> {
         }
         Err(_) => {
             metrics.rtp_malformed.inc();
-            // Flight-record the malformed payload against the flow so an
-            // operator can see codec trouble on a session's own timeline
-            // (free until a global journal is installed).
-            cgc_obs::journal::global_sink().emit(
+            journal.emit(
                 tuple.flow_id(),
                 ts,
                 cgc_obs::event::EventKind::RtpInvalid {

@@ -26,17 +26,18 @@
 //! shift, and ≥ 0.25 ([`DriftConfig::alarm_threshold`]) demands action —
 //! the `drift_score` SLO objective burns against exactly that ceiling.
 //!
-//! Observations arrive through a lock-free [`DriftSink`] with the same
+//! Observations arrive through a lock-free [`DriftSink`] — one
+//! [`channel`](crate::channel) producer handle, with the same
 //! counted-never-silent shedding as the journal and quality rings; the
 //! pipeline emits them zero-allocation, one branch when disabled.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
-use serde::{Serialize, Value};
+use serde::Serialize;
 
-use crate::event::EventRing;
-use crate::metric::{Counter, Gauge};
+use crate::channel::{Channel, Sink};
+use crate::metric::Gauge;
 use crate::quality::ModelKind;
 use crate::registry::Registry;
 
@@ -120,52 +121,21 @@ impl DriftConfig {
     }
 }
 
-struct SinkShared {
-    ring: EventRing<DriftObservation>,
-    recorded: Arc<Counter>,
-    shed: Arc<Counter>,
-}
+/// Lock-free producer handle for score observations: a [`Sink`] of
+/// [`DriftObservation`]s. Cheap to clone, one branch per call when
+/// disabled; a full ring sheds the observation and counts it
+/// (`cgc_drift_shed_total`) instead of blocking.
+pub type DriftSink = Sink<DriftObservation>;
 
-/// Lock-free producer handle for score observations. Cheap to clone,
-/// one branch per call when disabled; a full ring sheds the observation
-/// and counts it (`cgc_drift_shed_total`) instead of blocking.
-#[derive(Clone, Default)]
-pub struct DriftSink {
-    shared: Option<Arc<SinkShared>>,
-}
-
-impl DriftSink {
-    /// A sink that drops everything (the default until one is installed).
-    pub fn disabled() -> DriftSink {
-        DriftSink { shared: None }
-    }
-
-    /// Whether observations reach an engine.
-    pub fn is_enabled(&self) -> bool {
-        self.shared.is_some()
-    }
-
+impl Sink<DriftObservation> {
     /// Feeds one (confidence, margin) score pair for `model`.
+    #[inline]
     pub fn observe(&self, model: ModelKind, confidence: f64, margin: f64) {
-        if let Some(shared) = &self.shared {
-            let obs = DriftObservation {
-                model,
-                confidence: confidence as f32,
-                margin: margin as f32,
-            };
-            match shared.ring.try_push(obs) {
-                Ok(()) => shared.recorded.inc(),
-                Err(_) => shared.shed.inc(),
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for DriftSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DriftSink")
-            .field("enabled", &self.is_enabled())
-            .finish()
+        self.push(DriftObservation {
+            model,
+            confidence: confidence as f32,
+            margin: margin as f32,
+        });
     }
 }
 
@@ -259,18 +229,14 @@ impl ModelDrift {
         profile: Option<&'static str>,
     ) -> ModelDrift {
         let model = kind.name();
-        let signal = |family: &str, help: &str, s: &str| match profile {
-            Some(p) => registry.gauge_with(
-                family,
-                help,
-                &[("model", model), ("signal", s), ("profile", p)],
-            ),
-            None => registry.gauge_with(family, help, &[("model", model), ("signal", s)]),
+        let gauge = |family: &str, help: &str, signal: Option<&str>| {
+            let mut labels = vec![("model", model)];
+            labels.extend(signal.map(|s| ("signal", s)));
+            labels.extend(profile.map(|p| ("profile", p)));
+            registry.gauge_with(family, help, &labels)
         };
-        let plain = |family: &str, help: &str| match profile {
-            Some(p) => registry.gauge_with(family, help, &[("model", model), ("profile", p)]),
-            None => registry.gauge_with(family, help, &[("model", model)]),
-        };
+        let signal = |family: &str, help: &str, s: &str| gauge(family, help, Some(s));
+        let plain = |family: &str, help: &str| gauge(family, help, None);
         ModelDrift {
             kind,
             ref_conf: vec![0; bins],
@@ -420,7 +386,7 @@ impl ModelDrift {
 /// Consumer side: drains the observation ring into per-model reference
 /// and current windows, computes PSI/KS/novelty, publishes gauges.
 pub struct DriftEngine {
-    shared: Arc<SinkShared>,
+    channel: Arc<Channel<DriftObservation>>,
     config: DriftConfig,
     models: Vec<ModelDrift>,
 }
@@ -429,43 +395,34 @@ impl DriftEngine {
     /// Builds the sink/engine pair, registering every gauge/counter on
     /// `registry` up front.
     pub fn new(config: DriftConfig, registry: &Registry) -> (DriftSink, DriftEngine) {
-        let counter = |family: &str, help: &str| match config.profile {
-            Some(p) => registry.counter_with(family, help, &[("profile", p)]),
-            None => registry.counter(family, help),
-        };
-        let shared = Arc::new(SinkShared {
-            ring: EventRing::with_capacity(config.ring_capacity),
-            recorded: counter(
+        let channel = Channel::new(
+            config.ring_capacity,
+            registry,
+            (
                 "cgc_drift_observations_total",
                 "Score observations accepted by the drift sink",
             ),
-            shed: counter(
+            (
                 "cgc_drift_shed_total",
                 "Score observations dropped because the drift ring was full",
             ),
-        });
+            config.profile,
+        );
         let models = ModelKind::ALL
             .iter()
             .map(|&kind| ModelDrift::new(kind, config.bins.max(2), registry, config.profile))
             .collect();
-        let sink = DriftSink {
-            shared: Arc::clone(&shared).into(),
+        let engine = DriftEngine {
+            channel,
+            config,
+            models,
         };
-        (
-            sink,
-            DriftEngine {
-                shared,
-                config,
-                models,
-            },
-        )
+        (engine.sink(), engine)
     }
 
     /// Another producer handle for this engine's ring.
     pub fn sink(&self) -> DriftSink {
-        DriftSink {
-            shared: Some(Arc::clone(&self.shared)),
-        }
+        self.channel.sink()
     }
 
     /// The engine's configuration.
@@ -475,18 +432,12 @@ impl DriftEngine {
 
     /// Drains queued observations into the windows; returns the count.
     pub fn drain(&mut self) -> usize {
-        let mut n = 0;
-        while let Some(obs) = self.shared.ring.try_pop() {
-            let config = self.config;
-            let state = self
-                .models
-                .iter_mut()
-                .find(|m| m.kind == obs.model)
-                .expect("every ModelKind has a state");
-            state.push(obs.confidence, obs.margin, &config);
-            n += 1;
-        }
-        n
+        let DriftEngine {
+            channel,
+            config,
+            models,
+        } = self;
+        channel.drain(|obs| models[obs.model as usize].push(obs.confidence, obs.margin, config))
     }
 
     /// Recomputes every model's scores and publishes the gauges.
@@ -506,12 +457,12 @@ impl DriftEngine {
 
     /// The current drift score of one model (0 during warmup).
     pub fn score(&self, kind: ModelKind) -> f64 {
-        self.model(kind).score
+        self.models[kind as usize].score
     }
 
     /// Whether one model's reference has frozen (warmup complete).
     pub fn reference_frozen(&self, kind: ModelKind) -> bool {
-        self.model(kind).frozen
+        self.models[kind as usize].frozen
     }
 
     /// Models whose score is at or past the alarm threshold.
@@ -536,14 +487,7 @@ impl DriftEngine {
 
     /// Observations shed because the ring was full.
     pub fn shed(&self) -> u64 {
-        self.shared.shed.get()
-    }
-
-    fn model(&self, kind: ModelKind) -> &ModelDrift {
-        self.models
-            .iter()
-            .find(|m| m.kind == kind)
-            .expect("every ModelKind has a state")
+        self.channel.dropped()
     }
 
     /// The current drift state as a serializable report (the `/drift`
@@ -551,11 +495,11 @@ impl DriftEngine {
     pub fn report(&self) -> DriftReport {
         DriftReport {
             alarm_threshold: self.config.alarm_threshold,
-            shed: self.shared.shed.get(),
+            shed: self.shed(),
             models: self
                 .models
                 .iter()
-                .map(|m| ModelDrift2Report {
+                .map(|m| ModelDriftReport {
                     model: m.kind.name().into(),
                     reference_frozen: m.frozen,
                     reference_size: m.ref_total,
@@ -583,8 +527,8 @@ impl std::fmt::Debug for DriftEngine {
 }
 
 /// One model's drift state inside a [`DriftReport`].
-#[derive(Debug, Clone)]
-pub struct ModelDrift2Report {
+#[derive(Debug, Clone, Serialize)]
+pub struct ModelDriftReport {
     /// Stable model label.
     pub model: String,
     /// Whether the reference distribution has frozen.
@@ -610,14 +554,14 @@ pub struct ModelDrift2Report {
 }
 
 /// The `/drift` payload: per-model drift state plus the shed count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DriftReport {
     /// The configured alarm ceiling.
     pub alarm_threshold: f64,
     /// Observations dropped at the ring.
     pub shed: u64,
     /// Per-model drift state.
-    pub models: Vec<ModelDrift2Report>,
+    pub models: Vec<ModelDriftReport>,
 }
 
 impl DriftReport {
@@ -629,81 +573,6 @@ impl DriftReport {
             .map(|m| m.model.as_str())
             .collect()
     }
-}
-
-impl Serialize for ModelDrift2Report {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("model".into(), Value::String(self.model.clone())),
-            (
-                "reference_frozen".into(),
-                Value::Bool(self.reference_frozen),
-            ),
-            ("reference_size".into(), Value::UInt(self.reference_size)),
-            ("window_len".into(), Value::UInt(self.window_len as u64)),
-            ("psi_confidence".into(), Value::Float(self.psi_confidence)),
-            ("psi_margin".into(), Value::Float(self.psi_margin)),
-            ("ks_confidence".into(), Value::Float(self.ks_confidence)),
-            ("ks_margin".into(), Value::Float(self.ks_margin)),
-            ("novelty".into(), Value::Float(self.novelty)),
-            ("score".into(), Value::Float(self.score)),
-            ("alarm".into(), Value::Bool(self.alarm)),
-        ])
-    }
-}
-
-impl Serialize for DriftReport {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("alarm_threshold".into(), Value::Float(self.alarm_threshold)),
-            ("shed".into(), Value::UInt(self.shed)),
-            (
-                "models".into(),
-                Value::Array(self.models.iter().map(|m| m.to_value()).collect()),
-            ),
-        ])
-    }
-}
-
-// ------------------------------------------------------ process-global
-
-static GLOBAL: OnceLock<(DriftSink, Arc<Mutex<DriftEngine>>)> = OnceLock::new();
-
-/// Installs a process-wide drift engine on [`Registry::global`] (first
-/// call wins) and returns its sink.
-pub fn install_global(config: DriftConfig) -> DriftSink {
-    GLOBAL
-        .get_or_init(|| {
-            let (sink, engine) = DriftEngine::new(config, Registry::global());
-            (sink, Arc::new(Mutex::new(engine)))
-        })
-        .0
-        .clone()
-}
-
-/// The process-wide sink/engine pair, if one was installed.
-pub fn global() -> Option<&'static (DriftSink, Arc<Mutex<DriftEngine>>)> {
-    GLOBAL.get()
-}
-
-/// The process-wide sink: disabled (free) until [`install_global`] runs.
-pub fn global_sink() -> DriftSink {
-    GLOBAL
-        .get()
-        .map(|(sink, _)| sink.clone())
-        .unwrap_or_default()
-}
-
-/// Drains and republishes the global engine's gauges, if installed.
-pub fn sync_global() {
-    if let Some((_, engine)) = GLOBAL.get() {
-        lock_engine(engine).drain_and_sync();
-    }
-}
-
-/// Locks a shared engine, recovering from poisoning.
-pub fn lock_engine(engine: &Mutex<DriftEngine>) -> std::sync::MutexGuard<'_, DriftEngine> {
-    engine.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -834,25 +703,47 @@ mod tests {
     }
 
     #[test]
-    fn full_ring_sheds_and_counts() {
+    fn sink_counts_under_the_drift_families() {
         let registry = Registry::new();
         let (sink, mut eng) = DriftEngine::new(
             DriftConfig {
-                ring_capacity: 8,
+                ring_capacity: 2,
                 ..DriftConfig::default()
             },
             &registry,
         );
-        for _ in 0..40 {
+        for _ in 0..3 {
             sink.observe(ModelKind::Title, 0.5, 0.2);
         }
-        assert!(eng.shed() > 0, "overflow must be counted, not silent");
-        let drained = eng.drain_and_sync();
-        assert_eq!(drained as u64 + eng.shed(), 40);
-        assert_eq!(
-            registry.snapshot().counter("cgc_drift_shed_total"),
-            Some(eng.shed())
+        assert_eq!(eng.shed(), 1);
+        assert_eq!(eng.drain_and_sync(), 2);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("cgc_drift_observations_total"), Some(2));
+        assert_eq!(snap.counter("cgc_drift_shed_total"), Some(1));
+        assert_eq!(eng.report().shed, 1);
+    }
+
+    #[test]
+    fn drift_body_is_byte_stable() {
+        // The `/drift` body this input produced before the report types
+        // were renamed and their serializers derived.
+        let (sink, mut eng, _r) = engine(16, 8);
+        for (i, c) in scores(0.8, 40, 5).into_iter().enumerate() {
+            sink.observe(ModelKind::Title, c, c * 0.5);
+            sink.observe(ModelKind::Stage, 1.0 - c, (i % 4) as f64 / 4.0);
+        }
+        eng.drain_and_sync();
+        let golden = concat!(
+            r#"{"alarm_threshold":0.25,"shed":0,"models":[{"model":"title","reference_frozen":true,"ref"#,
+            r#"erence_size":16,"window_len":8,"psi_confidence":0.11200134154167755,"psi_margin":0.11200"#,
+            r#"134154167757,"ks_confidence":0.125,"ks_margin":0.125,"novelty":0.0,"score":0.11200134154"#,
+            r#"167757,"alarm":false},{"model":"stage","reference_frozen":false,"reference_size":40,"win"#,
+            r#"dow_len":0,"psi_confidence":0.0,"psi_margin":0.0,"ks_confidence":0.0,"ks_margin":0.0,"no"#,
+            r#"velty":0.0,"score":0.0,"alarm":false},{"model":"pattern","reference_frozen":false,"refer"#,
+            r#"ence_size":0,"window_len":0,"psi_confidence":0.0,"psi_margin":0.0,"ks_confidence":0.0,"k"#,
+            r#"s_margin":0.0,"novelty":0.0,"score":0.0,"alarm":false}]}"#,
         );
+        assert_eq!(serde_json::to_string(&eng.report()).unwrap(), golden);
     }
 
     #[test]
@@ -869,13 +760,6 @@ mod tests {
         // Empty sides never divide by zero.
         assert_eq!(psi(&[0, 0], &[1, 2]), 0.0);
         assert_eq!(ks(&[1, 2], &[0, 0]), 0.0);
-    }
-
-    #[test]
-    fn disabled_sink_is_free_and_silent() {
-        let sink = DriftSink::disabled();
-        assert!(!sink.is_enabled());
-        sink.observe(ModelKind::Title, 0.9, 0.5);
     }
 
     #[test]
@@ -905,6 +789,11 @@ mod tests {
         assert!(snap
             .get_with("cgc_drift_score_milli", &[("model", "title")])
             .is_none());
+        for family in ["cgc_drift_observations_total", "cgc_drift_shed_total"] {
+            assert!(snap
+                .get_with(family, &[("profile", "lte-handover")])
+                .is_some());
+        }
         assert!(snap
             .get_with(
                 "cgc_drift_psi_milli",

@@ -17,15 +17,19 @@
 //!    ([`export::prometheus`]) and pretty JSON matching the artifact
 //!    format used by `deploy::report` ([`export::json`]).
 //! 4. **A flight recorder, not just aggregates.** Decision points emit
-//!    typed [`Event`]s through an [`EventSink`] into a lock-free bounded
-//!    ring; a [`Journal`] consumer materializes per-flow decision
-//!    timelines, and [`serve::TelemetryServer`] exposes `/metrics`,
-//!    `/healthz`, and `/journal` over plain HTTP with zero dependencies.
+//!    typed [`Event`]s through an [`EventSink`]; a [`Journal`] consumer
+//!    materializes per-flow decision timelines, and
+//!    [`serve::TelemetryServer`] exposes `/metrics`, `/healthz`, and
+//!    `/journal` over plain HTTP with zero dependencies. Every such
+//!    stream — events, spans, quality samples, drift observations —
+//!    travels the one [`channel`]: lock-free bounded ring, shedding that
+//!    is counted and never silent, a drain, an optional off-thread
+//!    [`Pump`]. Sinks are injected, never process-global.
 //! 5. **Causal tracing and health, linked to the metrics.** Stage
 //!    boundaries record [`trace::SpanRecord`]s through a sampled
-//!    [`TraceSink`] into a second lock-free ring (`/trace`, exemplars
-//!    on latency histograms), and [`slo::SloEngine`] evaluates rolling
-//!    multi-window burn rates behind `/healthz` and `/slo`.
+//!    [`TraceSink`] (`/trace`, exemplars on latency histograms), and
+//!    [`slo::SloEngine`] evaluates rolling multi-window burn rates
+//!    behind `/healthz` and `/slo`.
 //! 6. **Model quality is a metric too.** Where ground truth exists,
 //!    [`quality::QualityHub`] turns streamed (predicted, truth) pairs
 //!    into rolling per-class accuracy/precision/recall gauges; where it
@@ -52,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod build;
+pub mod channel;
 pub mod drift;
 pub mod event;
 pub mod export;
@@ -63,14 +68,16 @@ pub mod registry;
 pub mod serve;
 pub mod slo;
 pub mod snapshot;
+mod timeline;
 pub mod timer;
 pub mod trace;
 
 pub use build::BuildInfo;
+pub use channel::{lock, Channel, Drain, Pump, Sink};
 pub use drift::{DriftConfig, DriftEngine, DriftReport, DriftSink};
 pub use event::{CloseCause, Event, EventKind, EventRing, FlowAddr};
 pub use hist::Histogram;
-pub use journal::{EventSink, FlowTimeline, Journal, JournalConfig, JournalPump};
+pub use journal::{EventSink, FlowTimeline, Journal, JournalConfig};
 pub use metric::{Counter, Gauge};
 pub use quality::{ModelKind, QualityConfig, QualityHub, QualityReport, QualitySink};
 pub use registry::Registry;
@@ -80,6 +87,4 @@ pub use snapshot::{
     ExemplarSnapshot, HistBucket, HistogramSnapshot, MetricSnapshot, MetricValue, Snapshot,
 };
 pub use timer::{span, Span};
-pub use trace::{
-    SpanRecord, TraceCollector, TraceConfig, TracePump, TraceSink, TraceStage, TraceTimeline,
-};
+pub use trace::{SpanRecord, TraceCollector, TraceConfig, TraceSink, TraceStage, TraceTimeline};

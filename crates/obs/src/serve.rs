@@ -36,13 +36,14 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::build::BuildInfo;
-use crate::drift::{lock_engine, DriftEngine};
+use crate::channel::lock;
+use crate::drift::DriftEngine;
 use crate::export;
-use crate::journal::{lock_journal, Journal};
-use crate::quality::{lock_hub, QualityHub};
+use crate::journal::Journal;
+use crate::quality::QualityHub;
 use crate::slo::{Health, SloHub};
 use crate::snapshot::Snapshot;
-use crate::trace::{lock_collector, TraceCollector};
+use crate::trace::TraceCollector;
 
 /// Optional backends for the non-metrics routes.
 #[derive(Default)]
@@ -189,10 +190,10 @@ fn handle_conn<F: Fn() -> Snapshot>(stream: &mut TcpStream, snapshot: &F, option
         build.sync();
     }
     if let Some(quality) = &options.quality {
-        lock_hub(quality).drain_and_sync();
+        lock(quality).drain_and_sync();
     }
     if let Some(drift) = &options.drift {
-        lock_engine(drift).drain_and_sync();
+        lock(drift).drain_and_sync();
     }
     let (status, content_type, body) = match path {
         "/metrics" => (
@@ -216,63 +217,39 @@ fn handle_conn<F: Fn() -> Snapshot>(stream: &mut TcpStream, snapshot: &F, option
                 serde_json::to_string(&hub.observe_and_evaluate(&snapshot()))
                     .expect("slo report serialization is infallible"),
             ),
-            None => (
-                "404 Not Found",
-                "text/plain",
-                "no slo engine installed\n".to_string(),
-            ),
+            None => not_found("no slo engine installed"),
         },
         "/quality" => match &options.quality {
             Some(hub) => (
                 "200 OK",
                 "application/json",
-                serde_json::to_string(&lock_hub(hub).report())
+                serde_json::to_string(&lock(hub).report())
                     .expect("quality report serialization is infallible"),
             ),
-            None => (
-                "404 Not Found",
-                "text/plain",
-                "no quality telemetry installed\n".to_string(),
-            ),
+            None => not_found("no quality telemetry installed"),
         },
         "/drift" => match &options.drift {
             Some(engine) => (
                 "200 OK",
                 "application/json",
-                serde_json::to_string(&lock_engine(engine).report())
+                serde_json::to_string(&lock(engine).report())
                     .expect("drift report serialization is infallible"),
             ),
-            None => (
-                "404 Not Found",
-                "text/plain",
-                "no drift engine installed\n".to_string(),
-            ),
+            None => not_found("no drift engine installed"),
         },
         "/models" => match options.models.as_ref().and_then(|report| report()) {
             Some(body) => ("200 OK", "application/json", body),
-            None => (
-                "404 Not Found",
-                "text/plain",
-                "no model registry installed\n".to_string(),
-            ),
+            None => not_found("no model registry installed"),
         },
         "/journal" => match &options.journal {
             Some(j) => ("200 OK", "application/jsonl", journal_body(j, query)),
-            None => (
-                "404 Not Found",
-                "text/plain",
-                "no journal installed\n".to_string(),
-            ),
+            None => not_found("no journal installed"),
         },
         "/trace" => match &options.trace {
             Some(t) => ("200 OK", "application/jsonl", trace_body(t, query)),
-            None => (
-                "404 Not Found",
-                "text/plain",
-                "no trace collector installed\n".to_string(),
-            ),
+            None => not_found("no trace collector installed"),
         },
-        _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
+        _ => not_found("not found"),
     };
     let _ = write!(
         stream,
@@ -280,6 +257,10 @@ fn handle_conn<F: Fn() -> Snapshot>(stream: &mut TcpStream, snapshot: &F, option
         body.len()
     );
     let _ = stream.flush();
+}
+
+fn not_found(why: &str) -> (&'static str, &'static str, String) {
+    ("404 Not Found", "text/plain", format!("{why}\n"))
 }
 
 /// Reads just enough of the request to get the target of the request
@@ -381,7 +362,7 @@ fn healthz_verdict<F: Fn() -> Snapshot>(snapshot: &F, options: &ServeOptions) ->
 }
 
 fn trace_body(trace: &Mutex<TraceCollector>, query: &str) -> String {
-    let mut collector = lock_collector(trace);
+    let mut collector = lock(trace);
     collector.drain();
     let mut flow = None;
     let mut slot = None;
@@ -399,7 +380,7 @@ fn trace_body(trace: &Mutex<TraceCollector>, query: &str) -> String {
 }
 
 fn journal_body(journal: &Mutex<Journal>, query: &str) -> String {
-    let mut j = lock_journal(journal);
+    let mut j = lock(journal);
     j.drain();
     for kv in query.split('&') {
         if let Some(n) = kv.strip_prefix("tail=") {

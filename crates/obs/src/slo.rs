@@ -574,7 +574,7 @@ impl SloHub {
     /// (poison-recovering: a panicked scraper must not wedge health).
     pub fn observe_and_evaluate(&self, snap: &Snapshot) -> SloReport {
         let now = (self.now)();
-        let mut guard = self.engine.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = crate::channel::lock(&self.engine);
         let (engine, bridge) = &mut *guard;
         bridge.observe(engine, now, snap);
         engine.evaluate(now)
@@ -583,7 +583,7 @@ impl SloHub {
     /// Evaluates without a new observation (windows still slide).
     pub fn evaluate(&self) -> SloReport {
         let now = (self.now)();
-        let guard = self.engine.lock().unwrap_or_else(|e| e.into_inner());
+        let guard = crate::channel::lock(&self.engine);
         guard.0.evaluate(now)
     }
 }

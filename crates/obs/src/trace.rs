@@ -4,26 +4,25 @@
 //!
 //! Producers hold a cheap, cloneable [`TraceSink`] and call
 //! [`TraceSink::record`] at stage boundaries; the sink applies head-based
-//! sampling on the flow id (`--trace-sample 1/N`), pushes into a shared
-//! lock-free span ring (same Vyukov shape as
-//! [`EventRing`]) and bumps the recorded/dropped
-//! counters — drops are counted, never silent. A single [`TraceCollector`]
-//! owns the consumer side: [`TraceCollector::drain`] moves queued spans
-//! into [`TraceTimeline`]s keyed by flow id, bounded by [`TraceConfig`]
-//! caps with explicit truncation accounting.
+//! sampling on the flow id (`--trace-sample 1/N`) in front of one
+//! [`channel`](crate::channel) producer handle — drops are counted, never
+//! silent. A single [`TraceCollector`] owns the consumer side:
+//! [`TraceCollector::drain`] moves queued spans into [`TraceTimeline`]s
+//! keyed by flow id, bounded by [`TraceConfig`] caps with explicit
+//! truncation accounting.
 //!
-//! A disabled sink (the default for paths that never installed tracing)
-//! is a single branch per record; a sampled-out flow pays the branch plus
-//! one modulo. Neither path allocates — [`SpanRecord`] is `Copy` and the
-//! ring stores it inline.
+//! A disabled sink is a single branch per record; a sampled-out flow pays
+//! the branch plus one modulo. Neither path allocates — [`SpanRecord`] is
+//! `Copy` and the ring stores it inline.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use serde::{Serialize, Value};
 
-use crate::event::{Event, EventRing};
-use crate::metric::{Counter, Gauge};
+use crate::channel::{Channel, Drain, Family, Sink};
+use crate::event::Event;
 use crate::registry::Registry;
+use crate::timeline::{FlowStore, Timeline};
 
 /// The pipeline stage a span was recorded at, in causal order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -181,71 +180,45 @@ impl TraceConfig {
     }
 }
 
-struct TraceShared {
-    ring: EventRing<SpanRecord>,
-    recorded: Arc<Counter>,
-    dropped: Arc<Counter>,
-    sample: u64,
-}
-
 /// Producer handle: clone freely, record from any thread, never blocks.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceSink {
-    shared: Option<Arc<TraceShared>>,
+    sink: Sink<SpanRecord>,
+    /// Head-sampling modulus (≥ 1 on an enabled sink).
+    sample: u64,
 }
 
 impl TraceSink {
     /// A sink that records nowhere — every record is one branch.
     pub fn disabled() -> Self {
-        TraceSink { shared: None }
+        TraceSink::default()
     }
 
     /// True when records actually go somewhere.
     pub fn is_enabled(&self) -> bool {
-        self.shared.is_some()
+        self.sink.is_enabled()
     }
 
     /// True when `flow` passes head sampling on an enabled sink. Callers
     /// with per-span setup cost (timers, exemplar capture) check this
     /// first; [`TraceSink::record`] re-applies the same predicate.
     pub fn sampled(&self, flow: u64) -> bool {
-        match &self.shared {
-            Some(shared) => flow.is_multiple_of(shared.sample),
-            None => false,
-        }
+        self.sink.is_enabled() && flow.is_multiple_of(self.sample)
     }
 
     /// Records one span for a sampled flow, or counts it as dropped when
     /// the ring is full. Sampled-out flows and disabled sinks are no-ops.
+    #[inline]
     pub fn record(&self, flow: u64, slot: u32, stage: TraceStage, ts: u64, dur_us: u64) {
-        if let Some(shared) = &self.shared {
-            if !flow.is_multiple_of(shared.sample) {
-                return;
-            }
-            let span = SpanRecord {
+        if self.sampled(flow) {
+            self.sink.push(SpanRecord {
                 flow,
                 slot,
                 stage,
                 ts,
                 dur_us,
-            };
-            match shared.ring.try_push(span) {
-                Ok(()) => shared.recorded.inc(),
-                Err(_) => shared.dropped.inc(),
-            }
+            });
         }
-    }
-}
-
-impl std::fmt::Debug for TraceSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceSink")
-            .field("enabled", &self.is_enabled())
-            .field(
-                "sample",
-                &self.shared.as_ref().map_or(0, |shared| shared.sample),
-            )
-            .finish()
     }
 }
 
@@ -260,7 +233,9 @@ pub struct TraceTimeline {
     pub truncated: bool,
 }
 
-impl TraceTimeline {
+impl Timeline for TraceTimeline {
+    type Item = SpanRecord;
+
     fn new(flow: u64) -> Self {
         TraceTimeline {
             flow,
@@ -269,6 +244,21 @@ impl TraceTimeline {
         }
     }
 
+    /// Stage-aware truncation: the cap bounds per-flow volume, but a
+    /// stage's *first* span is always kept — a long flow whose early
+    /// high-volume stages (merge, queue, router) exhaust the cap still
+    /// reconstructs its full causal chain down to the verdict.
+    fn push(&mut self, span: SpanRecord, cap: usize) -> bool {
+        if self.spans.len() >= cap && self.has_stage(span.stage) {
+            self.truncated = true;
+            return false;
+        }
+        self.spans.push(span);
+        true
+    }
+}
+
+impl TraceTimeline {
     /// Spans sorted into causal order: stage rank first, then timestamp,
     /// then slot — the reconstructed end-to-end chain.
     pub fn causal_chain(&self) -> Vec<SpanRecord> {
@@ -322,59 +312,53 @@ impl Serialize for TraceTimeline {
 /// assert!(tl.has_stage(TraceStage::Router));
 /// ```
 pub struct TraceCollector {
-    shared: Arc<TraceShared>,
-    config: TraceConfig,
-    /// Admission-ordered flow ids, parallel to `timelines` lookup.
-    order: Vec<u64>,
-    timelines: Vec<TraceTimeline>,
-    truncated: Arc<Counter>,
-    flows_gauge: Arc<Gauge>,
+    channel: Arc<Channel<SpanRecord>>,
+    store: FlowStore<TraceTimeline>,
+    sample: u64,
 }
 
 impl TraceCollector {
     /// Builds a collector plus the producer sink that feeds it,
     /// registering the drop/volume counters on `registry`.
     pub fn new(config: TraceConfig, registry: &Registry) -> (TraceSink, TraceCollector) {
-        let recorded = registry.counter(
-            "cgc_trace_spans_total",
-            "Spans accepted into the trace ring",
+        let channel = Channel::new(
+            config.ring_capacity,
+            registry,
+            (
+                "cgc_trace_spans_total",
+                "Spans accepted into the trace ring",
+            ),
+            (
+                "cgc_trace_dropped_spans_total",
+                "Spans dropped because the trace ring was full",
+            ),
+            None,
         );
-        let dropped = registry.counter(
-            "cgc_trace_dropped_spans_total",
-            "Spans dropped because the trace ring was full",
+        let store = FlowStore::new(
+            config.max_flows,
+            config.max_spans_per_flow,
+            registry.counter(
+                "cgc_trace_truncated_spans_total",
+                "Drained spans discarded by per-flow or flow-count caps",
+            ),
+            registry.gauge(
+                "cgc_trace_flows",
+                "Distinct flows currently held by the trace collector",
+            ),
         );
-        let truncated = registry.counter(
-            "cgc_trace_truncated_spans_total",
-            "Drained spans discarded by per-flow or flow-count caps",
-        );
-        let flows_gauge = registry.gauge(
-            "cgc_trace_flows",
-            "Distinct flows currently held by the trace collector",
-        );
-        let shared = Arc::new(TraceShared {
-            ring: EventRing::with_capacity(config.ring_capacity),
-            recorded,
-            dropped,
-            sample: config.sample.max(1),
-        });
-        let sink = TraceSink {
-            shared: Some(Arc::clone(&shared)),
-        };
         let collector = TraceCollector {
-            shared,
-            config,
-            order: Vec::new(),
-            timelines: Vec::new(),
-            truncated,
-            flows_gauge,
+            channel,
+            store,
+            sample: config.sample.max(1),
         };
-        (sink, collector)
+        (collector.sink(), collector)
     }
 
     /// Another producer handle for this collector.
     pub fn sink(&self) -> TraceSink {
         TraceSink {
-            shared: Some(Arc::clone(&self.shared)),
+            sink: self.channel.sink(),
+            sample: self.sample,
         }
     }
 
@@ -382,58 +366,26 @@ impl TraceCollector {
     /// many spans were drained (including ones the caps then discarded).
     /// Cheap when the ring is empty.
     pub fn drain(&mut self) -> usize {
-        let mut n = 0;
-        while let Some(span) = self.shared.ring.try_pop() {
-            n += 1;
-            self.absorb(span);
-        }
-        self.flows_gauge.set(self.timelines.len() as i64);
+        let store = &mut self.store;
+        let n = self.channel.drain(|span| store.absorb(span.flow, span));
+        store.sync_gauge();
         n
-    }
-
-    fn absorb(&mut self, span: SpanRecord) {
-        let idx = match self.order.iter().position(|&f| f == span.flow) {
-            Some(i) => i,
-            None => {
-                if self.timelines.len() >= self.config.max_flows {
-                    self.truncated.inc();
-                    return;
-                }
-                self.order.push(span.flow);
-                self.timelines.push(TraceTimeline::new(span.flow));
-                self.timelines.len() - 1
-            }
-        };
-        let tl = &mut self.timelines[idx];
-        if tl.spans.len() >= self.config.max_spans_per_flow {
-            // Stage-aware truncation: the cap bounds per-flow volume, but
-            // a stage's *first* span is always kept — a long flow whose
-            // early high-volume stages (merge, queue, router) exhaust the
-            // cap still reconstructs its full causal chain down to the
-            // verdict.
-            if tl.has_stage(span.stage) {
-                tl.truncated = true;
-                self.truncated.inc();
-                return;
-            }
-        }
-        tl.spans.push(span);
     }
 
     /// All timelines in flow-admission order (drain first for freshness).
     pub fn timelines(&self) -> &[TraceTimeline] {
-        &self.timelines
+        self.store.timelines()
     }
 
     /// Consumes the collector, yielding the timelines.
     pub fn into_timelines(mut self) -> Vec<TraceTimeline> {
         self.drain();
-        std::mem::take(&mut self.timelines)
+        self.store.take()
     }
 
     /// The timeline for one flow id, if it has been seen.
     pub fn timeline(&self, flow: u64) -> Option<&TraceTimeline> {
-        self.timelines.iter().find(|t| t.flow == flow)
+        self.store.timeline(flow)
     }
 
     /// JSONL export: one line per flow timeline, admission order. `flow`
@@ -441,7 +393,7 @@ impl TraceCollector {
     /// drops flows with none).
     pub fn to_jsonl_filtered(&self, flow: Option<u64>, slot: Option<u32>) -> String {
         let mut out = String::new();
-        for tl in &self.timelines {
+        for tl in self.timelines() {
             if flow.is_some_and(|f| f != tl.flow) {
                 continue;
             }
@@ -475,144 +427,29 @@ impl TraceCollector {
 impl std::fmt::Debug for TraceCollector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceCollector")
-            .field("flows", &self.timelines.len())
+            .field("flows", &self.timelines().len())
             .finish()
     }
 }
 
-// ------------------------------------------------------------ pump
+/// Under a [`Pump`](crate::Pump) the span ring keeps space for new spans
+/// — without one, a long run with eager stages (merge, per-record
+/// queue/router) fills the ring between scrapes and later stages count as
+/// drops.
+impl Drain for TraceCollector {
+    const THREAD: &'static str = "trace-pump";
+    const PASSES: Family = (
+        "cgc_trace_pump_drains_total",
+        "Drain passes performed by the off-thread trace consumer",
+    );
+    const MOVED: Family = (
+        "cgc_trace_pump_spans_total",
+        "Spans moved into timelines by the off-thread trace consumer",
+    );
 
-/// Off-thread trace consumer: continuously drains the span ring into a
-/// shared [`TraceCollector`] so per-flow timelines stay fresh and the
-/// ring keeps space for new spans — without it, a long run with eager
-/// stages (merge, per-record queue/router) fills the ring between
-/// scrapes and later stages count as drops.
-///
-/// The pump thread wakes every `interval`, drains, and counts its work
-/// in `cgc_trace_pump_drains_total` / `cgc_trace_pump_spans_total`.
-/// Dropping the pump performs one final drain, so nothing queued at
-/// shutdown is lost.
-pub struct TracePump {
-    collector: Arc<Mutex<TraceCollector>>,
-    stop: Arc<(Mutex<bool>, std::sync::Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TracePump {
-    /// Spawns the consumer thread draining `collector` every `interval`,
-    /// counting drained spans on `registry`.
-    pub fn start(
-        collector: Arc<Mutex<TraceCollector>>,
-        interval: std::time::Duration,
-        registry: &Registry,
-    ) -> TracePump {
-        let drains = registry.counter(
-            "cgc_trace_pump_drains_total",
-            "Drain passes performed by the off-thread trace consumer",
-        );
-        let spans = registry.counter(
-            "cgc_trace_pump_spans_total",
-            "Spans moved into timelines by the off-thread trace consumer",
-        );
-        let stop = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
-        let stop_flag = Arc::clone(&stop);
-        let pump_collector = Arc::clone(&collector);
-        let handle = std::thread::Builder::new()
-            .name("trace-pump".into())
-            .spawn(move || {
-                let (lock, cvar) = &*stop_flag;
-                let mut stopped = lock.lock().unwrap_or_else(|e| e.into_inner());
-                while !*stopped {
-                    let (guard, _) = cvar
-                        .wait_timeout(stopped, interval)
-                        .unwrap_or_else(|e| e.into_inner());
-                    stopped = guard;
-                    let n = lock_collector(&pump_collector).drain();
-                    drains.inc();
-                    if n > 0 {
-                        spans.add(n as u64);
-                    }
-                }
-            })
-            .expect("spawn trace pump");
-        TracePump {
-            collector,
-            stop,
-            handle: Some(handle),
-        }
+    fn drain(&mut self) -> usize {
+        TraceCollector::drain(self)
     }
-
-    /// The collector this pump drains into.
-    pub fn collector(&self) -> Arc<Mutex<TraceCollector>> {
-        Arc::clone(&self.collector)
-    }
-
-    /// Stops the pump thread and performs the final drain (also what
-    /// `Drop` does; call explicitly when you want the join to be visible).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            let (lock, cvar) = &*self.stop;
-            *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
-            cvar.notify_all();
-            let _ = handle.join();
-            // Final drain: anything recorded between the thread's last
-            // pass and the join lands in the timelines before shutdown
-            // returns.
-            lock_collector(&self.collector).drain();
-        }
-    }
-}
-
-impl Drop for TracePump {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-// ------------------------------------------------------------ global
-
-static GLOBAL: OnceLock<(TraceSink, Arc<Mutex<TraceCollector>>)> = OnceLock::new();
-
-/// Installs the process-wide trace collector on the global registry
-/// (first call wins; later calls return the existing instance). Code
-/// paths that use process-global metrics record here.
-pub fn install_global(config: TraceConfig) -> Arc<Mutex<TraceCollector>> {
-    let (_, collector) = GLOBAL.get_or_init(|| {
-        let (sink, collector) = TraceCollector::new(config, Registry::global());
-        (sink, Arc::new(Mutex::new(collector)))
-    });
-    Arc::clone(collector)
-}
-
-/// The process-wide trace collector, if one was installed.
-pub fn global() -> Option<Arc<Mutex<TraceCollector>>> {
-    GLOBAL.get().map(|(_, c)| Arc::clone(c))
-}
-
-/// A sink feeding the process-wide collector — disabled (free) until
-/// [`install_global`] runs.
-pub fn global_sink() -> TraceSink {
-    GLOBAL
-        .get()
-        .map(|(s, _)| s.clone())
-        .unwrap_or_else(TraceSink::disabled)
-}
-
-/// Locks a shared collector, recovering from a poisoned mutex: a panicked
-/// exporter must not take the recorder down with it.
-pub fn lock_collector(
-    collector: &Mutex<TraceCollector>,
-) -> std::sync::MutexGuard<'_, TraceCollector> {
-    collector.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// The sink's live dropped-span count (used in asserts and health output).
-pub fn dropped_spans(sink: &TraceSink) -> u64 {
-    sink.shared.as_ref().map_or(0, |s| s.dropped.get())
 }
 
 #[cfg(test)]
@@ -620,46 +457,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pump_keeps_draining_and_final_drains_on_stop() {
+    fn sink_and_pump_count_under_the_trace_families() {
         let registry = Registry::new();
-        let (sink, collector) = TraceCollector::new(TraceConfig::default(), &registry);
-        let collector = Arc::new(Mutex::new(collector));
-        let pump = TracePump::start(
-            Arc::clone(&collector),
-            std::time::Duration::from_millis(5),
-            &registry,
-        );
-        sink.record(7, 0, TraceStage::Ingest, 10, 0);
-        sink.record(7, 0, TraceStage::Queue, 20, 0);
-        // The pump moves the spans off the ring without an explicit drain.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            if lock_collector(&collector)
-                .timeline(7)
-                .is_some_and(|t| t.spans.len() == 2)
-            {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "pump never drained");
-            std::thread::yield_now();
+        let config = TraceConfig {
+            ring_capacity: 2,
+            ..TraceConfig::default()
+        };
+        let (sink, collector) = TraceCollector::new(config, &registry);
+        for i in 0..3u64 {
+            sink.record(1, 0, TraceStage::Slot, i, 0);
         }
-        // A span recorded right before stop survives via the final drain.
-        sink.record(7, 1, TraceStage::Slot, 30, 0);
-        pump.stop();
-        let collector = lock_collector(&collector);
-        assert_eq!(collector.timeline(7).unwrap().spans.len(), 3);
+        let collector = Arc::new(std::sync::Mutex::new(collector));
+        crate::Pump::start(collector, std::time::Duration::from_secs(3600), &registry).stop();
         let snap = registry.snapshot();
+        assert_eq!(snap.counter("cgc_trace_spans_total"), Some(2));
+        assert_eq!(snap.counter("cgc_trace_dropped_spans_total"), Some(1));
         assert!(snap.counter("cgc_trace_pump_drains_total").unwrap() > 0);
-        assert_eq!(snap.counter("cgc_trace_pump_spans_total"), Some(3));
+        assert_eq!(snap.counter("cgc_trace_pump_spans_total"), Some(2));
     }
 
     #[test]
-    fn disabled_sink_is_a_noop() {
+    fn disabled_sink_is_never_sampled() {
         let sink = TraceSink::disabled();
         assert!(!sink.is_enabled());
         assert!(!sink.sampled(0));
         sink.record(1, 0, TraceStage::Ingest, 0, 0); // must not panic
-        assert_eq!(dropped_spans(&sink), 0);
     }
 
     #[test]
@@ -719,26 +541,6 @@ mod tests {
         );
         sink.record(5, 0, TraceStage::Ingest, 0, 0);
         assert_eq!(traces.drain(), 1);
-    }
-
-    #[test]
-    fn ring_overflow_is_counted_never_silent() {
-        let registry = Registry::new();
-        let config = TraceConfig {
-            ring_capacity: 8,
-            ..TraceConfig::default()
-        };
-        let (sink, mut traces) = TraceCollector::new(config, &registry);
-        for i in 0..20u64 {
-            sink.record(1, 0, TraceStage::Slot, i, 0);
-        }
-        let drained = traces.drain();
-        let snap = registry.snapshot();
-        let recorded = snap.counter("cgc_trace_spans_total").unwrap();
-        let dropped = snap.counter("cgc_trace_dropped_spans_total").unwrap();
-        assert_eq!(recorded + dropped, 20);
-        assert_eq!(drained as u64, recorded);
-        assert!(dropped > 0, "an 8-slot ring cannot hold 20 spans");
     }
 
     #[test]
@@ -814,15 +616,5 @@ mod tests {
             dur_us: 0,
         };
         assert_eq!(span.trace(), trace_id(7, 3));
-    }
-
-    #[test]
-    fn global_sink_is_disabled_until_install() {
-        let before_installed = global().is_some();
-        let c1 = install_global(TraceConfig::default());
-        let c2 = install_global(TraceConfig::default().with_sample(8));
-        assert!(Arc::ptr_eq(&c1, &c2), "second install returns the first");
-        assert!(global_sink().is_enabled());
-        let _ = before_installed;
     }
 }

@@ -1,6 +1,6 @@
 //! Flight recorder: per-flow decision timelines from the tap front end.
-//! Two subscribers' sessions run through the sharded monitor with the
-//! process-wide journal installed; afterwards the journal answers "why
+//! Two subscribers' sessions run through the sharded monitor with a
+//! journal sink injected; afterwards the journal answers "why
 //! did this flow get labeled the way it did" — as a human table, as
 //! JSONL, and over the live HTTP telemetry endpoint that
 //! `gamescope fleet --serve` exposes.
@@ -10,21 +10,22 @@
 //! ```
 
 use std::io::{Read, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use gamescope::deploy::report::journal_table;
 use gamescope::deploy::train::{train_bundle, TrainConfig};
 use gamescope::domain::{GameTitle, StreamSettings};
-use gamescope::obs::journal::{install_global, lock_journal};
-use gamescope::obs::{JournalConfig, Registry, TelemetryServer};
+use gamescope::obs::{Journal, JournalConfig, Registry, TelemetryServer};
 use gamescope::pipeline::shard::{ShardedMonitorConfig, ShardedTapMonitor};
+use gamescope::pipeline::Obs;
 use gamescope::sim::{Fidelity, Session, SessionConfig, SessionGenerator, TitleKind};
 use gamescope::trace::packet::Direction;
 
 fn main() {
-    // Install the journal before building the monitor: anything created
-    // afterwards records its decisions here.
-    let journal = install_global(JournalConfig::default());
+    // A private registry and journal: the monitor below gets the sink,
+    // this function keeps the consumer.
+    let registry = Arc::new(Registry::new());
+    let (sink, mut journal) = Journal::new(JournalConfig::default(), &registry);
 
     println!("training models (quick config)...");
     let bundle = Arc::new(train_bundle(&TrainConfig::quick()));
@@ -44,8 +45,15 @@ fn main() {
         (15_000_000, mk(GameTitle::Hearthstone, 22)),
     ];
 
-    let mut monitor =
-        ShardedTapMonitor::new(Arc::clone(&bundle), ShardedMonitorConfig::with_shards(2));
+    let mut monitor = ShardedTapMonitor::with_obs(
+        Arc::clone(&bundle),
+        ShardedMonitorConfig::with_shards(2),
+        &registry,
+        Obs {
+            journal: sink,
+            ..Obs::on(&registry)
+        },
+    );
     for (offset, s) in &sessions {
         for p in &s.packets {
             let tuple = match p.dir {
@@ -61,22 +69,20 @@ fn main() {
         out.len()
     );
 
-    let mut j = lock_journal(&journal);
-    j.drain();
-    println!("{}", journal_table(j.timelines()));
+    journal.drain();
+    println!("{}", journal_table(journal.timelines()));
 
-    if let Some(tl) = j.timelines().first() {
+    if let Some(tl) = journal.timelines().first() {
         println!("same data as JSONL (first timeline):");
         println!("{}\n", gamescope::obs::journal::render_line(tl));
     }
-    drop(j);
 
     // The live endpoint `gamescope fleet --serve <addr>` exposes, scraped
     // in-process: the three most recent events.
     let server = TelemetryServer::spawn(
         "127.0.0.1:0",
-        || Registry::global().snapshot(),
-        Some(journal),
+        move || registry.snapshot(),
+        Some(Arc::new(Mutex::new(journal))),
     )
     .expect("bind telemetry endpoint");
     let addr = server.local_addr();

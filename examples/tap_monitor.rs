@@ -13,7 +13,9 @@ use std::sync::Arc;
 use gamescope::deploy::report::metrics_table;
 use gamescope::deploy::train::{train_bundle, TrainConfig};
 use gamescope::domain::{GameTitle, StreamSettings};
+use gamescope::obs::Registry;
 use gamescope::pipeline::shard::{ShardedMonitorConfig, ShardedTapMonitor};
+use gamescope::pipeline::Obs;
 use gamescope::sim::{Fidelity, Session, SessionConfig, SessionGenerator, TitleKind};
 use gamescope::trace::packet::{Direction, FiveTuple};
 use gamescope::trace::units::Micros;
@@ -57,8 +59,12 @@ fn main() {
     feed.sort_by_key(|(ts, _, _)| *ts);
     println!("tap feed: {} packets from 4 flows\n", feed.len());
 
-    let mut monitor =
-        ShardedTapMonitor::new(Arc::clone(&bundle), ShardedMonitorConfig::with_shards(4));
+    let mut monitor = ShardedTapMonitor::with_obs(
+        Arc::clone(&bundle),
+        ShardedMonitorConfig::with_shards(4),
+        Registry::global(),
+        Obs::global(),
+    );
     for (ts, tuple, len) in &feed {
         monitor.ingest(*ts, tuple, *len);
     }
@@ -72,7 +78,7 @@ fn main() {
     out.sort_by_key(|m| m.started_at);
     // The monitor records into the global registry; the snapshot spans all
     // four instrumented layers (trace, monitor/shard, pipeline, qoe).
-    let snapshot = gamescope::obs::Registry::global().snapshot();
+    let snapshot = Registry::global().snapshot();
     println!("\nfront-end telemetry:\n{}", metrics_table(&snapshot));
     println!("\nper-session reports:");
     for m in &out {

@@ -1,9 +1,11 @@
 //! Offline `criterion` shim: a minimal wall-clock benchmark harness with
 //! the API subset this workspace's benches use (`bench_function`,
 //! `benchmark_group` with `sample_size`/`throughput`, `criterion_group!`,
-//! `criterion_main!`, `black_box`). Results print as `ns/iter` plus
-//! element/byte throughput when configured; there is no statistical
-//! analysis or HTML report.
+//! `criterion_main!`, `black_box`). Every sample is kept: a result prints
+//! as the median time per iteration with its spread (median absolute
+//! deviation) and the fastest sample, plus element/byte throughput at the
+//! median when configured — enough to tell a delta from noise. There is
+//! no further statistical analysis and no HTML report.
 
 use std::time::{Duration, Instant};
 
@@ -21,11 +23,13 @@ pub enum Throughput {
 /// Timing loop handle passed to benchmark closures.
 pub struct Bencher {
     samples: usize,
-    result_ns: f64,
+    /// Nanoseconds per call of each sample, in run order.
+    sample_ns: Vec<f64>,
 }
 
 impl Bencher {
-    /// Times `f`, storing the mean wall-clock nanoseconds per call.
+    /// Times `f` in `samples` batches, storing each batch's mean
+    /// wall-clock nanoseconds per call.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         // Warm up and estimate a batch size targeting ~10 ms per sample.
         let start = Instant::now();
@@ -33,23 +37,30 @@ impl Bencher {
         let once = start.elapsed().max(Duration::from_nanos(20));
         let batch = (Duration::from_millis(10).as_nanos() / once.as_nanos()).clamp(1, 100_000);
 
-        let mut best = f64::INFINITY;
-        for _ in 0..self.samples.max(1) {
-            let t = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            let ns = t.elapsed().as_nanos() as f64 / batch as f64;
-            if ns < best {
-                best = ns;
-            }
-        }
-        self.result_ns = best;
+        self.sample_ns = (0..self.samples.max(1))
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..batch {
+                    black_box(f());
+                }
+                t.elapsed().as_nanos() as f64 / batch as f64
+            })
+            .collect();
     }
 }
 
-fn report(name: &str, ns: f64, throughput: Option<Throughput>) {
-    let time = if ns >= 1e9 {
+/// Median of `values` (0 when empty); sorts in place.
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    match values.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => values[n / 2],
+        n => (values[n / 2 - 1] + values[n / 2]) / 2.0,
+    }
+}
+
+fn fmt_ns(ns: f64) -> String {
+    if ns >= 1e9 {
         format!("{:.3} s", ns / 1e9)
     } else if ns >= 1e6 {
         format!("{:.3} ms", ns / 1e6)
@@ -57,7 +68,21 @@ fn report(name: &str, ns: f64, throughput: Option<Throughput>) {
         format!("{:.3} µs", ns / 1e3)
     } else {
         format!("{ns:.1} ns")
-    };
+    }
+}
+
+fn report(name: &str, mut samples: Vec<f64>, throughput: Option<Throughput>) {
+    let ns = median(&mut samples);
+    let min = samples.first().copied().unwrap_or(0.0);
+    let mut deviations: Vec<f64> = samples.iter().map(|s| (s - ns).abs()).collect();
+    let mad = median(&mut deviations);
+    let time = format!(
+        "{}/iter (MAD {}, min {}, n={})",
+        fmt_ns(ns),
+        fmt_ns(mad),
+        fmt_ns(min),
+        samples.len()
+    );
     let rate = match throughput {
         Some(Throughput::Elements(n)) => {
             format!("  thrpt: {:.0} elem/s", n as f64 * 1e9 / ns)
@@ -70,7 +95,7 @@ fn report(name: &str, ns: f64, throughput: Option<Throughput>) {
         }
         None => String::new(),
     };
-    println!("{name:<48} time: {time}/iter{rate}");
+    println!("{name:<48} time: {time}{rate}");
 }
 
 /// Benchmark registry and runner.
@@ -91,10 +116,10 @@ impl Criterion {
     {
         let mut b = Bencher {
             samples: self.sample_size,
-            result_ns: 0.0,
+            sample_ns: Vec::new(),
         };
         f(&mut b);
-        report(name, b.result_ns, None);
+        report(name, b.sample_ns, None);
         self
     }
 
@@ -134,12 +159,12 @@ impl BenchmarkGroup<'_> {
     {
         let mut b = Bencher {
             samples: self.sample_size,
-            result_ns: 0.0,
+            sample_ns: Vec::new(),
         };
         f(&mut b);
         report(
             &format!("{}/{name}", self.name),
-            b.result_ns,
+            b.sample_ns,
             self.throughput,
         );
         self
@@ -179,5 +204,12 @@ mod tests {
         g.throughput(super::Throughput::Elements(100));
         g.bench_function("sum", |b| b.iter(|| (0..100u64).sum::<u64>()));
         g.finish();
+    }
+
+    #[test]
+    fn median_handles_odd_even_and_empty() {
+        assert_eq!(super::median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(super::median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert_eq!(super::median(&mut []), 0.0);
     }
 }

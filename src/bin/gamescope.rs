@@ -37,7 +37,7 @@
 
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use gamescope::deploy::fleet::{
     build_tap_feed, run_fleet, run_fleet_with_models, FleetConfig, FleetModels, TapFleetConfig,
@@ -53,7 +53,7 @@ use gamescope::ingest::{
 use gamescope::obs;
 use gamescope::pipeline::monitor::{MonitorConfig, TapMonitor};
 use gamescope::pipeline::shard::{ShardedMonitorConfig, ShardedTapMonitor};
-use gamescope::pipeline::{ModelBundle, ModelSource};
+use gamescope::pipeline::{ModelBundle, ModelSource, Obs};
 use gamescope::sim::{Fidelity, SessionConfig, SessionGenerator, TitleKind};
 use gamescope::trace::clock::RealClock;
 use gamescope::trace::{pcap, ImpairmentProfile};
@@ -356,7 +356,20 @@ fn cmd_generate(mut args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_analyze(mut args: Vec<String>) -> Result<(), String> {
+/// The telemetry the global flags asked for, built once in `main` on the
+/// global registry and handed down to the command: the producer side
+/// (`obs`, `quality`) for whatever the command builds, and the drift
+/// consumer for the fleet's retrain trigger.
+struct Telemetry {
+    /// Global-registry metrics plus the journal, trace and drift sinks
+    /// (each disabled unless its flag was given).
+    obs: Obs,
+    /// Truth-join sink of the per-session fleet.
+    quality: obs::QualitySink,
+    drift: Option<Arc<Mutex<obs::DriftEngine>>>,
+}
+
+fn cmd_analyze(mut args: Vec<String>, telemetry: &Telemetry) -> Result<(), String> {
     let bundle = bundle_from(&mut args)?;
     // Path comes from `--pcap <p>` (README `classify` spelling) or the
     // first positional argument (`analyze <p>`).
@@ -371,12 +384,15 @@ fn cmd_analyze(mut args: Vec<String>) -> Result<(), String> {
     };
     reject_extra(&args)?;
 
-    let records = pcap::read_records(&path).map_err(|e| format!("reading {path}: {e}"))?;
+    let journal = &telemetry.obs.journal;
+    let records =
+        pcap::read_records_journaled(&path, journal).map_err(|e| format!("reading {path}: {e}"))?;
     println!("read {} capture records from {path}", records.len());
 
     // A tap monitor demultiplexes the capture, so multi-flow captures (or
     // ones with background chatter) work the same as single-session files.
-    let mut monitor = TapMonitor::new(&bundle, MonitorConfig::default());
+    let mut monitor =
+        TapMonitor::with_obs(&bundle, MonitorConfig::default(), telemetry.obs.clone());
     for r in &records {
         monitor.ingest_record(r);
     }
@@ -405,12 +421,13 @@ fn cmd_analyze(mut args: Vec<String>) -> Result<(), String> {
 
 /// `fleet --replay`: drives a recorded feed through the live ingestion
 /// path — paced replay, bounded queues, router, sharded monitor — on the
-/// global registry/journal so `--metrics`, `--journal` and `--serve` see
-/// the run.
+/// global registry and `main`'s sinks so `--metrics`, `--journal`,
+/// `--quality` and `--serve` see the run.
 fn cmd_fleet_replay(
     bundle: ModelBundle,
     source: String,
     mut args: Vec<String>,
+    telemetry: &Telemetry,
 ) -> Result<(), String> {
     let pace: f64 = match take_value(&mut args, "--pace")? {
         Some(v) => parse("--pace", &v)?,
@@ -438,15 +455,17 @@ fn cmd_fleet_replay(
         merge_cfg.tolerance_us = parse("--tolerance", &v)?;
     }
 
-    // Global registry + journal sink so --metrics/--journal/--serve all
-    // observe the live run, merge counters included.
+    // Global registry so --metrics/--serve observe the live run, merge
+    // counters included.
     let registry = obs::Registry::global();
+    let journal = &telemetry.obs.journal;
 
     let sources: Vec<MergeSource> = if source == "merge" {
         let mut sources = Vec::new();
         while let Some(spec) = take_value(&mut args, "--input")? {
             let (path, offset) = parse_input_spec(&spec);
-            let records = pcap::read_records(&path).map_err(|e| format!("reading {path}: {e}"))?;
+            let records = pcap::read_records_journaled(&path, journal)
+                .map_err(|e| format!("reading {path}: {e}"))?;
             eprintln!(
                 "read {} capture records from {path} (offset {offset:+} µs)",
                 records.len()
@@ -491,7 +510,8 @@ fn cmd_fleet_replay(
         }
     } else {
         reject_extra(&args)?;
-        let records = pcap::read_records(&source).map_err(|e| format!("reading {source}: {e}"))?;
+        let records = pcap::read_records_journaled(&source, journal)
+            .map_err(|e| format!("reading {source}: {e}"))?;
         eprintln!("read {} capture records from {source}", records.len());
         vec![MergeSource::new(source.clone(), pcap_feed(&records))]
     };
@@ -517,19 +537,17 @@ fn cmd_fleet_replay(
             );
         }
     }
-    // With a global trace collector installed (--trace-sample /
-    // --trace-table), the replay closure below stamps the pre-pipeline
-    // stages per record at release time. The merge already ran eagerly
-    // above, but stamping the whole feed here would flood the span ring
-    // ahead of the pump's first drain and drop every later stage's
-    // spans at pace 0.
-    let trace_sink = obs::trace::global_sink();
-    let monitor = ShardedTapMonitor::new(
+    // With span tracing on (--trace-sample / --trace-table), the replay
+    // closure below stamps the pre-pipeline stages per record at release
+    // time. The merge already ran eagerly above, but stamping the whole
+    // feed here would flood the span ring ahead of the pump's first drain
+    // and drop every later stage's spans at pace 0.
+    let trace_sink = telemetry.obs.trace.clone();
+    let monitor = ShardedTapMonitor::with_obs(
         Arc::new(bundle),
-        ShardedMonitorConfig {
-            shards,
-            ..Default::default()
-        },
+        ShardedMonitorConfig::with_shards(shards),
+        registry,
+        telemetry.obs.clone(),
     );
     let clock: gamescope::trace::SharedClock = Arc::new(RealClock::new());
     ingest_cfg.clock = Some(Arc::clone(&clock));
@@ -597,12 +615,21 @@ fn cmd_fleet_replay(
     Ok(())
 }
 
-fn cmd_fleet(mut args: Vec<String>) -> Result<(), String> {
+fn cmd_fleet(mut args: Vec<String>, telemetry: &Telemetry) -> Result<(), String> {
     let bundle = bundle_from(&mut args)?;
     if let Some(source) = take_value(&mut args, "--replay")? {
-        return cmd_fleet_replay(bundle, source, args);
+        return cmd_fleet_replay(bundle, source, args, telemetry);
     }
-    let mut cfg = FleetConfig::default();
+    let mut cfg = FleetConfig {
+        quality: telemetry.quality.clone(),
+        // Per-session analyzers journal and feed the drift engine; span
+        // tracing covers the tap path only.
+        obs: Arc::new(Obs {
+            trace: obs::TraceSink::disabled(),
+            ..telemetry.obs.clone()
+        }),
+        ..FleetConfig::default()
+    };
     if let Some(v) = take_value(&mut args, "--sessions")? {
         cfg.n_sessions = parse("--sessions", &v)?;
     }
@@ -695,10 +722,13 @@ fn cmd_fleet(mut args: Vec<String>) -> Result<(), String> {
     // rides it shadow on a fresh slice of traffic, and acts on the
     // verdict per --promote.
     if let Some(pilot) = &pilot {
-        obs::drift::sync_global();
-        let drift_alarms: Vec<String> = obs::drift::global()
-            .map(|(_, engine)| {
-                let report = obs::drift::lock_engine(engine).report();
+        let drift_alarms: Vec<String> = telemetry
+            .drift
+            .as_ref()
+            .map(|engine| {
+                let mut engine = obs::lock(engine);
+                engine.drain_and_sync();
+                let report = engine.report();
                 report.alarms().iter().map(|s| s.to_string()).collect()
             })
             .unwrap_or_default();
@@ -795,117 +825,103 @@ fn reject_extra(args: &[String]) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let metrics_target = match take_value(&mut args, "--metrics") {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let metrics_target = take_value(&mut args, "--metrics")?;
     let verbose_metrics = take_flag(&mut args, "--metrics-table");
-    let journal_target = match take_value(&mut args, "--journal") {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let journal_target = take_value(&mut args, "--journal")?;
     let verbose_journal = take_flag(&mut args, "--journal-table");
-    let trace_sample = match take_value(&mut args, "--trace-sample") {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let trace_sample = take_value(&mut args, "--trace-sample")?;
     let verbose_trace = take_flag(&mut args, "--trace-table");
-    let serve_addr = match take_value(&mut args, "--serve") {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let serve_addr = take_value(&mut args, "--serve")?;
     let quality_flag = take_flag(&mut args, "--quality");
-    let drift_window: Option<usize> = match take_value(&mut args, "--drift-window")
-        .and_then(|v| v.map(|v| parse("--drift-window", &v)).transpose())
-    {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let drift_reference: Option<usize> = match take_value(&mut args, "--drift-reference")
-        .and_then(|v| v.map(|v| parse("--drift-reference", &v)).transpose())
-    {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let drift_window: Option<usize> = take_value(&mut args, "--drift-window")
+        .and_then(|v| v.map(|v| parse("--drift-window", &v)).transpose())?;
+    let drift_reference: Option<usize> = take_value(&mut args, "--drift-reference")
+        .and_then(|v| v.map(|v| parse("--drift-reference", &v)).transpose())?;
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" || args[0] == "help" {
         print!("{USAGE}");
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     // Ctrl-C from here on requests a graceful drain instead of killing
     // the process mid-run.
     sig::install();
 
-    // Any flight-recorder option installs the process-wide journal before
-    // the command runs, so every monitor/analyzer built from here on
-    // records into it.
+    // Everything below builds on the global registry, so `--metrics` and
+    // `/metrics` see the command's series and the telemetry's own.
+    let registry = obs::Registry::global();
+    let mut telemetry = Telemetry {
+        obs: Obs::on(registry),
+        quality: obs::QualitySink::disabled(),
+        drift: None,
+    };
+    // Any flight-recorder option builds the journal before the command
+    // runs; every monitor/analyzer the command builds records into it.
     let journal = if journal_target.is_some() || verbose_journal || serve_addr.is_some() {
-        Some(obs::journal::install_global(obs::JournalConfig::default()))
+        let (sink, journal) = obs::Journal::new(obs::JournalConfig::default(), registry);
+        telemetry.obs.journal = sink;
+        Some(Arc::new(Mutex::new(journal)))
     } else {
         None
     };
-    // Span tracing is opt-in (--trace-sample / --trace-table): every
-    // monitor, analyzer and ingest engine built after this records spans
-    // for the sampled flows into the global trace ring.
+    // Span tracing is opt-in (--trace-sample / --trace-table): the tap
+    // monitors and ingest engine the command builds record spans for the
+    // sampled flows.
     let trace = if trace_sample.is_some() || verbose_trace {
-        let sample = match trace_sample.as_deref().map(parse_sample).transpose() {
-            Ok(s) => s.unwrap_or(1),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        Some(obs::trace::install_global(obs::TraceConfig {
+        let sample = trace_sample
+            .as_deref()
+            .map(parse_sample)
+            .transpose()?
+            .unwrap_or(1);
+        let config = obs::TraceConfig {
             // The CLI replay path stamps four transport spans per record
             // (merge/ingest/queue/router); an unpaced replay produces
             // them faster than a default-sized ring absorbs between
             // drains, so size the ring for burst headroom here.
             ring_capacity: 1 << 18,
             ..obs::TraceConfig::default().with_sample(sample)
-        }))
+        };
+        let (sink, collector) = obs::TraceCollector::new(config, registry);
+        telemetry.obs.trace = sink;
+        Some(Arc::new(Mutex::new(collector)))
     } else {
         None
     };
-    // Quality/drift telemetry: --quality (or any live endpoint) installs
-    // the process-wide quality hub and drift engine before the command
-    // runs, so every analyzer and fleet truth-join from here on feeds
-    // them. Off by default: without the sinks the hot path stays
-    // zero-alloc and untouched.
+    // Quality/drift telemetry: --quality (or any live endpoint) builds
+    // the quality hub and drift engine before the command runs, so its
+    // analyzers and fleet truth-joins feed them. Off by default: without
+    // the sinks the hot path stays zero-alloc and untouched.
     let quality_on = quality_flag || serve_addr.is_some();
+    let mut quality = None;
     if quality_on {
         // Peeked here (cmd_fleet consumes and validates the flag) so the
-        // global quality/drift families carry the profile label from the
-        // moment they are installed — relabeling after install would
-        // split every series.
+        // quality/drift families carry the profile label from the moment
+        // they are registered — relabeling later would split every series.
         let impair_label: Option<&'static str> = args
             .iter()
             .position(|a| a == "--impair")
             .and_then(|i| args.get(i + 1))
             .and_then(|v| ImpairmentProfile::by_name(v))
             .map(|p| p.name);
-        obs::quality::install_global(obs::QualityConfig {
-            profile: impair_label,
-            ..obs::QualityConfig::default()
-        });
+        let (sink, hub) = obs::QualityHub::new(
+            obs::QualityConfig {
+                profile: impair_label,
+                ..obs::QualityConfig::default()
+            },
+            registry,
+        );
+        telemetry.quality = sink;
+        quality = Some(Arc::new(Mutex::new(hub)));
         let mut drift_cfg = obs::DriftConfig {
             profile: impair_label,
             ..obs::DriftConfig::default()
@@ -916,7 +932,9 @@ fn main() -> ExitCode {
         if let Some(n) = drift_reference {
             drift_cfg.reference_size = n;
         }
-        obs::drift::install_global(drift_cfg);
+        let (sink, engine) = obs::DriftEngine::new(drift_cfg, registry);
+        telemetry.obs.drift = sink;
+        telemetry.drift = Some(Arc::new(Mutex::new(engine)));
     } else if drift_window.is_some() || drift_reference.is_some() {
         eprintln!(
             "note: --drift-window/--drift-reference have no effect without --quality or --serve"
@@ -928,24 +946,24 @@ fn main() -> ExitCode {
     // interval matters at `--pace 0`: the replay can push the whole feed
     // between two slow ticks.
     let _trace_pump = trace.as_ref().map(|collector| {
-        obs::TracePump::start(
+        obs::Pump::start(
             Arc::clone(collector),
             std::time::Duration::from_millis(25),
-            obs::Registry::global(),
+            registry,
         )
     });
     // With a live endpoint, an off-thread pump keeps /journal fresh while
     // the command runs instead of draining only at scrape/exit time.
     let _pump = match (&journal, &serve_addr) {
-        (Some(journal), Some(_)) => Some(obs::JournalPump::start(
+        (Some(journal), Some(_)) => Some(obs::Pump::start(
             Arc::clone(journal),
             std::time::Duration::from_millis(200),
-            obs::Registry::global(),
+            registry,
         )),
         _ => None,
     };
     // Held for the duration of the command: dropped (and thus shut down)
-    // when `main` returns.
+    // when `run` returns.
     let _server = match &serve_addr {
         Some(addr) => {
             let options = obs::ServeOptions {
@@ -954,9 +972,9 @@ fn main() -> ExitCode {
                 // Burn-rate evaluation on the wall clock backs /slo and
                 // upgrades /healthz from the cumulative-counter fallback.
                 slo: Some(Arc::new(obs::SloHub::real_time(obs::SloConfig::default()))),
-                quality: obs::quality::global().map(|(_, hub)| Arc::clone(hub)),
-                drift: obs::drift::global().map(|(_, engine)| Arc::clone(engine)),
-                build: Some(Arc::new(obs::BuildInfo::register(obs::Registry::global()))),
+                quality: quality.clone(),
+                drift: telemetry.drift.clone(),
+                build: Some(Arc::new(obs::BuildInfo::register(registry))),
                 // Resolved per request: the lifecycle pilot installs
                 // itself after the server is already up (fleet
                 // --registry), and /models goes live the moment it does.
@@ -964,40 +982,26 @@ fn main() -> ExitCode {
                     lifecycle::global().map(|pilot| pilot.models_json())
                 })),
             };
-            match obs::TelemetryServer::spawn_with(
-                addr,
-                || obs::Registry::global().snapshot(),
-                options,
-            ) {
-                Ok(server) => {
-                    eprintln!(
-                        "telemetry: serving /metrics /healthz /slo /journal /quality /drift /models{} on http://{}",
-                        if trace.is_some() { " /trace" } else { "" },
-                        server.local_addr()
-                    );
-                    Some(server)
-                }
-                Err(e) => {
-                    eprintln!("error: binding --serve {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let server = obs::TelemetryServer::spawn_with(addr, || registry.snapshot(), options)
+                .map_err(|e| format!("binding --serve {addr}: {e}"))?;
+            eprintln!(
+                "telemetry: serving /metrics /healthz /slo /journal /quality /drift /models{} on http://{}",
+                if trace.is_some() { " /trace" } else { "" },
+                server.local_addr()
+            );
+            Some(server)
         }
         None => None,
     };
 
     let cmd = args.remove(0);
-    let result = match cmd.as_str() {
+    match cmd.as_str() {
         "train" => cmd_train(args),
         "generate" => cmd_generate(args),
-        "analyze" | "classify" => cmd_analyze(args),
-        "fleet" => cmd_fleet(args),
+        "analyze" | "classify" => cmd_analyze(args, &telemetry),
+        "fleet" => cmd_fleet(args, &telemetry),
         other => Err(format!("unknown subcommand {other:?}\n\n{USAGE}")),
-    };
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
+    }?;
 
     // Stop the pumps (final drain included) before snapshotting, so the
     // metrics, journal and trace output below see the complete streams.
@@ -1005,24 +1009,26 @@ fn main() -> ExitCode {
     drop(_trace_pump);
     // Final quality/drift drain so the snapshot below (and the exit
     // tables) reflect every labeled pair and score the run produced.
-    obs::quality::sync_global();
-    obs::drift::sync_global();
-    let snapshot = obs::Registry::global().snapshot();
+    if let Some(hub) = &quality {
+        obs::lock(hub).drain_and_sync();
+    }
+    if let Some(engine) = &telemetry.drift {
+        obs::lock(engine).drain_and_sync();
+    }
+    let snapshot = registry.snapshot();
     if verbose_metrics {
         eprintln!("\n{}", metrics_table(&snapshot));
     }
     if let Some(target) = metrics_target {
-        if let Err(e) = obs::export::dump(&snapshot, &target) {
-            eprintln!("error: writing metrics to {target}: {e}");
-            return ExitCode::FAILURE;
-        }
+        obs::export::dump(&snapshot, &target)
+            .map_err(|e| format!("writing metrics to {target}: {e}"))?;
         if target != "-" {
             eprintln!("metrics snapshot written to {target}");
         }
     }
 
     if let Some(trace) = &trace {
-        let mut collector = obs::trace::lock_collector(trace);
+        let mut collector = obs::lock(trace);
         collector.drain();
         if verbose_trace {
             eprintln!("\n{}", trace_table(collector.timelines()));
@@ -1030,7 +1036,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(journal) = &journal {
-        let mut journal = obs::journal::lock_journal(journal);
+        let mut journal = obs::lock(journal);
         journal.drain();
         if verbose_journal {
             eprintln!("\n{}", journal_table(journal.timelines()));
@@ -1040,41 +1046,37 @@ fn main() -> ExitCode {
             if target == "-" {
                 print!("{body}");
             } else {
-                if let Err(e) = std::fs::write(&target, body) {
-                    eprintln!("error: writing journal to {target}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                std::fs::write(&target, body)
+                    .map_err(|e| format!("writing journal to {target}: {e}"))?;
                 eprintln!("journal written to {target}");
             }
         }
     }
 
-    if quality_on {
-        if let Some((_, hub)) = obs::quality::global() {
-            let report = obs::quality::lock_hub(hub).report();
-            let table = quality_table(&report);
-            if table.is_empty() {
-                eprintln!("quality: no labeled pairs observed (offline fleet joins feed this)");
-            } else {
-                eprintln!("\n{table}");
-            }
-        }
-        if let Some((_, engine)) = obs::drift::global() {
-            let report = obs::drift::lock_engine(engine).report();
-            let alarms = report.alarms();
-            if alarms.is_empty() {
-                eprintln!(
-                    "drift: all models below the {:.2} alarm threshold",
-                    report.alarm_threshold
-                );
-            } else {
-                eprintln!(
-                    "drift: ALARM — score over {:.2} for {}",
-                    report.alarm_threshold,
-                    alarms.join(", ")
-                );
-            }
+    if let Some(hub) = &quality {
+        let report = obs::lock(hub).report();
+        let table = quality_table(&report);
+        if table.is_empty() {
+            eprintln!("quality: no labeled pairs observed (offline fleet joins feed this)");
+        } else {
+            eprintln!("\n{table}");
         }
     }
-    ExitCode::SUCCESS
+    if let Some(engine) = &telemetry.drift {
+        let report = obs::lock(engine).report();
+        let alarms = report.alarms();
+        if alarms.is_empty() {
+            eprintln!(
+                "drift: all models below the {:.2} alarm threshold",
+                report.alarm_threshold
+            );
+        } else {
+            eprintln!(
+                "drift: ALARM — score over {:.2} for {}",
+                report.alarm_threshold,
+                alarms.join(", ")
+            );
+        }
+    }
+    Ok(())
 }

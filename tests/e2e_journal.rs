@@ -6,12 +6,15 @@
 //! closure last. A second test stands up the live HTTP endpoint the way
 //! `gamescope fleet --serve` does and scrapes all three routes.
 
+use std::sync::{Arc, Mutex};
+
 use gamescope::deploy::fleet::{run_fleet, FleetConfig};
 use gamescope::deploy::train::{train_bundle, TrainConfig};
 use gamescope::domain::{GameTitle, StreamSettings};
 use gamescope::obs::event::{CloseCause, EventKind};
 use gamescope::obs::{Journal, JournalConfig, Registry};
 use gamescope::pipeline::monitor::{MonitorConfig, TapMonitor};
+use gamescope::pipeline::Obs;
 use gamescope::sim::{Fidelity, Session, SessionConfig, SessionGenerator, TitleKind};
 use gamescope::trace::packet::Direction;
 
@@ -49,8 +52,11 @@ fn journal_timelines_agree_with_session_reports() {
     // other tests drive the pipeline concurrently in this process.
     let registry = Registry::new();
     let (sink, mut journal) = Journal::new(JournalConfig::default(), &registry);
-    let mut monitor = TapMonitor::with_registry(&bundle, MonitorConfig::default(), &registry);
-    monitor.set_journal(sink.clone());
+    let obs = Obs {
+        journal: sink.clone(),
+        ..Obs::on(&registry)
+    };
+    let mut monitor = TapMonitor::with_obs(&bundle, MonitorConfig::default(), obs);
 
     for (i, s) in sessions.iter().enumerate() {
         let offset = i as u64 * 3_000_000;
@@ -69,7 +75,7 @@ fn journal_timelines_agree_with_session_reports() {
     assert_eq!(journal.timelines().len(), reports.len());
 
     // Nothing overflowed the ring: the recorder's completeness claim.
-    assert_eq!(gamescope::obs::journal::dropped_events(&sink), 0);
+    assert_eq!(sink.dropped(), 0);
     let snap = registry.snapshot();
     assert_eq!(snap.counter("cgc_journal_dropped_events_total"), Some(0));
     let total_events: u64 = journal
@@ -191,14 +197,19 @@ fn http_get(addr: std::net::SocketAddr, target: &str) -> (String, String) {
 
 #[test]
 fn telemetry_endpoint_serves_fleet_run() {
-    // The same wiring `gamescope fleet --serve 127.0.0.1:0` performs:
-    // install the process-wide journal, run a fleet, serve the global
-    // registry and journal over HTTP.
-    let journal = gamescope::obs::journal::install_global(JournalConfig::default());
+    // The same wiring `gamescope fleet --serve 127.0.0.1:0` performs, on
+    // a registry private to this test: build a journal, hand its sink to
+    // the fleet, serve the registry and journal over HTTP.
+    let registry = Arc::new(Registry::new());
+    let (sink, journal) = Journal::new(JournalConfig::default(), &registry);
     let bundle = train_bundle(&TrainConfig::quick());
     let cfg = FleetConfig {
         n_sessions: 4,
         duration_scale: 0.02,
+        obs: Arc::new(Obs {
+            journal: sink,
+            ..Obs::on(&registry)
+        }),
         ..FleetConfig::default()
     };
     let records = run_fleet(&bundle, &cfg);
@@ -206,8 +217,8 @@ fn telemetry_endpoint_serves_fleet_run() {
 
     let server = gamescope::obs::TelemetryServer::spawn(
         "127.0.0.1:0",
-        || Registry::global().snapshot(),
-        Some(journal),
+        move || registry.snapshot(),
+        Some(Arc::new(Mutex::new(journal))),
     )
     .unwrap();
     let addr = server.local_addr();

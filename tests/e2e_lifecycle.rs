@@ -11,7 +11,7 @@
 //! the version they pinned.
 
 use std::io::{Read as _, Write as _};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use gamescope::deploy::fleet::{run_fleet_with_models, FleetConfig, FleetModels};
 use gamescope::deploy::lifecycle::LifecyclePilot;
@@ -19,7 +19,7 @@ use gamescope::deploy::lifecycle::PromotePolicy;
 use gamescope::deploy::train::{train_bundle, TrainConfig};
 use gamescope::lifecycle::{LiveModel, Verdict};
 use gamescope::obs::{self, ModelKind, Registry};
-use gamescope::pipeline::{ModelSource, ShardedMonitorConfig, ShardedTapMonitor};
+use gamescope::pipeline::{ModelSource, Obs, ShardedMonitorConfig, ShardedTapMonitor};
 
 fn get(addr: std::net::SocketAddr, target: &str) -> (String, String) {
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
@@ -55,20 +55,32 @@ fn scratch_registry_dir() -> std::path::PathBuf {
 
 #[test]
 fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
-    // The observability stack the CLI installs for `fleet --serve`:
-    // windows sized exactly like tests/e2e_quality.rs so the churn phase
-    // trips the label-free detector within one fleet batch.
-    obs::quality::install_global(obs::QualityConfig {
-        ring_capacity: 1 << 18,
-        window: 64,
-        ..obs::QualityConfig::default()
-    });
-    obs::drift::install_global(obs::DriftConfig {
-        ring_capacity: 1 << 18,
-        reference_size: 256,
-        window: 128,
-        min_window: 32,
-        ..Default::default()
+    // The observability stack the CLI builds for `fleet --serve`, on a
+    // registry private to this test: windows sized exactly like
+    // tests/e2e_quality.rs so the churn phase trips the label-free
+    // detector within one fleet batch.
+    let registry = Arc::new(Registry::new());
+    let (quality_sink, quality_hub) = obs::QualityHub::new(
+        obs::QualityConfig {
+            ring_capacity: 1 << 18,
+            window: 64,
+            ..obs::QualityConfig::default()
+        },
+        &registry,
+    );
+    let (drift_sink, drift_engine) = obs::DriftEngine::new(
+        obs::DriftConfig {
+            ring_capacity: 1 << 18,
+            reference_size: 256,
+            window: 128,
+            min_window: 32,
+            ..Default::default()
+        },
+        &registry,
+    );
+    let fleet_obs = Arc::new(Obs {
+        drift: drift_sink,
+        ..Obs::on(&registry)
     });
 
     // The lifecycle pilot: versioned registry on disk, hot slot serving
@@ -77,31 +89,22 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
     let _ = std::fs::remove_dir_all(&dir);
     let bundle = train_bundle(&TrainConfig::quick());
     let pilot = Arc::new(
-        LifecyclePilot::open(
-            &dir,
-            bundle,
-            0x5EED,
-            Registry::global(),
-            PromotePolicy::Manual,
-        )
-        .unwrap(),
+        LifecyclePilot::open(&dir, bundle, 0x5EED, &registry, PromotePolicy::Manual).unwrap(),
     );
     assert_eq!(pilot.live().version(), 1);
 
     // Serve /models the way the CLI does: the route resolves the pilot
     // per request.
     let models_pilot = Arc::clone(&pilot);
+    let scraped = Arc::clone(&registry);
     let server = obs::TelemetryServer::spawn_with(
         "127.0.0.1:0",
-        || Registry::global().snapshot(),
+        move || scraped.snapshot(),
         obs::ServeOptions {
-            journal: None,
-            trace: None,
-            slo: None,
-            quality: obs::quality::global().map(|(_, hub)| Arc::clone(hub)),
-            drift: obs::drift::global().map(|(_, engine)| Arc::clone(engine)),
-            build: None,
+            quality: Some(Arc::new(Mutex::new(quality_hub))),
+            drift: Some(Arc::new(Mutex::new(drift_engine))),
             models: Some(Arc::new(move || Some(models_pilot.models_json()))),
+            ..Default::default()
         },
     )
     .unwrap();
@@ -127,6 +130,8 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
         unknown_fraction: unknown,
         impaired_fraction: impaired,
         workers: 1,
+        quality: quality_sink.clone(),
+        obs: Arc::clone(&fleet_obs),
         ..Default::default()
     };
     let live_models = FleetModels {
@@ -328,11 +333,14 @@ fn hot_swap_under_tap_load_keeps_timelines_continuous() {
 
     let registry = Registry::new();
     let (sink, mut journal) = Journal::new(JournalConfig::default(), &registry);
-    let mut monitor = ShardedTapMonitor::with_registry_and_journal(
+    let mut monitor = ShardedTapMonitor::with_obs(
         Arc::clone(&live),
         ShardedMonitorConfig::with_shards(4),
         &registry,
-        sink.clone(),
+        Obs {
+            journal: sink.clone(),
+            ..Obs::on(&registry)
+        },
     );
 
     for (ts, tuple, len) in &feed[..split] {
@@ -357,7 +365,7 @@ fn hot_swap_under_tap_load_keeps_timelines_continuous() {
     assert_eq!(live.versions_alive(), 2);
 
     journal.drain();
-    assert_eq!(gamescope::obs::journal::dropped_events(&sink), 0);
+    assert_eq!(sink.dropped(), 0);
     for m in &out {
         // Version split: admitted before the cutover → pinned v1;
         // admitted after → v2. In-flight flows finished on their pin.

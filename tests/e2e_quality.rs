@@ -11,11 +11,12 @@
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use gamescope::deploy::fleet::{run_fleet, FleetConfig};
 use gamescope::deploy::train::{train_bundle, TrainConfig};
 use gamescope::obs::{self, Registry};
+use gamescope::pipeline::Obs;
 
 fn get(addr: std::net::SocketAddr, target: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -71,14 +72,27 @@ fn drift_alarm_and_accuracy_drop_surface_over_http() {
         ..Default::default()
     };
     let alarm_threshold = drift_cfg.alarm_threshold;
-    obs::quality::install_global(obs::QualityConfig {
-        ring_capacity: 1 << 18,
-        // Short rolling window so phase B's accuracy reflects phase B,
-        // not a blend with the stationary phase.
-        window: 64,
-        ..obs::QualityConfig::default()
-    });
-    obs::drift::install_global(drift_cfg);
+    // Everything on a registry private to this test, sinks injected.
+    let registry = Arc::new(Registry::new());
+    let (quality_sink, quality_hub) = obs::QualityHub::new(
+        obs::QualityConfig {
+            ring_capacity: 1 << 18,
+            // Short rolling window so phase B's accuracy reflects phase B,
+            // not a blend with the stationary phase.
+            window: 64,
+            ..obs::QualityConfig::default()
+        },
+        &registry,
+    );
+    let (drift_sink, drift_engine) = obs::DriftEngine::new(drift_cfg, &registry);
+    let observed = FleetConfig {
+        quality: quality_sink,
+        obs: Arc::new(Obs {
+            drift: drift_sink,
+            ..Obs::on(&registry)
+        }),
+        ..Default::default()
+    };
 
     // Burn-rate health on a manual clock, advanced between scrapes so
     // the fast window fills without wall-clock sleeps.
@@ -89,17 +103,16 @@ fn drift_alarm_and_accuracy_drop_surface_over_http() {
             clock.load(Ordering::Relaxed)
         }))
     };
+    let scraped = Arc::clone(&registry);
     let server = obs::TelemetryServer::spawn_with(
         "127.0.0.1:0",
-        || Registry::global().snapshot(),
+        move || scraped.snapshot(),
         obs::ServeOptions {
-            journal: None,
-            trace: None,
             slo: Some(Arc::clone(&slo)),
-            quality: obs::quality::global().map(|(_, hub)| Arc::clone(hub)),
-            drift: obs::drift::global().map(|(_, engine)| Arc::clone(engine)),
-            build: Some(Arc::new(obs::BuildInfo::register(Registry::global()))),
-            models: None,
+            quality: Some(Arc::new(Mutex::new(quality_hub))),
+            drift: Some(Arc::new(Mutex::new(drift_engine))),
+            build: Some(Arc::new(obs::BuildInfo::register(&registry))),
+            ..Default::default()
         },
     )
     .unwrap();
@@ -119,7 +132,7 @@ fn drift_alarm_and_accuracy_drop_surface_over_http() {
             unknown_fraction: 0.0,
             impaired_fraction: 0.0,
             workers: 1, // deterministic observation order
-            ..Default::default()
+            ..observed.clone()
         },
     );
     assert_eq!(stationary.len(), 420);
@@ -173,7 +186,7 @@ fn drift_alarm_and_accuracy_drop_surface_over_http() {
             unknown_fraction: 0.7,
             impaired_fraction: 1.0,
             workers: 1,
-            ..Default::default()
+            ..observed
         },
     );
     assert_eq!(shifted.len(), 160);

@@ -78,14 +78,14 @@ fn every_registered_family_is_lint_clean() {
     let extra = Registry::new();
     gamescope::trace::metrics::TraceMetrics::register(&extra);
     let (_sink, journal) = obs::Journal::new(obs::JournalConfig::default(), &extra);
-    obs::JournalPump::start(
+    obs::Pump::start(
         std::sync::Arc::new(std::sync::Mutex::new(journal)),
         std::time::Duration::from_millis(50),
         &extra,
     )
     .stop();
     let (_tsink, collector) = obs::TraceCollector::new(obs::TraceConfig::default(), &extra);
-    obs::TracePump::start(
+    obs::Pump::start(
         std::sync::Arc::new(std::sync::Mutex::new(collector)),
         std::time::Duration::from_millis(50),
         &extra,
