@@ -357,12 +357,11 @@ pub fn stage_accuracy(records: &[SessionRecord], timelines: &[gamesim::StageTime
 mod tests {
     use super::*;
     use crate::fleet::{run_fleet, FleetConfig};
-    use crate::train::{train_bundle, TrainConfig};
+    use crate::train::quick_bundle;
 
     fn records() -> Vec<SessionRecord> {
-        let bundle = train_bundle(&TrainConfig::quick());
         run_fleet(
-            &bundle,
+            &*quick_bundle(),
             &FleetConfig {
                 n_sessions: 60,
                 duration_scale: 0.06,
@@ -499,13 +498,12 @@ pub fn diurnal_profile(records: &[SessionRecord], days: u32) -> Vec<DiurnalProfi
 mod diurnal_tests {
     use super::*;
     use crate::fleet::{run_fleet, FleetConfig};
-    use crate::train::{train_bundle, TrainConfig};
+    use crate::train::quick_bundle;
 
     #[test]
     fn diurnal_profile_is_evening_peaked_and_conserves_time() {
-        let bundle = train_bundle(&TrainConfig::quick());
         let records = run_fleet(
-            &bundle,
+            &*quick_bundle(),
             &FleetConfig {
                 n_sessions: 300,
                 duration_scale: 0.05,

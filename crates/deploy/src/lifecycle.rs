@@ -7,7 +7,7 @@
 //! 2. [`LifecyclePilot::shadow_retrain`] re-labels journaled per-session
 //!    decisions into a training set and fits a candidate off-thread →
 //! 3. the candidate is registered and armed as a [`ShadowMirror`], so
-//!    [`run_fleet_with_models`](crate::fleet::run_fleet_with_models)
+//!    [`run_fleet`](crate::fleet::run_fleet)
 //!    mirrors every live decision to it →
 //! 4. [`LifecyclePilot::evaluate`] turns the scoreboard into a
 //!    promote/hold verdict, auto-promoting under
@@ -362,8 +362,8 @@ pub fn global() -> Option<Arc<LifecyclePilot>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{run_fleet_with_models, FleetConfig, FleetModels};
-    use crate::train::{train_bundle, TrainConfig};
+    use crate::fleet::{run_fleet, FleetConfig, FleetModels};
+    use crate::train::quick_bundle;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -390,7 +390,7 @@ mod tests {
     fn pilot_retrains_from_records_and_promotes_with_rollback() {
         let dir = scratch_dir("loop");
         let obs = cgc_obs::Registry::new();
-        let bundle = train_bundle(&TrainConfig::quick());
+        let bundle = ModelBundle::clone(&quick_bundle());
         let pilot = Arc::new(
             LifecyclePilot::open(&dir, bundle, 0x5EED, &obs, PromotePolicy::Manual).unwrap(),
         );
@@ -398,10 +398,7 @@ mod tests {
         assert!(pilot.assess().is_none(), "no shadow yet");
 
         // Drift-window evidence → candidate v2 riding shadow.
-        let records = run_fleet_with_models(
-            FleetModels::fixed(pilot.live().load().value()),
-            &fleet_cfg(12, 99),
-        );
+        let records = run_fleet(pilot.live().load().value(), &fleet_cfg(12, 99));
         let handle = pilot.shadow_retrain(records);
         let version = handle.join().unwrap().unwrap();
         assert_eq!(version, 2);
@@ -410,7 +407,7 @@ mod tests {
         assert_eq!(shadow.version, 2);
 
         // A mirrored fleet populates the scoreboard end to end.
-        let mirrored = run_fleet_with_models(
+        let mirrored = run_fleet(
             FleetModels {
                 source: cgc_core::ModelSource::Live(pilot.live()),
                 shadow: Some(&shadow),
@@ -443,15 +440,12 @@ mod tests {
     fn pilot_reopens_serving_the_latest_registered_version() {
         let dir = scratch_dir("reopen");
         let obs = cgc_obs::Registry::new();
-        let bundle = train_bundle(&TrainConfig::quick());
+        let bundle = ModelBundle::clone(&quick_bundle());
         {
             let pilot = Arc::new(
                 LifecyclePilot::open(&dir, bundle.clone(), 1, &obs, PromotePolicy::Auto).unwrap(),
             );
-            let records = run_fleet_with_models(
-                FleetModels::fixed(pilot.live().load().value()),
-                &fleet_cfg(12, 99),
-            );
+            let records = run_fleet(pilot.live().load().value(), &fleet_cfg(12, 99));
             pilot.retrain_now(&records).unwrap();
         }
         // A fresh process finds v2 in the registry and serves it —
@@ -465,7 +459,7 @@ mod tests {
     fn retrain_refuses_thin_evidence() {
         let dir = scratch_dir("thin");
         let obs = cgc_obs::Registry::new();
-        let bundle = train_bundle(&TrainConfig::quick());
+        let bundle = ModelBundle::clone(&quick_bundle());
         let pilot = LifecyclePilot::open(&dir, bundle, 1, &obs, PromotePolicy::Auto).unwrap();
         let err = pilot.retrain_now(&[]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);

@@ -293,6 +293,16 @@ pub fn train_bundle(cfg: &TrainConfig) -> ModelBundle {
     }
 }
 
+/// The deterministic [`TrainConfig::quick`] bundle, trained once per test
+/// binary and shared by every test that only needs *a* trained bundle.
+#[cfg(test)]
+pub(crate) fn quick_bundle() -> std::sync::Arc<ModelBundle> {
+    static BUNDLE: std::sync::OnceLock<std::sync::Arc<ModelBundle>> = std::sync::OnceLock::new();
+    std::sync::Arc::clone(
+        BUNDLE.get_or_init(|| std::sync::Arc::new(train_bundle(&TrainConfig::quick()))),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,8 +366,7 @@ mod tests {
 
     #[test]
     fn quick_bundle_trains_and_roundtrips() {
-        let bundle = train_bundle(&TrainConfig::quick());
-        let json = bundle.to_json().unwrap();
+        let json = quick_bundle().to_json().unwrap();
         let back = ModelBundle::from_json(&json).unwrap();
         assert_eq!(back.stage_slot, ModelBundle::DEFAULT_STAGE_SLOT);
     }

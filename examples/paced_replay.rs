@@ -14,10 +14,10 @@
 use std::sync::Arc;
 
 use gamescope::deploy::{
-    build_tap_feed, run_tap_fleet, run_tap_fleet_replay, TapFleetConfig, TapReplayOptions,
+    build_tap_feed, run_tap_feed_replay, run_tap_fleet, TapFleetConfig, TapReplayOptions,
 };
 use gamescope::deploy::{train_bundle, TrainConfig};
-use gamescope::ingest::ReplayConfig;
+use gamescope::ingest::{MergeSource, ReplayConfig};
 use gamescope::trace::clock::VirtualClock;
 
 fn main() {
@@ -50,9 +50,10 @@ fn main() {
     // queue hand-off and graceful shutdown all run for real. Swap in
     // `RealClock::shared()` and this becomes an actual real-time replay.
     let clock = VirtualClock::new();
-    let live = run_tap_fleet_replay(
+    let live = run_tap_feed_replay(
         &bundle,
-        &cfg,
+        cfg.shards,
+        vec![MergeSource::new("feed", feed)],
         clock.shared(),
         TapReplayOptions {
             replay: ReplayConfig { pace: 4.0 },

@@ -36,46 +36,52 @@
 //! gets its final session verdict.
 
 use std::process::ExitCode;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use gamescope::deploy::fleet::{
-    build_tap_feed, run_fleet, run_fleet_with_models, FleetConfig, FleetModels, TapFleetConfig,
+    build_tap_feed, drive_tap_feed, run_fleet, FleetConfig, FleetModels, TapFleetConfig,
+    TapReplayOptions,
 };
 use gamescope::deploy::lifecycle::{self, LifecyclePilot, PromotePolicy};
 use gamescope::deploy::report::{journal_table, metrics_table, quality_table, trace_table};
 use gamescope::deploy::train::{train_bundle, TrainConfig};
 use gamescope::domain::{GameTitle, QoeLevel, StreamSettings};
-use gamescope::ingest::{
-    merge_sources, pcap_feed, replay, split_round_robin, BackpressurePolicy, IngestConfig,
-    IngestEngine, MergeConfig, MergeSource, MonitorSink, ReplayConfig,
-};
+use gamescope::ingest::{pcap_feed, split_round_robin, BackpressurePolicy, MergeSource};
 use gamescope::obs;
-use gamescope::pipeline::monitor::{MonitorConfig, TapMonitor};
-use gamescope::pipeline::shard::{ShardedMonitorConfig, ShardedTapMonitor};
+use gamescope::pipeline::monitor::{MonitorConfig, MonitoredSession, TapMonitor};
 use gamescope::pipeline::{ModelBundle, ModelSource, Obs};
 use gamescope::sim::{Fidelity, SessionConfig, SessionGenerator, TitleKind};
 use gamescope::trace::clock::RealClock;
-use gamescope::trace::{pcap, ImpairmentProfile};
+use gamescope::trace::{pcap, shift_micros, ImpairmentProfile};
 
-/// Ctrl-C handling: a process-wide flag the long-running paths poll so an
+/// Ctrl-C handling: one process-wide flag, set by the SIGINT handler and
+/// handed to whichever fleet driver runs as its cancel flag, so an
 /// interrupt triggers a graceful drain instead of an abort.
 mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, OnceLock};
 
-    /// Set by the SIGINT handler; checked by fleet workers and replay.
-    pub static INTERRUPTED: AtomicBool = AtomicBool::new(false);
+    static INTERRUPTED: OnceLock<Arc<AtomicBool>> = OnceLock::new();
+
+    /// The flag the handler sets — what `FleetConfig::cancel` and
+    /// `TapReplayOptions::cancel` poll.
+    pub fn flag() -> Arc<AtomicBool> {
+        Arc::clone(INTERRUPTED.get_or_init(Arc::default))
+    }
 
     /// True once Ctrl-C has been pressed.
     pub fn interrupted() -> bool {
-        INTERRUPTED.load(Ordering::Relaxed)
+        flag().load(Ordering::Relaxed)
     }
 
     #[cfg(unix)]
     pub fn install() {
         unsafe extern "C" fn on_sigint(_signum: i32) {
-            // Only async-signal-safe work here: one atomic store.
-            INTERRUPTED.store(true, Ordering::SeqCst);
+            // Only async-signal-safe work here: an initialised `OnceLock`
+            // reads with one atomic load, then one atomic store.
+            if let Some(flag) = INTERRUPTED.get() {
+                flag.store(true, Ordering::SeqCst);
+            }
         }
         // std links libc; declaring `signal` directly avoids a libc crate
         // dependency. SIG_ERR is usize::MAX.
@@ -83,7 +89,12 @@ mod sig {
             fn signal(signum: i32, handler: usize) -> usize;
         }
         const SIGINT: i32 = 2;
+        // Allocate the flag before the handler can run.
+        flag();
         let handler: unsafe extern "C" fn(i32) = on_sigint;
+        // SAFETY: `signal` is the C library's, declared with its C
+        // signature; the handler is an `extern "C" fn(i32)` that does only
+        // async-signal-safe work.
         unsafe {
             signal(SIGINT, handler as usize);
         }
@@ -226,6 +237,14 @@ fn parse<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("{name}: cannot parse {v:?}"))
 }
 
+/// Removes `--name <value>` from `args`, returning the parsed value.
+fn take_parsed<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    take_value(args, name)?.map(|v| parse(name, &v)).transpose()
+}
+
 /// Parses a `--trace-sample` spec: `8` and `1/8` both mean "trace one
 /// flow in eight".
 fn parse_sample(v: &str) -> Result<u64, String> {
@@ -280,21 +299,23 @@ fn find_title(input: &str) -> Option<GameTitle> {
     }
 }
 
+/// The training config `--quick` selects, and its name for the log.
+fn train_config(quick: bool) -> (TrainConfig, &'static str) {
+    if quick {
+        (TrainConfig::quick(), "quick")
+    } else {
+        (TrainConfig::default(), "default")
+    }
+}
+
 /// Loads `--bundle <path>` or trains one (`--quick` for the fast config).
 fn bundle_from(args: &mut Vec<String>) -> Result<ModelBundle, String> {
     let quick = take_flag(args, "--quick");
     if let Some(path) = take_value(args, "--bundle")? {
         return ModelBundle::load(&path).map_err(|e| format!("loading bundle {path}: {e}"));
     }
-    eprintln!(
-        "no --bundle given; training one ({} config)...",
-        if quick { "quick" } else { "default" }
-    );
-    let cfg = if quick {
-        TrainConfig::quick()
-    } else {
-        TrainConfig::default()
-    };
+    let (cfg, name) = train_config(quick);
+    eprintln!("no --bundle given; training one ({name} config)...");
     Ok(train_bundle(&cfg))
 }
 
@@ -302,15 +323,8 @@ fn cmd_train(mut args: Vec<String>) -> Result<(), String> {
     let quick = take_flag(&mut args, "--quick");
     let out = take_value(&mut args, "--out")?.unwrap_or_else(|| "bundle.json".into());
     reject_extra(&args)?;
-    let cfg = if quick {
-        TrainConfig::quick()
-    } else {
-        TrainConfig::default()
-    };
-    eprintln!(
-        "training models ({} config)...",
-        if quick { "quick" } else { "default" }
-    );
+    let (cfg, name) = train_config(quick);
+    eprintln!("training models ({name} config)...");
     let bundle = train_bundle(&cfg);
     bundle
         .save(&out)
@@ -328,14 +342,8 @@ fn cmd_generate(mut args: Vec<String>) -> Result<(), String> {
         })?,
         None => GameTitle::Fortnite,
     };
-    let secs: f64 = match take_value(&mut args, "--secs")? {
-        Some(v) => parse("--secs", &v)?,
-        None => 90.0,
-    };
-    let seed: u64 = match take_value(&mut args, "--seed")? {
-        Some(v) => parse("--seed", &v)?,
-        None => 7,
-    };
+    let secs: f64 = take_parsed(&mut args, "--secs")?.unwrap_or(90.0);
+    let seed: u64 = take_parsed(&mut args, "--seed")?.unwrap_or(7);
     reject_extra(&args)?;
 
     let mut generator = SessionGenerator::new();
@@ -402,7 +410,13 @@ fn cmd_analyze(mut args: Vec<String>, telemetry: &Telemetry) -> Result<(), Strin
         println!("no cloud gaming flows detected");
         return Ok(());
     }
-    for m in &sessions {
+    print_sessions(&sessions);
+    Ok(())
+}
+
+/// One stdout line per monitored session, in the order given.
+fn print_sessions(sessions: &[MonitoredSession]) {
+    for m in sessions {
         println!(
             "t+{:>3}s {} [{}] -> title {} ({:.0}%), {:.1} Mbps, QoE {}/{}{}",
             m.started_at / 1_000_000,
@@ -416,7 +430,6 @@ fn cmd_analyze(mut args: Vec<String>, telemetry: &Telemetry) -> Result<(), Strin
             if m.confirmed { "" } else { " (unconfirmed)" }
         );
     }
-    Ok(())
 }
 
 /// `fleet --replay`: drives a recorded feed through the live ingestion
@@ -429,35 +442,28 @@ fn cmd_fleet_replay(
     mut args: Vec<String>,
     telemetry: &Telemetry,
 ) -> Result<(), String> {
-    let pace: f64 = match take_value(&mut args, "--pace")? {
-        Some(v) => parse("--pace", &v)?,
-        None => 1.0,
+    let mut opts = TapReplayOptions {
+        cancel: Some(sig::flag()),
+        ..TapReplayOptions::default()
     };
-    let policy = match take_value(&mut args, "--backpressure")? {
-        Some(v) => BackpressurePolicy::parse(&v)
-            .ok_or_else(|| format!("--backpressure: {v:?} is not block|drop-oldest|drop-newest"))?,
-        None => BackpressurePolicy::Block,
-    };
-    let mut ingest_cfg = IngestConfig::default();
-    if let Some(v) = take_value(&mut args, "--queues")? {
-        ingest_cfg.queues = parse("--queues", &v)?;
+    if let Some(v) = take_parsed(&mut args, "--pace")? {
+        opts.replay.pace = v;
     }
-    if let Some(v) = take_value(&mut args, "--queue-capacity")? {
-        ingest_cfg.queue_capacity = parse("--queue-capacity", &v)?;
+    if let Some(v) = take_value(&mut args, "--backpressure")? {
+        opts.ingest.policy = BackpressurePolicy::parse(&v)
+            .ok_or_else(|| format!("--backpressure: {v:?} is not block|drop-oldest|drop-newest"))?;
     }
-    ingest_cfg.policy = policy;
-    let shards: usize = match take_value(&mut args, "--shards")? {
-        Some(v) => parse("--shards", &v)?,
-        None => 4,
-    };
-    let mut merge_cfg = MergeConfig::default();
-    if let Some(v) = take_value(&mut args, "--tolerance")? {
-        merge_cfg.tolerance_us = parse("--tolerance", &v)?;
+    if let Some(v) = take_parsed(&mut args, "--queues")? {
+        opts.ingest.queues = v;
     }
+    if let Some(v) = take_parsed(&mut args, "--queue-capacity")? {
+        opts.ingest.queue_capacity = v;
+    }
+    if let Some(v) = take_parsed(&mut args, "--tolerance")? {
+        opts.merge.tolerance_us = v;
+    }
+    let shards: usize = take_parsed(&mut args, "--shards")?.unwrap_or(4);
 
-    // Global registry so --metrics/--serve observe the live run, merge
-    // counters included.
-    let registry = obs::Registry::global();
     let journal = &telemetry.obs.journal;
 
     let sources: Vec<MergeSource> = if source == "merge" {
@@ -482,16 +488,13 @@ fn cmd_fleet_replay(
             shards,
             ..Default::default()
         };
-        if let Some(v) = take_value(&mut args, "--sessions")? {
-            tap_cfg.n_sessions = parse("--sessions", &v)?;
+        if let Some(v) = take_parsed(&mut args, "--sessions")? {
+            tap_cfg.n_sessions = v;
         }
-        if let Some(v) = take_value(&mut args, "--secs")? {
-            tap_cfg.gameplay_secs = parse("--secs", &v)?;
+        if let Some(v) = take_parsed(&mut args, "--secs")? {
+            tap_cfg.gameplay_secs = v;
         }
-        let split: usize = match take_value(&mut args, "--split")? {
-            Some(v) => parse("--split", &v)?,
-            None => 1,
-        };
+        let split: usize = take_parsed(&mut args, "--split")?.unwrap_or(1);
         reject_extra(&args)?;
         eprintln!(
             "generating a {}-session tap-fleet feed ({}s gameplay each)...",
@@ -513,100 +516,72 @@ fn cmd_fleet_replay(
         let records = pcap::read_records_journaled(&source, journal)
             .map_err(|e| format!("reading {source}: {e}"))?;
         eprintln!("read {} capture records from {source}", records.len());
-        vec![MergeSource::new(source.clone(), pcap_feed(&records))]
+        vec![MergeSource::new(source, pcap_feed(&records))]
     };
 
+    // The banner comes from the sources, not from a fused feed: the
+    // merge is streamed inside the driver and never materialised.
     let n_sources = sources.len();
-    let (feed, merge_stats) = merge_sources(sources, &merge_cfg, Some(registry));
-    if feed.is_empty() {
+    let offered: usize = sources.iter().map(|s| s.records.len()).sum();
+    let ends = |s: &MergeSource| {
+        let at = |r: &(u64, _, _)| shift_micros(r.0, s.offset_us);
+        Some((at(s.records.first()?), at(s.records.last()?)))
+    };
+    let Some((first, last)) = sources
+        .iter()
+        .filter_map(ends)
+        .reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))
+    else {
         return Err("replay source produced no records".into());
-    }
-    let span_secs = (feed.last().expect("non-empty").0 - feed[0].0) as f64 / 1e6;
+    };
     eprintln!(
-        "replaying {} records from {n_sources} source(s) spanning {span_secs:.1}s at pace {pace} \
-         ({policy} backpressure, {} queue(s) x {}, {shards} shard(s)); Ctrl-C drains gracefully",
-        feed.len(),
-        ingest_cfg.queues,
-        ingest_cfg.queue_capacity,
+        "replaying {offered} records from {n_sources} source(s) spanning {:.1}s at pace {} \
+         ({} backpressure, {} queue(s) x {}, {shards} shard(s)); Ctrl-C drains gracefully",
+        last.saturating_sub(first) as f64 / 1e6,
+        opts.replay.pace,
+        opts.ingest.policy,
+        opts.ingest.queues,
+        opts.ingest.queue_capacity,
     );
-    if n_sources > 1 || merge_stats.late_total() > 0 {
-        for (i, label) in merge_stats.labels.iter().enumerate() {
+    // Global registry and `main`'s sinks, so --metrics/--journal/--serve
+    // observe the live run, merge counters included.
+    let run = drive_tap_feed(
+        Arc::new(bundle),
+        shards,
+        sources,
+        Arc::new(RealClock::new()),
+        &opts,
+        obs::Registry::global(),
+        telemetry.obs.clone(),
+    );
+    if run.replay.cancelled {
+        eprintln!(
+            "interrupted after {} of {offered} records; queues drained",
+            run.replay.released
+        );
+    }
+    // A streamed merge only knows its per-source totals once it has run.
+    if n_sources > 1 || run.merge.late_total() > 0 {
+        for (i, label) in run.merge.labels.iter().enumerate() {
             eprintln!(
                 "merge: {label}: {} record(s), {} late beyond {} µs tolerance",
-                merge_stats.merged[i], merge_stats.late[i], merge_cfg.tolerance_us
+                run.merge.merged[i], run.merge.late[i], opts.merge.tolerance_us
             );
         }
     }
-    // With span tracing on (--trace-sample / --trace-table), the replay
-    // closure below stamps the pre-pipeline stages per record at release
-    // time. The merge already ran eagerly above, but stamping the whole
-    // feed here would flood the span ring ahead of the pump's first drain
-    // and drop every later stage's spans at pace 0.
-    let trace_sink = telemetry.obs.trace.clone();
-    let monitor = ShardedTapMonitor::with_obs(
-        Arc::new(bundle),
-        ShardedMonitorConfig::with_shards(shards),
-        registry,
-        telemetry.obs.clone(),
-    );
-    let clock: gamescope::trace::SharedClock = Arc::new(RealClock::new());
-    ingest_cfg.clock = Some(Arc::clone(&clock));
-    ingest_cfg.trace = trace_sink.clone();
-    let engine = IngestEngine::start(MonitorSink::new(monitor), ingest_cfg, registry);
-    let producer = engine.producer();
-    let metrics = engine.metrics().clone();
-    let stats = replay(
-        &feed,
-        &*clock,
-        &ReplayConfig { pace },
-        Some(&metrics),
-        Some(&sig::INTERRUPTED),
-        |record| {
-            if trace_sink.is_enabled() {
-                let flow = record.1.flow_id();
-                trace_sink.record(flow, 0, obs::TraceStage::Merge, record.0, 0);
-                trace_sink.record(flow, 0, obs::TraceStage::Ingest, record.0, 0);
-            }
-            producer.push_record(record);
-        },
-    );
-    drop(producer);
-    if stats.cancelled {
-        eprintln!(
-            "interrupted after {} of {} records; draining queues...",
-            stats.released,
-            feed.len()
-        );
-    }
-    let run = engine.shutdown();
-    let (mut sessions, _stats) = run.output;
-    sessions.sort_by_key(|m| m.started_at);
 
-    for m in &sessions {
-        println!(
-            "t+{:>3}s {} [{}] -> title {} ({:.0}%), {:.1} Mbps, QoE {}/{}{}",
-            m.started_at / 1_000_000,
-            m.tuple,
-            m.platform,
-            m.report.title.title.map(|t| t.name()).unwrap_or("unknown"),
-            m.report.title.confidence * 100.0,
-            m.report.mean_down_mbps,
-            m.report.objective_qoe,
-            m.report.effective_qoe,
-            if m.confirmed { "" } else { " (unconfirmed)" }
-        );
-    }
+    print_sessions(&run.sessions);
     println!(
         "replay: {} merged ({} late), {} released, {} enqueued, {} handed off, \
          {} dropped, {} sessions{}",
-        merge_stats.merged_total(),
-        merge_stats.late_total(),
-        stats.released,
+        run.merge.merged_total(),
+        run.merge.late_total(),
+        run.replay.released,
         run.enqueued,
         run.handed_off,
         run.dropped,
-        sessions.len(),
-        if stats.cancelled {
+        run.sessions.len(),
+        if run.replay.cancelled {
             " (interrupted, drained gracefully)"
         } else {
             ""
@@ -630,11 +605,11 @@ fn cmd_fleet(mut args: Vec<String>, telemetry: &Telemetry) -> Result<(), String>
         }),
         ..FleetConfig::default()
     };
-    if let Some(v) = take_value(&mut args, "--sessions")? {
-        cfg.n_sessions = parse("--sessions", &v)?;
+    if let Some(v) = take_parsed(&mut args, "--sessions")? {
+        cfg.n_sessions = v;
     }
-    if let Some(v) = take_value(&mut args, "--telemetry-every")? {
-        cfg.telemetry_every = parse("--telemetry-every", &v)?;
+    if let Some(v) = take_parsed(&mut args, "--telemetry-every")? {
+        cfg.telemetry_every = v;
     }
     if let Some(v) = take_value(&mut args, "--impair")? {
         let profile = ImpairmentProfile::by_name(&v).ok_or_else(|| {
@@ -688,32 +663,11 @@ fn cmd_fleet(mut args: Vec<String>, telemetry: &Telemetry) -> Result<(), String>
         }
         None => None,
     };
-    cfg.cancel = Some(Arc::new(std::sync::atomic::AtomicBool::new(false)));
-    if let Some(flag) = &cfg.cancel {
-        // Bridge the process-wide Ctrl-C flag into the fleet's cancel
-        // flag from a watcher thread (the fleet only polls its own flag).
-        let flag = Arc::clone(flag);
-        std::thread::spawn(move || {
-            while !flag.load(Ordering::Relaxed) {
-                if sig::interrupted() {
-                    flag.store(true, Ordering::Relaxed);
-                    eprintln!("interrupt: finishing in-flight sessions, skipping the rest...");
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-        });
-    }
+    cfg.cancel = Some(sig::flag());
 
     eprintln!("simulating {} sessions...", cfg.n_sessions);
     let records = match &pilot {
-        Some(pilot) => run_fleet_with_models(
-            FleetModels {
-                source: ModelSource::Live(pilot.live()),
-                shadow: None,
-            },
-            &cfg,
-        ),
+        Some(pilot) => run_fleet(ModelSource::Live(pilot.live()), &cfg),
         None => run_fleet(&bundle, &cfg),
     };
 
@@ -754,7 +708,7 @@ fn cmd_fleet(mut args: Vec<String>, telemetry: &Telemetry) -> Result<(), String>
                         telemetry_every: 0,
                         ..cfg.clone()
                     };
-                    run_fleet_with_models(
+                    run_fleet(
                         FleetModels {
                             source: ModelSource::Live(pilot.live()),
                             shadow: Some(&shadow),
@@ -779,10 +733,6 @@ fn cmd_fleet(mut args: Vec<String>, telemetry: &Telemetry) -> Result<(), String>
         }
     }
 
-    if let Some(flag) = &cfg.cancel {
-        // Unblock the Ctrl-C watcher thread on the normal-completion path.
-        flag.store(true, Ordering::Relaxed);
-    }
     if records.len() < cfg.n_sessions {
         eprintln!(
             "interrupted: {} of {} sessions completed before the drain",
@@ -844,10 +794,8 @@ fn run() -> Result<(), String> {
     let verbose_trace = take_flag(&mut args, "--trace-table");
     let serve_addr = take_value(&mut args, "--serve")?;
     let quality_flag = take_flag(&mut args, "--quality");
-    let drift_window: Option<usize> = take_value(&mut args, "--drift-window")
-        .and_then(|v| v.map(|v| parse("--drift-window", &v)).transpose())?;
-    let drift_reference: Option<usize> = take_value(&mut args, "--drift-reference")
-        .and_then(|v| v.map(|v| parse("--drift-reference", &v)).transpose())?;
+    let drift_window: Option<usize> = take_parsed(&mut args, "--drift-window")?;
+    let drift_reference: Option<usize> = take_parsed(&mut args, "--drift-reference")?;
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" || args[0] == "help" {
         print!("{USAGE}");
         return Ok(());

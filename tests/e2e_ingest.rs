@@ -1,5 +1,5 @@
 //! End-to-end equivalence for the live ingestion path: the same tap
-//! fleet driven through `run_tap_fleet_replay` — paced replay on a
+//! fleet driven through `run_tap_feed_replay` — paced replay on a
 //! virtual clock, bounded queues, off-thread router, graceful shutdown —
 //! must produce byte-identical session reports AND byte-identical
 //! per-flow journal timelines to the offline batch path
@@ -8,57 +8,40 @@
 //! families render in the Prometheus exposition exactly as a scraper
 //! would see them.
 
+mod common;
+
+use common::fleet_config;
 use gamescope::deploy::{
-    run_tap_fleet, run_tap_fleet_replay, TapFleetConfig, TapReplayOptions, TapReplayRun,
+    build_tap_feed, run_tap_feed_replay, run_tap_fleet, TapFleetConfig, TapReplayOptions,
+    TapReplayRun,
 };
 use gamescope::deploy::{train_bundle, TrainConfig};
-use gamescope::ingest::{BackpressurePolicy, ReplayConfig};
-use gamescope::obs::journal::render_line;
+use gamescope::ingest::{BackpressurePolicy, MergeSource, ReplayConfig};
+use gamescope::pipeline::ModelBundle;
 use gamescope::trace::clock::VirtualClock;
 
-fn fleet_config() -> TapFleetConfig {
-    TapFleetConfig {
-        n_sessions: 4,
-        gameplay_secs: 12.0,
-        shards: 2,
-        ..TapFleetConfig::default()
-    }
+/// The fleet's feed as one source, replayed on a fresh virtual clock.
+fn replay_whole_feed(
+    bundle: &std::sync::Arc<ModelBundle>,
+    cfg: &TapFleetConfig,
+    opts: TapReplayOptions,
+) -> TapReplayRun {
+    run_tap_feed_replay(
+        bundle,
+        cfg.shards,
+        vec![MergeSource::new("feed", build_tap_feed(cfg))],
+        VirtualClock::new().shared(),
+        opts,
+    )
 }
 
-/// Rendered JSONL timeline lines, sorted. Cross-shard admission order in
-/// the journal ring is racy (two router hand-offs interleave), but each
-/// flow's own timeline is produced by one shard worker in order — so the
-/// sorted per-flow lines are the run's canonical journal output.
-fn timeline_lines(timelines: &[gamescope::obs::FlowTimeline]) -> Vec<String> {
-    let mut lines: Vec<String> = timelines.iter().map(render_line).collect();
-    lines.sort();
-    lines
-}
-
+/// [`common::assert_matches_offline`], plus what holds for one sorted
+/// source: a pass-through merge, nothing late.
 fn assert_matches_offline(offline: &gamescope::deploy::TapFleetRun, live: &TapReplayRun) {
-    // Lossless transport: everything released by the pacer was admitted,
-    // everything admitted was handed to the monitor, nothing dropped.
-    assert!(!live.replay.cancelled);
-    assert_eq!(live.dropped, 0, "block policy must not drop");
-    assert_eq!(live.enqueued, live.replay.released);
-    assert_eq!(live.handed_off, live.enqueued);
-
-    // Byte-identical session reports: the full monitored-session record
-    // via its Debug rendering (exact f64 formatting) and the report via
-    // its JSON wire format.
-    let render = |sessions: &[gamescope::pipeline::MonitoredSession]| -> Vec<String> {
-        sessions
-            .iter()
-            .map(|s| format!("{s:?} {}", serde_json::to_string(&s.report).unwrap()))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(render(&offline.sessions), render(&live.fleet.sessions));
-
-    // Byte-identical per-flow journal timelines.
-    assert_eq!(
-        timeline_lines(&offline.timelines),
-        timeline_lines(&live.fleet.timelines)
-    );
+    common::assert_matches_offline(offline, live);
+    assert_eq!(live.merge.labels, ["feed"]);
+    assert_eq!(live.merge.merged_total(), live.replay.released);
+    assert_eq!(live.merge.late_total(), 0, "sorted feed is never late");
 }
 
 #[test]
@@ -71,11 +54,9 @@ fn replayed_fleet_is_byte_identical_to_offline_batch() {
     // Paced 4x on a virtual clock: the pacer sleeps by advancing virtual
     // time, so the run is instant in wall time but exercises the full
     // deadline arithmetic.
-    let clock = VirtualClock::new();
-    let paced = run_tap_fleet_replay(
+    let paced = replay_whole_feed(
         &bundle,
         &cfg,
-        clock.shared(),
         TapReplayOptions {
             replay: ReplayConfig { pace: 4.0 },
             ..TapReplayOptions::default()
@@ -84,10 +65,9 @@ fn replayed_fleet_is_byte_identical_to_offline_batch() {
     assert_matches_offline(&offline, &paced);
 
     // As-fast-as-possible replay (pace 0) through the same queues.
-    let afap = run_tap_fleet_replay(
+    let afap = replay_whole_feed(
         &bundle,
         &cfg,
-        VirtualClock::new().shared(),
         TapReplayOptions {
             replay: ReplayConfig::as_fast_as_possible(),
             ..TapReplayOptions::default()
@@ -103,7 +83,7 @@ fn replayed_fleet_is_byte_identical_to_offline_batch() {
     };
     tight.ingest.queue_capacity = 64;
     tight.ingest.policy = BackpressurePolicy::Block;
-    let squeezed = run_tap_fleet_replay(&bundle, &cfg, VirtualClock::new().shared(), tight);
+    let squeezed = replay_whole_feed(&bundle, &cfg, tight);
     assert_matches_offline(&offline, &squeezed);
 }
 
@@ -113,10 +93,9 @@ fn ingest_metric_families_render_with_labels() {
     let cfg = fleet_config();
     // Paced on the virtual clock (instant in wall time): pacing is what
     // feeds the lag histogram — AFAP replay skips it by design.
-    let live = run_tap_fleet_replay(
+    let live = replay_whole_feed(
         &bundle,
         &cfg,
-        VirtualClock::new().shared(),
         TapReplayOptions {
             replay: ReplayConfig { pace: 8.0 },
             ..TapReplayOptions::default()

@@ -13,7 +13,7 @@
 use std::io::{Read as _, Write as _};
 use std::sync::{Arc, Mutex};
 
-use gamescope::deploy::fleet::{run_fleet_with_models, FleetConfig, FleetModels};
+use gamescope::deploy::fleet::{run_fleet, FleetConfig, FleetModels};
 use gamescope::deploy::lifecycle::LifecyclePilot;
 use gamescope::deploy::lifecycle::PromotePolicy;
 use gamescope::deploy::train::{train_bundle, TrainConfig};
@@ -141,7 +141,7 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
 
     // --- Phase A: stationary deployment on the live slot ----------------
     // Freezes the drift reference; every session is stamped v1.
-    let stationary = run_fleet_with_models(live_models, &fleet_cfg(420, 42, 0.0, 0.0));
+    let stationary = run_fleet(live_models, &fleet_cfg(420, 42, 0.0, 0.0));
     assert_eq!(stationary.len(), 420, "no session dropped");
     assert!(stationary.iter().all(|r| r.model_version == 1));
     let (_, drift_a) = get(addr, "/drift");
@@ -149,7 +149,7 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
     assert!(!drift_a.contains("\"alarm\":true"), "phase A: {drift_a}");
 
     // --- Phase B: catalog churn + impairment ramp → drift alarm ---------
-    let churn = run_fleet_with_models(live_models, &fleet_cfg(160, 20250301, 0.7, 1.0));
+    let churn = run_fleet(live_models, &fleet_cfg(160, 20250301, 0.7, 1.0));
     assert_eq!(churn.len(), 160);
     let (_, drift_b) = get(addr, "/drift");
     assert_eq!(
@@ -174,7 +174,7 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
     // The same shifted distribution, fresh seed: every live decision is
     // mirrored to the candidate and scored against withheld truth.
     let shadow = pilot.shadow().expect("candidate armed");
-    let mirrored = run_fleet_with_models(
+    let mirrored = run_fleet(
         FleetModels {
             source: ModelSource::Live(pilot.live()),
             shadow: Some(&shadow),
@@ -229,7 +229,7 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
     assert_eq!(pilot.promote(), Some(2));
     assert_eq!(pinned.version(), 1, "in-flight pin survives the swap");
     assert_eq!(pilot.live().version(), 2);
-    let promoted = run_fleet_with_models(live_models, &fleet_cfg(24, 9, 0.7, 1.0));
+    let promoted = run_fleet(live_models, &fleet_cfg(24, 9, 0.7, 1.0));
     assert_eq!(promoted.len(), 24, "no session dropped across the swap");
     assert!(promoted.iter().all(|r| r.model_version == 2));
     let (_, metrics_d) = get(addr, "/metrics");
@@ -258,7 +258,7 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
     // --- Rollback: instant restore of the prior version ------------------
     assert_eq!(pilot.rollback(), Some(1));
     assert_eq!(pilot.live().version(), 1);
-    let rolled = run_fleet_with_models(live_models, &fleet_cfg(12, 11, 0.0, 0.0));
+    let rolled = run_fleet(live_models, &fleet_cfg(12, 11, 0.0, 0.0));
     assert!(rolled.iter().all(|r| r.model_version == 1));
     let (_, metrics_e) = get(addr, "/metrics");
     assert!(

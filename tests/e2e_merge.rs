@@ -7,53 +7,14 @@
 //! backpressure policy. A second test checks the per-source merge
 //! counter families render in the Prometheus exposition.
 
-use gamescope::deploy::{
-    build_tap_feed, run_tap_feed_replay, run_tap_fleet, TapFleetConfig, TapReplayOptions,
-    TapReplayRun,
-};
+mod common;
+
+use common::{assert_matches_offline, fleet_config};
+use gamescope::deploy::{build_tap_feed, run_tap_feed_replay, run_tap_fleet, TapReplayOptions};
 use gamescope::deploy::{train_bundle, TrainConfig};
 use gamescope::ingest::{split_round_robin, BackpressurePolicy, MergeSource, ReplayConfig};
-use gamescope::obs::journal::render_line;
 use gamescope::trace::clock::VirtualClock;
 use gamescope::trace::shift_micros;
-
-fn fleet_config() -> TapFleetConfig {
-    TapFleetConfig {
-        n_sessions: 4,
-        gameplay_secs: 12.0,
-        shards: 2,
-        ..TapFleetConfig::default()
-    }
-}
-
-/// Rendered JSONL timeline lines, sorted — each flow's timeline is
-/// produced by one shard worker in order, so the sorted per-flow lines
-/// are the run's canonical journal output (cross-flow admission order in
-/// the ring is racy by design).
-fn timeline_lines(timelines: &[gamescope::obs::FlowTimeline]) -> Vec<String> {
-    let mut lines: Vec<String> = timelines.iter().map(render_line).collect();
-    lines.sort();
-    lines
-}
-
-fn assert_matches_offline(offline: &gamescope::deploy::TapFleetRun, live: &TapReplayRun) {
-    assert!(!live.replay.cancelled);
-    assert_eq!(live.dropped, 0, "block policy must not drop");
-    assert_eq!(live.enqueued, live.replay.released);
-    assert_eq!(live.handed_off, live.enqueued);
-
-    let render = |sessions: &[gamescope::pipeline::MonitoredSession]| -> Vec<String> {
-        sessions
-            .iter()
-            .map(|s| format!("{s:?} {}", serde_json::to_string(&s.report).unwrap()))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(render(&offline.sessions), render(&live.fleet.sessions));
-    assert_eq!(
-        timeline_lines(&offline.timelines),
-        timeline_lines(&live.fleet.timelines)
-    );
-}
 
 #[test]
 fn split_feeds_merge_back_byte_identical_to_offline_batch() {
@@ -105,6 +66,8 @@ fn split_feeds_merge_back_byte_identical_to_offline_batch() {
         VirtualClock::new().shared(),
         tight,
     );
+    assert_eq!(squeezed.merge.labels, ["tap0", "tap1", "tap2"]);
+    assert_eq!(squeezed.merge.merged_total(), feed.len() as u64);
     assert_eq!(squeezed.merge.late_total(), 0);
     assert_matches_offline(&offline, &squeezed);
 }
@@ -198,6 +161,17 @@ fn merge_metric_families_render_with_source_labels() {
         "{text}"
     );
     assert_eq!(per_source(0) + per_source(1), feed.len() as u64);
+    // The family totals on the run's registry agree with the run's stats.
+    assert_eq!(
+        live.fleet
+            .snapshot
+            .counter("cgc_ingest_merge_records_total"),
+        Some(feed.len() as u64)
+    );
+    assert_eq!(
+        live.fleet.snapshot.counter("cgc_ingest_merge_late_total"),
+        Some(0)
+    );
 
     // The adaptive router exported its chosen batch sizes alongside.
     assert!(

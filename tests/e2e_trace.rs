@@ -13,17 +13,15 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use gamescope::deploy::fleet::{build_tap_feed, TapFleetConfig};
+use gamescope::deploy::fleet::{build_tap_feed, drive_tap_feed, TapFleetConfig, TapReplayOptions};
 use gamescope::deploy::train::{train_bundle, TrainConfig};
-use gamescope::ingest::{
-    merge_sources, IngestEngine, MergeConfig, MergeSource, MonitorSink, ReplayConfig,
-};
+use gamescope::ingest::MergeSource;
 use gamescope::obs::snapshot::MetricValue;
 use gamescope::obs::{
     Journal, JournalConfig, Registry, ServeOptions, SloConfig, SloHub, TelemetryServer,
     TraceCollector, TraceConfig, TraceStage,
 };
-use gamescope::pipeline::{ShardedMonitorConfig, ShardedTapMonitor};
+use gamescope::pipeline::Obs;
 
 /// Minimal HTTP GET against the in-process telemetry server.
 fn http_get(addr: std::net::SocketAddr, target: &str) -> (String, String) {
@@ -95,10 +93,9 @@ fn trace_endpoint_reconstructs_causal_chains_with_exemplars() {
         shards: 2,
         ..Default::default()
     };
-    let feed = build_tap_feed(&cfg);
-
-    // The `run_tap_feed_replay` wiring, inlined so the registry, journal
-    // and span collector stay alive for the server after the run ends.
+    // The tap driver `run_tap_feed_replay` wraps, called directly so the
+    // registry, journal and span collector stay alive for the server
+    // after the run ends.
     let registry = Arc::new(Registry::new());
     let (trace_sink, collector) = TraceCollector::new(
         TraceConfig {
@@ -110,46 +107,21 @@ fn trace_endpoint_reconstructs_causal_chains_with_exemplars() {
         },
         &registry,
     );
-    let (merged, _merge_stats) = merge_sources(
-        vec![MergeSource::new("feed", feed)],
-        &MergeConfig::default(),
-        Some(&registry),
-    );
-    for &(ts, tuple, _) in &merged {
-        trace_sink.record(tuple.flow_id(), 0, TraceStage::Merge, ts, 0);
-    }
     let (journal_sink, journal) = Journal::new(JournalConfig::default(), &registry);
-    let monitor = ShardedTapMonitor::with_observability(
+    let sessions = drive_tap_feed(
         Arc::clone(&bundle),
-        ShardedMonitorConfig::with_shards(cfg.shards),
+        cfg.shards,
+        vec![MergeSource::new("feed", build_tap_feed(&cfg))],
+        gamescope::trace::VirtualClock::new().shared(),
+        &TapReplayOptions::default(),
         &registry,
-        journal_sink,
-        trace_sink.clone(),
-    );
-    let clock = gamescope::trace::VirtualClock::new().shared();
-    let ingest_cfg = gamescope::ingest::IngestConfig {
-        clock: Some(Arc::clone(&clock)),
-        trace: trace_sink.clone(),
-        ..Default::default()
-    };
-    let engine = IngestEngine::start(MonitorSink::new(monitor), ingest_cfg, &registry);
-    let producer = engine.producer();
-    let metrics = engine.metrics().clone();
-    gamescope::ingest::replay(
-        &merged,
-        &*clock,
-        &ReplayConfig::default(),
-        Some(&metrics),
-        None,
-        |record| {
-            trace_sink.record(record.1.flow_id(), 0, TraceStage::Ingest, record.0, 0);
-            producer.push_record(record);
+        Obs {
+            journal: journal_sink,
+            trace: trace_sink,
+            ..Obs::on(&registry)
         },
-    );
-    drop(producer);
-    let run = engine.shutdown();
-    let (mut sessions, _stats) = run.output;
-    sessions.sort_by_key(|m| m.started_at);
+    )
+    .sessions;
     assert_eq!(sessions.len(), cfg.n_sessions);
 
     // Serve the finished run the way `gamescope fleet --serve` does.

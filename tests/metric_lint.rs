@@ -13,7 +13,9 @@
 
 use std::collections::BTreeMap;
 
-use gamescope::deploy::fleet::{run_tap_fleet_replay, TapFleetConfig, TapReplayOptions};
+use gamescope::deploy::fleet::{
+    build_tap_feed, run_tap_feed_replay, TapFleetConfig, TapReplayOptions,
+};
 use gamescope::deploy::train::{train_bundle, TrainConfig};
 use gamescope::obs::{self, Registry};
 
@@ -58,14 +60,19 @@ fn every_registered_family_is_lint_clean() {
     // the monitor, shard, pipeline, qoe, ingest, merge, journal and trace
     // families on the run's private registry in a single pass.
     let bundle = std::sync::Arc::new(train_bundle(&TrainConfig::quick()));
-    let run = run_tap_fleet_replay(
+    let cfg = TapFleetConfig {
+        n_sessions: 2,
+        gameplay_secs: 8.0,
+        shards: 2,
+        ..Default::default()
+    };
+    let run = run_tap_feed_replay(
         &bundle,
-        &TapFleetConfig {
-            n_sessions: 2,
-            gameplay_secs: 8.0,
-            shards: 2,
-            ..Default::default()
-        },
+        cfg.shards,
+        vec![gamescope::ingest::MergeSource::new(
+            "feed",
+            build_tap_feed(&cfg),
+        )],
         gamescope::trace::VirtualClock::new().shared(),
         TapReplayOptions {
             trace: Some(obs::TraceConfig::default()),
