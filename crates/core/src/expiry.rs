@@ -13,14 +13,11 @@
 //! live bucket is drained of stale entries first, then its minimum
 //! last-seen wins), which the bounded flow table uses for LRU eviction.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use nettrace::clock::{RealClock, SharedClock};
 use nettrace::units::Micros;
-
-use crate::wordhash::WordHashBuilder;
 
 /// Per-entry bookkeeping: the newest bucket holding a live entry for the
 /// key, and the exact last-seen time.
@@ -30,19 +27,23 @@ struct Slot {
     last_seen: Micros,
 }
 
-/// A timing wheel keyed by arbitrary flow keys.
+/// A timing wheel keyed by the monitor's dense arena slot ids.
 ///
-/// Invariants: every live key appears in `slots`, and `buckets[slot.bucket]`
-/// contains it. Buckets may additionally hold *stale* entries for keys that
-/// were touched again later (or removed); those are discarded when the
-/// bucket is visited.
+/// Invariants: every live key has `Some` entry in `slots`, and
+/// `buckets[slot.bucket]` contains it. Buckets may additionally hold
+/// *stale* entries for keys that were touched again later (or removed, or
+/// removed and reused); those are discarded when the bucket is visited.
 #[derive(Debug)]
-pub struct ExpiryWheel<K> {
+pub struct ExpiryWheel {
     /// Bucket index -> keys last touched within that bucket's time range.
-    buckets: BTreeMap<u64, Vec<K>>,
-    /// Live entry per key, probed on every [`touch`](Self::touch) — once
-    /// per packet — hence the keyed word hasher rather than SipHash.
-    slots: HashMap<K, Slot, WordHashBuilder>,
+    buckets: BTreeMap<u64, Vec<u32>>,
+    /// Live entry per key, indexed by the key: [`touch`](Self::touch) runs
+    /// once per packet, and the ids are dense, so this is an array index
+    /// where a keyed hash table used to be probed. Grows to the largest id
+    /// seen and stays there, like the arena the ids come from.
+    slots: Vec<Option<Slot>>,
+    /// Number of `Some` entries in `slots`.
+    live: usize,
     /// Bucket width in microseconds.
     width: Micros,
     /// Entries examined across all drain/evict operations (stale included) —
@@ -54,7 +55,7 @@ pub struct ExpiryWheel<K> {
     clock: SharedClock,
 }
 
-impl<K: Copy + Eq + Hash> ExpiryWheel<K> {
+impl ExpiryWheel {
     /// A wheel with the given bucket width (clamped to ≥ 1 µs), running
     /// idle expiry on wall time.
     pub fn new(bucket_width: Micros) -> Self {
@@ -67,7 +68,8 @@ impl<K: Copy + Eq + Hash> ExpiryWheel<K> {
     pub fn with_clock(bucket_width: Micros, clock: SharedClock) -> Self {
         ExpiryWheel {
             buckets: BTreeMap::new(),
-            slots: HashMap::with_hasher(WordHashBuilder::new()),
+            slots: Vec::new(),
+            live: 0,
             width: bucket_width.max(1),
             scanned: 0,
             clock,
@@ -87,12 +89,12 @@ impl<K: Copy + Eq + Hash> ExpiryWheel<K> {
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.live
     }
 
     /// Whether no live keys remain.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.live == 0
     }
 
     /// Total entries examined by [`drain_due`](Self::drain_due) and
@@ -109,9 +111,13 @@ impl<K: Copy + Eq + Hash> ExpiryWheel<K> {
 
     /// Records that `key` was seen at `last_seen`. The previous entry (if
     /// any) goes stale in place; only the newest bucket counts.
-    pub fn touch(&mut self, key: K, last_seen: Micros) {
+    pub fn touch(&mut self, key: u32, last_seen: Micros) {
         let bucket = last_seen / self.width;
-        match self.slots.get_mut(&key) {
+        let index = key as usize;
+        if index >= self.slots.len() {
+            self.slots.resize(index + 1, None);
+        }
+        match &mut self.slots[index] {
             Some(slot) => {
                 let same_bucket = slot.bucket == bucket;
                 slot.last_seen = last_seen;
@@ -120,27 +126,35 @@ impl<K: Copy + Eq + Hash> ExpiryWheel<K> {
                 }
                 slot.bucket = bucket;
             }
-            None => {
-                self.slots.insert(key, Slot { bucket, last_seen });
+            vacant => {
+                *vacant = Some(Slot { bucket, last_seen });
+                self.live += 1;
             }
         }
         self.buckets.entry(bucket).or_default().push(key);
     }
 
+    /// The live entry of `key`, if any.
+    fn slot(&self, key: u32) -> Option<Slot> {
+        self.slots.get(key as usize).copied().flatten()
+    }
+
     /// Forgets `key` (stale bucket entries are cleaned up lazily).
-    pub fn remove(&mut self, key: &K) {
-        self.slots.remove(key);
+    pub fn remove(&mut self, key: &u32) {
+        if let Some(slot) = self.slots.get_mut(*key as usize) {
+            self.live -= usize::from(slot.take().is_some());
+        }
     }
 
     /// Exact last-seen time of a live key.
-    pub fn last_seen(&self, key: &K) -> Option<Micros> {
-        self.slots.get(key).map(|s| s.last_seen)
+    pub fn last_seen(&self, key: &u32) -> Option<Micros> {
+        self.slot(*key).map(|s| s.last_seen)
     }
 
     /// Removes and returns every key with `last_seen < cutoff`, visiting
     /// only buckets whose time range starts before the cutoff. Keys in the
     /// partially-due boundary bucket that are not yet idle stay put.
-    pub fn drain_due(&mut self, cutoff: Micros) -> Vec<K> {
+    pub fn drain_due(&mut self, cutoff: Micros) -> Vec<u32> {
         let mut due = Vec::new();
         // Bucket b covers [b*width, (b+1)*width): only buckets starting
         // before the cutoff can hold due keys.
@@ -151,10 +165,10 @@ impl<K: Copy + Eq + Hash> ExpiryWheel<K> {
             let mut keep = Vec::new();
             for key in entries {
                 self.scanned += 1;
-                match self.slots.get(&key) {
+                match self.slot(key) {
                     // Live entry in this bucket and actually idle.
                     Some(slot) if slot.bucket == b && slot.last_seen < cutoff => {
-                        self.slots.remove(&key);
+                        self.remove(&key);
                         due.push(key);
                     }
                     // Live entry in this bucket but inside the boundary
@@ -177,24 +191,24 @@ impl<K: Copy + Eq + Hash> ExpiryWheel<K> {
     /// long-lived monitor expires flows on wall time; with a
     /// `VirtualClock` tests advance time explicitly and expiry is
     /// deterministic and instant.
-    pub fn drain_idle(&mut self, idle_timeout: Micros) -> Vec<K> {
+    pub fn drain_idle(&mut self, idle_timeout: Micros) -> Vec<u32> {
         let cutoff = self.clock.now().saturating_sub(idle_timeout);
         self.drain_due(cutoff)
     }
 
     /// Removes and returns the exact least-recently-seen key, cleaning up
     /// stale entries from the oldest buckets along the way.
-    pub fn pop_least_recent(&mut self) -> Option<K> {
+    pub fn pop_least_recent(&mut self) -> Option<u32> {
         loop {
             let b = *self.buckets.keys().next()?;
             let entries = self.buckets.remove(&b).expect("bucket present");
             // Keep only entries still live in this bucket; among them the
             // minimum last-seen is the global minimum, because every older
             // bucket has already been cleaned away.
-            let mut live: Vec<K> = Vec::with_capacity(entries.len());
+            let mut live: Vec<u32> = Vec::with_capacity(entries.len());
             for key in entries {
                 self.scanned += 1;
-                if self.slots.get(&key).is_some_and(|s| s.bucket == b) {
+                if self.slot(key).is_some_and(|s| s.bucket == b) {
                     live.push(key);
                 }
             }
@@ -204,10 +218,10 @@ impl<K: Copy + Eq + Hash> ExpiryWheel<K> {
             let (idx, _) = live
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, k)| self.slots[k].last_seen)
+                .min_by_key(|(_, &k)| self.slot(k).map(|s| s.last_seen))
                 .expect("non-empty");
             let victim = live.swap_remove(idx);
-            self.slots.remove(&victim);
+            self.remove(&victim);
             if !live.is_empty() {
                 self.buckets.insert(b, live);
             }
@@ -222,7 +236,7 @@ mod tests {
 
     #[test]
     fn touch_and_drain_respect_cutoff() {
-        let mut w: ExpiryWheel<u32> = ExpiryWheel::new(1_000_000);
+        let mut w: ExpiryWheel = ExpiryWheel::new(1_000_000);
         w.touch(1, 100);
         w.touch(2, 1_500_000);
         w.touch(3, 2_500_000);
@@ -236,7 +250,7 @@ mod tests {
 
     #[test]
     fn retouching_defers_expiry() {
-        let mut w: ExpiryWheel<u32> = ExpiryWheel::new(1_000_000);
+        let mut w: ExpiryWheel = ExpiryWheel::new(1_000_000);
         w.touch(7, 100);
         w.touch(7, 5_000_000); // seen again much later
         assert_eq!(w.drain_due(4_000_000), Vec::<u32>::new());
@@ -248,7 +262,7 @@ mod tests {
     fn boundary_bucket_is_split_exactly() {
         // Two keys share the boundary bucket; only the one strictly before
         // the cutoff expires.
-        let mut w: ExpiryWheel<u32> = ExpiryWheel::new(1_000_000);
+        let mut w: ExpiryWheel = ExpiryWheel::new(1_000_000);
         w.touch(1, 1_200_000);
         w.touch(2, 1_800_000);
         assert_eq!(w.drain_due(1_500_000), vec![1]);
@@ -258,7 +272,7 @@ mod tests {
 
     #[test]
     fn removed_keys_never_drain() {
-        let mut w: ExpiryWheel<u32> = ExpiryWheel::new(1_000);
+        let mut w: ExpiryWheel = ExpiryWheel::new(1_000);
         w.touch(1, 10);
         w.touch(2, 20);
         w.remove(&1);
@@ -266,11 +280,46 @@ mod tests {
     }
 
     #[test]
+    fn reused_slot_id_leaves_its_old_entry_stale() {
+        // The monitor's arena hands a finalized flow's id to the next flow:
+        // id 3 is removed, then touched again in an *older* bucket. The
+        // entry it left in bucket 5 must not drain the new flow early.
+        let mut w: ExpiryWheel = ExpiryWheel::new(1_000_000);
+        w.touch(3, 5_500_000);
+        w.touch(4, 5_600_000);
+        w.remove(&3);
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.last_seen(&3), None);
+        w.touch(3, 2_500_000);
+        assert_eq!(w.len(), 2);
+        assert_eq!(w.drain_due(2_000_000), Vec::<u32>::new());
+        assert_eq!(w.drain_due(3_000_000), vec![3]);
+        assert_eq!(w.len(), 1);
+        // Bucket 5 still holds the stale 3 beside the live 4.
+        assert_eq!(w.drain_due(10_000_000), vec![4]);
+        assert!(w.is_empty());
+        assert_eq!(w.bucket_count(), 0);
+    }
+
+    #[test]
+    fn sparse_high_id_on_an_empty_wheel() {
+        let mut w: ExpiryWheel = ExpiryWheel::new(1_000_000);
+        assert_eq!(w.last_seen(&100_000), None);
+        w.remove(&100_000); // beyond the table: nothing to forget
+        w.touch(100_000, 42);
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.last_seen(&100_000), Some(42));
+        assert_eq!(w.last_seen(&99_999), None);
+        assert_eq!(w.pop_least_recent(), Some(100_000));
+        assert!(w.is_empty());
+    }
+
+    #[test]
     fn pop_least_recent_is_exact_over_random_times() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(17);
-        let mut w: ExpiryWheel<u32> = ExpiryWheel::new(250_000);
+        let mut w: ExpiryWheel = ExpiryWheel::new(250_000);
         let mut truth: Vec<(u32, Micros)> = Vec::new();
         for key in 0..200u32 {
             // Touch several times; only the last matters.
@@ -294,8 +343,8 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(99);
-        let mut w: ExpiryWheel<u32> = ExpiryWheel::new(777_777);
-        let mut naive: HashMap<u32, Micros> = HashMap::new();
+        let mut w: ExpiryWheel = ExpiryWheel::new(777_777);
+        let mut naive: BTreeMap<u32, Micros> = BTreeMap::new();
         for key in 0..500u32 {
             let ts = rng.gen_range(0..120_000_000u64);
             w.touch(key, ts);
@@ -321,7 +370,7 @@ mod tests {
     fn drain_idle_runs_on_virtual_time_deterministically() {
         use nettrace::clock::VirtualClock;
         let clock = VirtualClock::starting_at(0);
-        let mut w: ExpiryWheel<u32> = ExpiryWheel::with_clock(1_000_000, clock.shared());
+        let mut w: ExpiryWheel = ExpiryWheel::with_clock(1_000_000, clock.shared());
         w.touch(1, 100);
         w.touch(2, 30_000_000);
         // Clock still at flow 2's era: only flow 1 is 60 s idle.
@@ -338,7 +387,7 @@ mod tests {
     #[test]
     fn set_clock_moves_future_cutoffs() {
         use nettrace::clock::VirtualClock;
-        let mut w: ExpiryWheel<u32> = ExpiryWheel::new(1_000);
+        let mut w: ExpiryWheel = ExpiryWheel::new(1_000);
         w.touch(9, 10);
         // On the default wall clock (origin 0, just constructed) nothing
         // is an hour idle; swap in a virtual clock far in the future.
@@ -351,7 +400,7 @@ mod tests {
     fn scan_work_tracks_due_flows_not_table_size() {
         // 10 000 recent flows plus one idle flow: draining the idle one
         // must not examine the whole table.
-        let mut w: ExpiryWheel<u32> = ExpiryWheel::new(1_000_000);
+        let mut w: ExpiryWheel = ExpiryWheel::new(1_000_000);
         w.touch(0, 5); // ancient
         for key in 1..=10_000u32 {
             w.touch(key, 500_000_000 + key as u64);

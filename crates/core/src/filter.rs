@@ -16,6 +16,7 @@
 //! short observation window before the flow is handed to the classifiers.
 
 use nettrace::flow::FlowStats;
+use nettrace::metrics::TraceMetrics;
 use nettrace::packet::{FiveTuple, Packet, Protocol};
 use nettrace::rtp::RtpHeader;
 use serde::{Deserialize, Serialize};
@@ -99,6 +100,7 @@ pub fn stats_of(packets: &[Packet]) -> FlowStats {
     for p in packets {
         s.update(p);
     }
+    TraceMetrics::global().packets.add(packets.len() as u64);
     s
 }
 

@@ -25,6 +25,7 @@ use cgc_obs::event::{CloseCause, EventKind};
 use cgc_obs::journal::EventSink;
 use cgc_obs::TraceStage;
 use nettrace::flow::FlowStats;
+use nettrace::metrics::TraceMetrics;
 use nettrace::packet::{Direction, FiveTuple, Packet};
 use nettrace::pcap::PcapRecord;
 use nettrace::units::Micros;
@@ -149,11 +150,10 @@ struct FlowEntry<'b> {
 /// Flow keys are interned: the normalized five-tuple maps to a `u32` arena
 /// slot on admission, with entries reused through a free list so
 /// steady-state flow churn performs no per-flow allocation in the table
-/// itself. A packet still costs two table probes — its tuple in the intern
-/// map to find the slot, then the slot id in the expiry wheel — so both
-/// tables hash whole words under a per-table random key
-/// (`wordhash`: two folds for an IPv4 tuple, one for a slot id, plus the
-/// finishing fold) instead of running SipHash over the tuple's bytes.
+/// itself. A packet costs one table probe — its tuple in the intern map,
+/// hashed as two whole words under a per-table random key (`wordhash`)
+/// instead of SipHash over the tuple's bytes; the slot id it yields indexes
+/// the arena and the expiry wheel directly.
 /// The registry's packet counters, which every shard worker shares, are
 /// published once per [`ingest_batch`](Self::ingest_batch) (and once per
 /// direct [`ingest`](Self::ingest) call), not once per packet.
@@ -171,7 +171,7 @@ pub struct TapMonitor<'b> {
     arena: Vec<Option<FlowEntry<'b>>>,
     /// Reusable arena slots of finalized flows.
     free: Vec<u32>,
-    expiry: ExpiryWheel<u32>,
+    expiry: ExpiryWheel,
     /// Sessions evicted at the cap, held until the next finalize call.
     evicted: Vec<MonitoredSession>,
     ingested_packets: u64,
@@ -362,10 +362,13 @@ impl<'b> TapMonitor<'b> {
 
     /// Adds what the monitor counted since `before` — its
     /// `(ingested, ignored)` packet counts then — to the registry counters.
+    /// Every ingested packet was folded into its flow's `FlowStats`, so the
+    /// trace layer's packet counter moves by the same amount here.
     fn publish_packet_counts(&self, before: (u64, u64)) {
         let ingested = self.ingested_packets - before.0;
         if ingested > 0 {
             self.obs.monitor.ingested.add(ingested);
+            TraceMetrics::global().packets.add(ingested);
         }
         let ignored = self.ignored_packets - before.1;
         if ignored > 0 {

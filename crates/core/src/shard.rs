@@ -437,6 +437,17 @@ mod tests {
         )
     }
 
+    #[test]
+    fn tap_record_is_thirty_two_bytes() {
+        // 8 (timestamp) + 14 (IPv4 five-tuple) + 4 (length), rounded to the
+        // timestamp's alignment. Source vectors, merge lookahead, the merged
+        // feed, ring slots and batch buffers all hold this, so the size is
+        // what a record costs in memory and in every copy between them.
+        // Budget for QoS-from-the-wire (ROADMAP): `seq: u16`, `rtp_ts: u32`
+        // and `marker: bool` fit in 40; anything wider needs a reason.
+        assert_eq!(std::mem::size_of::<TapRecord>(), 32);
+    }
+
     /// Eight interleaved sessions of four titles on one tap.
     fn interleaved_feed() -> (Vec<Session>, Vec<TapRecord>) {
         let titles = [

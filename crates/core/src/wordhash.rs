@@ -1,7 +1,7 @@
-//! Keyed word-folding hasher for the tap monitor's per-packet tables.
+//! Keyed word-folding hasher for the tap monitor's flow table.
 //!
-//! The flow table and the expiry wheel are probed once per packet, and the
-//! flow table's keys — five-tuples — are chosen by whoever sends traffic
+//! The flow table is probed once per packet, and its keys — five-tuples,
+//! which hash as two `u64` words — are chosen by whoever sends traffic
 //! past the tap. The standard library's SipHash answers the second point
 //! and pays for it on the first (it walks a tuple byte by byte). This
 //! hasher keeps the keying and drops the bytes: every word written is
@@ -79,8 +79,8 @@ impl Hasher for WordHasher {
     }
 
     /// Byte strings go in eight bytes at a time, then their length (so a
-    /// trailing zero byte is not the same input as no byte). Integer widths
-    /// without an override below arrive here through the trait's defaults.
+    /// trailing zero byte is not the same input as no byte). Every integer
+    /// width but `u64` arrives here through the trait's defaults.
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut w = [0u8; 8];
@@ -91,19 +91,8 @@ impl Hasher for WordHasher {
     }
 
     #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.word(u64::from(i));
-    }
-
-    #[inline]
     fn write_u64(&mut self, i: u64) {
         self.word(i);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, i: u128) {
-        self.word(i as u64);
-        self.word((i >> 64) as u64);
     }
 }
 
@@ -119,7 +108,6 @@ mod tests {
         let b = WordHashBuilder::new();
         let t = FiveTuple::udp_v4([10, 0, 0, 1], 49003, [100, 64, 1, 1], 50_000);
         assert_eq!(a.hash_one(t), a.hash_one(t));
-        assert_eq!(a.hash_one(7u32), a.hash_one(7u32));
         // Two tables never share a key (64 random bits each).
         assert_ne!(a.hash_one(t), b.hash_one(t));
     }
@@ -127,11 +115,10 @@ mod tests {
     #[test]
     fn dense_keys_spread_over_both_ends_of_the_hash() {
         // The hash map indexes buckets with the low bits and tags entries
-        // with the top seven: sequential slot ids and neighbouring client
-        // addresses must spread over both.
+        // with the top seven: neighbouring client addresses must spread
+        // over both.
         let build = WordHashBuilder::new();
-        let slots: Vec<u64> = (0..4096u32).map(|i| build.hash_one(i)).collect();
-        let tuples: Vec<u64> = (0..4096u32)
+        let hashes: Vec<u64> = (0..4096u32)
             .map(|i| {
                 let [_, _, c, d] = i.to_be_bytes();
                 build.hash_one(FiveTuple::udp_v4(
@@ -142,22 +129,20 @@ mod tests {
                 ))
             })
             .collect();
-        for hashes in [slots, tuples] {
-            assert_eq!(hashes.iter().collect::<HashSet<_>>().len(), 4096);
-            for shift in [0, 57] {
-                let mut buckets = [0usize; 128];
-                for h in &hashes {
-                    buckets[(h >> shift) as usize & 127] += 1;
-                }
-                // 32 expected per bucket (a good hash strays outside
-                // 4..=80 less than once in a million keys); a weak mix
-                // leaves buckets empty.
-                assert!(
-                    buckets.iter().all(|&c| (4..=80).contains(&c)),
-                    "bits {shift}..{}: {buckets:?}",
-                    shift + 7
-                );
+        assert_eq!(hashes.iter().collect::<HashSet<_>>().len(), 4096);
+        for shift in [0, 57] {
+            let mut buckets = [0usize; 128];
+            for h in &hashes {
+                buckets[(h >> shift) as usize & 127] += 1;
             }
+            // 32 expected per bucket (a good hash strays outside 4..=80
+            // less than once in a million keys); a weak mix leaves
+            // buckets empty.
+            assert!(
+                buckets.iter().all(|&c| (4..=80).contains(&c)),
+                "bits {shift}..{}: {buckets:?}",
+                shift + 7
+            );
         }
     }
 

@@ -612,10 +612,7 @@ mod tests {
         // flow, and its timestamps must arrive strictly increasing.
         let mut next = [0u64; PRODUCERS as usize];
         for &(ts, t, _) in &run.output {
-            let flow = match t.src_ip {
-                std::net::IpAddr::V4(v4) => v4.octets()[3] as usize,
-                _ => unreachable!(),
-            };
+            let flow = t.src_ip.octets()[3] as usize;
             assert_eq!(ts, next[flow], "flow {flow} reordered");
             next[flow] += 1;
         }

@@ -51,6 +51,7 @@
 //! ```
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
@@ -317,18 +318,21 @@ impl Iterator for KWayMerge {
     type Item = TapRecord;
 
     fn next(&mut self) -> Option<TapRecord> {
-        let head = self.heap.pop()?;
+        // The winning source usually has a next record: rewrite its key in
+        // place and let the guard sift it down once on drop (no move at
+        // all with a single source), rather than pop and push — two sifts.
+        let mut head = self.heap.peek_mut()?;
         let source = &mut self.sources[head.source];
         let record = source.release();
         if let Some(m) = &self.metrics {
             m.merged[head.source].inc();
         }
         source.fill(&self.cfg);
-        if let Some(ts) = source.head_ts() {
-            self.heap.push(Head {
-                ts,
-                source: head.source,
-            });
+        match source.head_ts() {
+            Some(ts) => head.ts = ts,
+            None => {
+                PeekMut::pop(head);
+            }
         }
         Some(record)
     }
@@ -729,6 +733,72 @@ mod tests {
             let (got, stats) = merge_sources(sources, &cfg, None);
             prop_assert_eq!(got, want);
             prop_assert_eq!(stats.late, want_late);
+        }
+    }
+
+    /// The k-way step as it was before the in-place key update: pop the
+    /// smallest head, release, push the source's next head back. Same
+    /// `SourceState`, same `(ts, source)` key.
+    fn pop_push_reference(sources: Vec<MergeSource>, cfg: &MergeConfig) -> Vec<TapRecord> {
+        let mut states: Vec<SourceState> = sources
+            .into_iter()
+            .map(|s| SourceState::new(s, None))
+            .collect();
+        let mut heap = BinaryHeap::new();
+        for (i, s) in states.iter_mut().enumerate() {
+            s.fill(cfg);
+            if let Some(ts) = s.head_ts() {
+                heap.push(Head { ts, source: i });
+            }
+        }
+        let mut out = Vec::new();
+        while let Some(head) = heap.pop() {
+            let source = &mut states[head.source];
+            out.push(source.release());
+            source.fill(cfg);
+            if let Some(ts) = source.head_ts() {
+                heap.push(Head {
+                    ts,
+                    source: head.source,
+                });
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// Updating the heap's top in place yields the sequence popping and
+        /// pushing it did: 1–5 skewed sources drawing timestamps from a
+        /// range narrow enough that they collide across sources, one of
+        /// them cut short so it runs dry while the others still merge.
+        #[test]
+        fn in_place_heap_update_matches_pop_push_reference(
+            feeds in prop::collection::vec(
+                (prop::collection::vec(0u64..80, 0..120), -20i64..20),
+                1..6
+            ),
+            short in 0usize..5,
+            tolerance_us in 0u64..40,
+        ) {
+            let short = short % feeds.len();
+            let sources: Vec<MergeSource> = feeds
+                .iter()
+                .enumerate()
+                .map(|(s, (ts, offset))| {
+                    let keep = if s == short { ts.len().min(3) } else { ts.len() };
+                    let records = ts[..keep]
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &t)| (t, tuple(s as u8), (s * 1_000 + i) as u32))
+                        .collect();
+                    MergeSource::with_offset(format!("s{s}"), *offset, records)
+                })
+                .collect();
+            let cfg = MergeConfig { tolerance_us, ..MergeConfig::default() };
+            let want = pop_push_reference(sources.clone(), &cfg);
+            let (got, stats) = merge_sources(sources, &cfg, None);
+            prop_assert_eq!(stats.merged_total(), want.len() as u64);
+            prop_assert_eq!(got, want);
         }
     }
 

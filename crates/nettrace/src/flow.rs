@@ -1,20 +1,16 @@
-//! Flow bookkeeping: five-tuple keyed, per-direction volumetric counters.
+//! Flow bookkeeping: per-direction volumetric counters.
 //!
-//! An ISP-side monitor keeps a flow table keyed by normalized five-tuple.
-//! [`FlowStats`] accumulates exactly the volumetric quantities the paper's
-//! stage classifier consumes (packets and bytes per direction) plus the
-//! metadata the cloud-gaming filter inspects (ports, mean downstream packet
+//! An ISP-side monitor keeps a flow table keyed by normalized five-tuple
+//! (`cgc_core::monitor::TapMonitor`); [`FlowStats`] is what each entry
+//! accumulates: exactly the volumetric quantities the paper's stage
+//! classifier consumes (packets and bytes per direction) plus the
+//! metadata the cloud-gaming filter inspects (mean downstream packet
 //! size, packet-rate signature).
-
-use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::packet::{Direction, FiveTuple, Packet};
+use crate::packet::{Direction, Packet};
 use crate::units::{bytes_to_mbps, Micros};
-
-/// Normalized five-tuple used as a flow-table key.
-pub type FlowKey = FiveTuple;
 
 /// Per-flow accumulated statistics.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -36,9 +32,9 @@ pub struct FlowStats {
 }
 
 impl FlowStats {
-    /// Folds one packet into the counters.
+    /// Folds one packet into the counters. `cgc_trace_packets_total` is
+    /// the caller's to add to, once per batch of packets folded.
     pub fn update(&mut self, pkt: &Packet) {
-        crate::metrics::TraceMetrics::global().packets.inc();
         match pkt.dir {
             Direction::Downstream => {
                 self.down_pkts += 1;
@@ -90,64 +86,10 @@ impl FlowStats {
     }
 }
 
-/// A flow table mapping normalized five-tuples to accumulated statistics.
-#[derive(Debug, Default)]
-pub struct FlowTable {
-    flows: HashMap<FlowKey, FlowStats>,
-}
-
-impl FlowTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a packet observed on `tuple` (any orientation).
-    pub fn observe(&mut self, tuple: &FiveTuple, pkt: &Packet) {
-        self.flows
-            .entry(tuple.normalized())
-            .or_default()
-            .update(pkt);
-    }
-
-    /// Looks up a flow by tuple (any orientation).
-    pub fn get(&self, tuple: &FiveTuple) -> Option<&FlowStats> {
-        self.flows.get(&tuple.normalized())
-    }
-
-    /// Number of tracked flows.
-    pub fn len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// True when no flows are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
-    }
-
-    /// Iterates over `(key, stats)` pairs in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&FlowKey, &FlowStats)> {
-        self.flows.iter()
-    }
-
-    /// Removes flows idle since before `cutoff` (standard monitor eviction),
-    /// returning how many were evicted.
-    pub fn evict_idle(&mut self, cutoff: Micros) -> usize {
-        let before = self.flows.len();
-        self.flows
-            .retain(|_, s| s.last_ts.is_some_and(|t| t >= cutoff));
-        before - self.flows.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::WIRE_OVERHEAD;
-
-    fn tuple() -> FiveTuple {
-        FiveTuple::udp_v4([10, 0, 0, 1], 49003, [192, 168, 1, 5], 50123)
-    }
 
     #[test]
     fn update_accumulates_both_directions() {
@@ -181,37 +123,5 @@ mod tests {
         assert_eq!(s.duration(), 0);
         assert_eq!(s.down_mbps(), 0.0);
         assert_eq!(s.down_pps(), 0.0);
-    }
-
-    #[test]
-    fn table_merges_directions_under_one_key() {
-        let mut table = FlowTable::new();
-        table.observe(&tuple(), &Packet::new(0, Direction::Downstream, 1432));
-        table.observe(
-            &tuple().reversed(),
-            &Packet::new(10, Direction::Upstream, 60),
-        );
-        assert_eq!(table.len(), 1);
-        let s = table.get(&tuple()).unwrap();
-        assert_eq!(s.total_pkts(), 2);
-    }
-
-    #[test]
-    fn eviction_drops_idle_flows() {
-        let mut table = FlowTable::new();
-        table.observe(&tuple(), &Packet::new(0, Direction::Downstream, 100));
-        let other = FiveTuple::udp_v4([10, 0, 0, 2], 1, [192, 168, 1, 5], 2);
-        table.observe(&other, &Packet::new(10_000_000, Direction::Downstream, 100));
-        assert_eq!(table.evict_idle(5_000_000), 1);
-        assert_eq!(table.len(), 1);
-        assert!(table.get(&tuple()).is_none());
-        assert!(table.get(&other).is_some());
-    }
-
-    #[test]
-    fn empty_table() {
-        let table = FlowTable::new();
-        assert!(table.is_empty());
-        assert_eq!(table.iter().count(), 0);
     }
 }

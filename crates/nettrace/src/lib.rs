@@ -7,8 +7,8 @@
 //!   the unit every other crate consumes.
 //! * [`rtp`] — a Real-time Transport Protocol header codec; cloud gaming
 //!   platforms stream game video and carry user input over RTP/UDP.
-//! * [`flow`] — five-tuple keyed flow bookkeeping with per-direction
-//!   volumetric counters, as an in-network monitor would maintain.
+//! * [`flow`] — the per-direction volumetric counters an in-network
+//!   monitor keeps for each flow.
 //! * [`pcap`] — classic libpcap file reader/writer so synthetic sessions can
 //!   round-trip through the same file format as lab Wireshark captures.
 //! * [`slots`] — fixed-width time-slot aggregation (the paper computes every
@@ -43,7 +43,7 @@ pub mod vol;
 pub use clock::{
     shift_micros, Clock, OffsetClock, RealClock, SharedClock, SkewMicros, VirtualClock,
 };
-pub use flow::{FlowKey, FlowStats, FlowTable};
+pub use flow::FlowStats;
 pub use impair::{
     Bottleneck, CapacitySchedule, Impairment, ImpairmentConfig, ImpairmentPlan, ImpairmentProfile,
     JitterModel, JitterProcess, LossModel,

@@ -2,8 +2,10 @@
 //! record decode results.
 //!
 //! Handles live in `cgc-obs`; this module registers the nettrace series
-//! once and caches the process-wide set so hot paths (`FlowStats::
-//! update`, pcap frame decode) pay a single relaxed atomic increment.
+//! once and caches the process-wide set, so pcap frame decode pays a
+//! single relaxed atomic increment. `packets` is added to once per batch
+//! by whoever folds the batch into `FlowStats` (the tap monitor, the
+//! flow filter), never per packet: every shard worker shares its line.
 
 use cgc_obs::{Counter, Registry};
 use std::sync::{Arc, OnceLock};

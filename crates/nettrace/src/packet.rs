@@ -5,6 +5,12 @@
 //! five-tuple and payload length. The paper's classifiers never look at
 //! payload *content* (the streams are encrypted); everything is derived from
 //! sizes and timings, which is exactly what this type captures.
+//!
+//! The tap is IPv4-only: [`FiveTuple`] holds two `Ipv4Addr`, the pcap
+//! decoder skips every other EtherType and counts the frame in
+//! `cgc_trace_pcap_skipped_total`. IPv6 support, once a decoder for it
+//! exists, is a second flow table keyed by a V6 tuple — not 26 more bytes
+//! on every record that passes the tap.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -70,9 +76,9 @@ impl fmt::Display for Direction {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FiveTuple {
     /// Server-side address.
-    pub src_ip: IpAddr,
+    pub src_ip: Ipv4Addr,
     /// Client-side address.
-    pub dst_ip: IpAddr,
+    pub dst_ip: Ipv4Addr,
     /// Server-side port.
     pub src_port: u16,
     /// Client-side port.
@@ -85,8 +91,8 @@ impl FiveTuple {
     /// Convenience constructor for an IPv4 UDP tuple.
     pub fn udp_v4(src: [u8; 4], src_port: u16, dst: [u8; 4], dst_port: u16) -> Self {
         FiveTuple {
-            src_ip: IpAddr::V4(Ipv4Addr::from(src)),
-            dst_ip: IpAddr::V4(Ipv4Addr::from(dst)),
+            src_ip: Ipv4Addr::from(src),
+            dst_ip: Ipv4Addr::from(dst),
             src_port,
             dst_port,
             proto: Protocol::Udp,
@@ -119,7 +125,8 @@ impl FiveTuple {
     /// endpoint bytes). Both directions of a conversation hash identically,
     /// and the value is independent of the process's `HashMap` seed. This is
     /// the flow's identity ([`FiveTuple::flow_id`]): journals and traces
-    /// store it, so its values never change. It costs 37 dependent byte
+    /// store it, so its values never change — the addresses go in as the
+    /// IPv4-mapped 16 bytes they always did. It costs 37 dependent byte
     /// steps, which is why per-record routing uses
     /// [`FiveTuple::route_hash`] instead.
     pub fn shard_hash(&self) -> u64 {
@@ -132,16 +139,10 @@ impl FiveTuple {
             }
             h
         }
-        fn ip_bytes(ip: &IpAddr) -> [u8; 16] {
-            match ip {
-                IpAddr::V4(v4) => v4.to_ipv6_mapped().octets(),
-                IpAddr::V6(v6) => v6.octets(),
-            }
-        }
         let n = self.normalized();
         let mut h = FNV_OFFSET;
-        h = mix(h, &ip_bytes(&n.src_ip));
-        h = mix(h, &ip_bytes(&n.dst_ip));
+        h = mix(h, &n.src_ip.to_ipv6_mapped().octets());
+        h = mix(h, &n.dst_ip.to_ipv6_mapped().octets());
         h = mix(h, &n.src_port.to_be_bytes());
         h = mix(h, &n.dst_port.to_be_bytes());
         mix(h, &[n.proto as u8])
@@ -160,21 +161,11 @@ impl FiveTuple {
             x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             x ^ (x >> 31)
         }
-        fn endpoint(ip: &IpAddr, port: u16) -> u64 {
-            match ip {
-                IpAddr::V4(v4) => mix((u64::from(u32::from(*v4)) << 16) | u64::from(port)),
-                IpAddr::V6(v6) => {
-                    let bits = u128::from(*v6);
-                    // The constant keeps a V6 address whose upper half is
-                    // zero apart from the V4 address with the same low bits.
-                    mix(mix((bits >> 64) as u64 ^ 0x9e37_79b9_7f4a_7c15)
-                        ^ bits as u64
-                        ^ u64::from(port).rotate_left(48))
-                }
-            }
+        fn endpoint(ip: Ipv4Addr, port: u16) -> u64 {
+            mix((u64::from(u32::from(ip)) << 16) | u64::from(port))
         }
-        let ends = endpoint(&self.src_ip, self.src_port)
-            .wrapping_add(endpoint(&self.dst_ip, self.dst_port));
+        let ends =
+            endpoint(self.src_ip, self.src_port).wrapping_add(endpoint(self.dst_ip, self.dst_port));
         mix(ends ^ self.proto as u64)
     }
 
@@ -195,40 +186,27 @@ impl FiveTuple {
     /// to already be in downstream orientation, `src` = server).
     pub fn flow_addr(&self) -> cgc_obs::event::FlowAddr {
         cgc_obs::event::FlowAddr {
-            server_ip: self.src_ip,
+            server_ip: IpAddr::V4(self.src_ip),
             server_port: self.src_port,
-            client_ip: self.dst_ip,
+            client_ip: IpAddr::V4(self.dst_ip),
             client_port: self.dst_port,
         }
     }
 }
 
-/// Hashes the tuple as whole words — two for an IPv4 pair — where the
-/// derived implementation fed a hasher seven separate fields. Flow tables
-/// hash a tuple per packet; equal tuples still hash equal under any hasher.
+/// Hashes the tuple as two whole words — the addresses, then the ports
+/// and the protocol — where the derived implementation fed a hasher five
+/// separate fields. Flow tables hash a tuple per packet; equal tuples still
+/// hash equal under any hasher.
 impl Hash for FiveTuple {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        match (self.src_ip, self.dst_ip) {
-            (IpAddr::V4(src), IpAddr::V4(dst)) => {
-                state.write_u64((u64::from(u32::from(src)) << 32) | u64::from(u32::from(dst)));
-            }
-            (src, dst) => {
-                for ip in [src, dst] {
-                    match ip {
-                        IpAddr::V4(v4) => state.write_u32(v4.into()),
-                        IpAddr::V6(v6) => state.write_u128(v6.into()),
-                    }
-                }
-            }
-        }
-        // Address families go in with the ports and the protocol, so a V4
-        // address never reads as the start of a V6 one.
+        state.write_u64(
+            (u64::from(u32::from(self.src_ip)) << 32) | u64::from(u32::from(self.dst_ip)),
+        );
         state.write_u64(
             (u64::from(self.src_port) << 32)
                 | (u64::from(self.dst_port) << 16)
-                | ((self.proto as u64) << 8)
-                | (u64::from(self.src_ip.is_ipv6()) << 1)
-                | u64::from(self.dst_ip.is_ipv6()),
+                | ((self.proto as u64) << 8),
         );
     }
 }
@@ -352,27 +330,20 @@ mod tests {
         assert_ne!(t.route_hash(), t.flow_id(), "routing is not identity");
     }
 
-    fn v6(last: u16) -> IpAddr {
-        IpAddr::V6(std::net::Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 7, last))
-    }
-
     #[test]
-    fn route_hash_is_direction_invariant_for_every_family_mix() {
+    fn route_hash_is_direction_invariant() {
         let v4 = FiveTuple::udp_v4([10, 0, 0, 1], 49003, [192, 168, 1, 5], 50123);
-        let v6_pair = FiveTuple {
-            src_ip: v6(1),
-            dst_ip: v6(2),
-            ..v4
-        };
-        let mixed = FiveTuple {
-            dst_ip: v6(2),
-            ..v4
-        };
         let tcp = FiveTuple {
             proto: Protocol::Tcp,
             ..v4
         };
-        let all = [v4, v6_pair, mixed, tcp];
+        // Swapping only the ports is a different conversation.
+        let swapped = FiveTuple {
+            src_port: v4.dst_port,
+            dst_port: v4.src_port,
+            ..v4
+        };
+        let all = [v4, tcp, swapped];
         for t in all {
             assert_eq!(t.route_hash(), t.reversed().route_hash(), "{t}");
             for n in [0usize, 1, 2, 3, 8, 1000] {
@@ -380,27 +351,162 @@ mod tests {
                 assert!(t.shard(n) < n.max(1));
             }
         }
-        // Different conversations route apart; so do a V4 address and the
-        // V6 address with the same low bits.
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 assert_ne!(a.route_hash(), b.route_hash(), "{a} vs {b}");
             }
         }
-        let low = FiveTuple {
-            src_ip: IpAddr::V6(std::net::Ipv6Addr::from(u128::from(u32::from(
-                Ipv4Addr::new(10, 0, 0, 1),
-            )))),
-            ..v4
-        };
-        assert_ne!(low.route_hash(), v4.route_hash());
-        // Swapping only the ports is a different conversation.
-        let swapped = FiveTuple {
-            src_port: v4.dst_port,
-            dst_port: v4.src_port,
-            ..v4
-        };
-        assert_ne!(swapped.route_hash(), v4.route_hash());
+    }
+
+    /// Everything about one tuple that is stored, routed on or printed.
+    struct IdentityPin {
+        tuple: FiveTuple,
+        flow_id: u64,
+        route_hash: u64,
+        /// `shard(2)`, `shard(8)`.
+        shards: (usize, usize),
+        normalized: &'static str,
+        display: &'static str,
+        flow_addr: &'static str,
+        json: &'static str,
+        /// The words `Hash` feeds a hasher, in order.
+        hash_words: [u64; 2],
+    }
+
+    fn pin(src: [u8; 4], src_port: u16, dst: [u8; 4], dst_port: u16, proto: Protocol) -> FiveTuple {
+        let mut t = FiveTuple::udp_v4(src, src_port, dst, dst_port);
+        t.proto = proto;
+        t
+    }
+
+    /// Literals generated on commit c8214d6, where the two addresses were
+    /// still `IpAddr` enums (a 40-byte tuple): both orientations, UDP and
+    /// TCP, `src < dst` and `src > dst`, and equal addresses told apart by
+    /// port only. Nothing a journal stores, a router decides or a report
+    /// prints may move with the tuple's layout.
+    fn identity_pins() -> Vec<IdentityPin> {
+        use Protocol::{Tcp, Udp};
+        vec![
+            IdentityPin {
+                tuple: pin([10, 0, 0, 1], 49003, [192, 168, 1, 5], 50123, Udp),
+                flow_id: 0xca7e_debd_ea39_7572,
+                route_hash: 0xd3fe_7123_4988_f5a5,
+                shards: (1, 6),
+                normalized: "UDP 10.0.0.1:49003 -> 192.168.1.5:50123",
+                display: "UDP 10.0.0.1:49003 -> 192.168.1.5:50123",
+                flow_addr: "10.0.0.1:49003 -> 192.168.1.5:50123",
+                json: r#"{"src_ip":"10.0.0.1","dst_ip":"192.168.1.5","src_port":49003,"dst_port":50123,"proto":"Udp"}"#,
+                hash_words: [0x0a00_0001_c0a8_0105, 0x0000_bf6b_c3cb_0000],
+            },
+            IdentityPin {
+                tuple: pin([192, 168, 1, 5], 50123, [10, 0, 0, 1], 49003, Udp),
+                flow_id: 0xca7e_debd_ea39_7572,
+                route_hash: 0xd3fe_7123_4988_f5a5,
+                shards: (1, 6),
+                normalized: "UDP 10.0.0.1:49003 -> 192.168.1.5:50123",
+                display: "UDP 192.168.1.5:50123 -> 10.0.0.1:49003",
+                flow_addr: "192.168.1.5:50123 -> 10.0.0.1:49003",
+                json: r#"{"src_ip":"192.168.1.5","dst_ip":"10.0.0.1","src_port":50123,"dst_port":49003,"proto":"Udp"}"#,
+                hash_words: [0xc0a8_0105_0a00_0001, 0x0000_c3cb_bf6b_0000],
+            },
+            IdentityPin {
+                tuple: pin([10, 0, 0, 1], 49003, [192, 168, 1, 5], 50123, Tcp),
+                flow_id: 0xca7e_dfbd_ea39_7725,
+                route_hash: 0x6cca_9e64_e8f8_64c2,
+                shards: (0, 3),
+                normalized: "TCP 10.0.0.1:49003 -> 192.168.1.5:50123",
+                display: "TCP 10.0.0.1:49003 -> 192.168.1.5:50123",
+                flow_addr: "10.0.0.1:49003 -> 192.168.1.5:50123",
+                json: r#"{"src_ip":"10.0.0.1","dst_ip":"192.168.1.5","src_port":49003,"dst_port":50123,"proto":"Tcp"}"#,
+                hash_words: [0x0a00_0001_c0a8_0105, 0x0000_bf6b_c3cb_0100],
+            },
+            IdentityPin {
+                tuple: pin([10, 0, 0, 7], 5000, [10, 0, 0, 7], 4000, Udp),
+                flow_id: 0x0a3c_05ea_0ef5_936b,
+                route_hash: 0x1811_bb4f_5c8c_bbd7,
+                shards: (0, 0),
+                normalized: "UDP 10.0.0.7:4000 -> 10.0.0.7:5000",
+                display: "UDP 10.0.0.7:5000 -> 10.0.0.7:4000",
+                flow_addr: "10.0.0.7:5000 -> 10.0.0.7:4000",
+                json: r#"{"src_ip":"10.0.0.7","dst_ip":"10.0.0.7","src_port":5000,"dst_port":4000,"proto":"Udp"}"#,
+                hash_words: [0x0a00_0007_0a00_0007, 0x0000_1388_0fa0_0000],
+            },
+            IdentityPin {
+                tuple: pin([10, 0, 0, 7], 4000, [10, 0, 0, 7], 5000, Tcp),
+                flow_id: 0x0a3c_04ea_0ef5_91b8,
+                route_hash: 0xf0ff_6c95_f49e_c9fa,
+                shards: (1, 7),
+                normalized: "TCP 10.0.0.7:4000 -> 10.0.0.7:5000",
+                display: "TCP 10.0.0.7:4000 -> 10.0.0.7:5000",
+                flow_addr: "10.0.0.7:4000 -> 10.0.0.7:5000",
+                json: r#"{"src_ip":"10.0.0.7","dst_ip":"10.0.0.7","src_port":4000,"dst_port":5000,"proto":"Tcp"}"#,
+                hash_words: [0x0a00_0007_0a00_0007, 0x0000_0fa0_1388_0100],
+            },
+            IdentityPin {
+                tuple: pin([200, 1, 2, 3], 443, [100, 64, 0, 9], 50_000, Udp),
+                flow_id: 0x0ccc_01cc_f484_7a8b,
+                route_hash: 0x410f_3abd_7c54_201b,
+                shards: (0, 2),
+                normalized: "UDP 100.64.0.9:50000 -> 200.1.2.3:443",
+                display: "UDP 200.1.2.3:443 -> 100.64.0.9:50000",
+                flow_addr: "200.1.2.3:443 -> 100.64.0.9:50000",
+                json: r#"{"src_ip":"200.1.2.3","dst_ip":"100.64.0.9","src_port":443,"dst_port":50000,"proto":"Udp"}"#,
+                hash_words: [0xc801_0203_6440_0009, 0x0000_01bb_c350_0000],
+            },
+            IdentityPin {
+                tuple: pin([100, 64, 0, 9], 50_000, [200, 1, 2, 3], 443, Tcp),
+                flow_id: 0x0ccc_00cc_f484_78d8,
+                route_hash: 0x47df_ce21_3320_ce5d,
+                shards: (0, 2),
+                normalized: "TCP 100.64.0.9:50000 -> 200.1.2.3:443",
+                display: "TCP 100.64.0.9:50000 -> 200.1.2.3:443",
+                flow_addr: "100.64.0.9:50000 -> 200.1.2.3:443",
+                json: r#"{"src_ip":"100.64.0.9","dst_ip":"200.1.2.3","src_port":50000,"dst_port":443,"proto":"Tcp"}"#,
+                hash_words: [0x6440_0009_c801_0203, 0x0000_c350_01bb_0100],
+            },
+        ]
+    }
+
+    #[test]
+    fn identity_is_independent_of_the_tuple_layout() {
+        /// Records the words written; a byte-wise write is a changed `Hash`.
+        struct Words(Vec<u64>);
+        impl Hasher for Words {
+            fn finish(&self) -> u64 {
+                0
+            }
+            fn write(&mut self, bytes: &[u8]) {
+                panic!("FiveTuple hashes whole words, got bytes {bytes:?}");
+            }
+            fn write_u64(&mut self, w: u64) {
+                self.0.push(w);
+            }
+        }
+        for p in identity_pins() {
+            let t = p.tuple;
+            assert_eq!(t.flow_id(), p.flow_id, "{t}");
+            assert_eq!(t.route_hash(), p.route_hash, "{t}");
+            assert_eq!((t.shard(2), t.shard(8)), p.shards, "{t}");
+            assert_eq!(t.normalized().to_string(), p.normalized);
+            assert_eq!(t.to_string(), p.display);
+            assert_eq!(t.flow_addr().to_string(), p.flow_addr);
+            // `serde_json::to_string` is `write_compact` of `to_value`.
+            let json = serde::write_compact(&t.to_value());
+            assert_eq!(json, p.json);
+            let back = FiveTuple::from_value(&serde::parse(&json).unwrap()).unwrap();
+            assert_eq!(back, t, "serde round trip");
+            let mut words = Words(Vec::new());
+            t.hash(&mut words);
+            assert_eq!(words.0, p.hash_words, "{t}");
+        }
+    }
+
+    #[test]
+    fn five_tuple_is_at_most_sixteen_bytes() {
+        // Two `Ipv4Addr`, two ports and the protocol are 13 bytes, 14 at
+        // `u16` alignment. Every tap record, ring slot and batch buffer
+        // carries one, so a field added here is paid per packet.
+        assert!(std::mem::size_of::<FiveTuple>() <= 16);
     }
 
     #[test]

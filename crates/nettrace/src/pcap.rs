@@ -12,7 +12,6 @@
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::IpAddr;
 use std::path::Path;
 
 use cgc_obs::EventSink;
@@ -101,20 +100,10 @@ impl<W: Write> PcapWriter<W> {
     ///
     /// `down_tuple` is the session five-tuple in downstream orientation; the
     /// packet's [`Direction`] selects which orientation goes on the wire.
-    /// Only IPv4 tuples are supported (an ISP tap normalizes v6 separately).
     pub fn write_packet(&mut self, down_tuple: &FiveTuple, pkt: &Packet) -> io::Result<()> {
         let tuple = match pkt.dir {
             Direction::Downstream => *down_tuple,
             Direction::Upstream => down_tuple.reversed(),
-        };
-        let (src, dst) = match (tuple.src_ip, tuple.dst_ip) {
-            (IpAddr::V4(s), IpAddr::V4(d)) => (s.octets(), d.octets()),
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "pcap writer supports IPv4 tuples only",
-                ))
-            }
         };
 
         let rtp = match pkt.dir {
@@ -144,8 +133,8 @@ impl<W: Write> PcapWriter<W> {
         ip[2..4].copy_from_slice(&total_len.to_be_bytes());
         ip[8] = 64; // TTL
         ip[9] = 17; // UDP
-        ip[12..16].copy_from_slice(&src);
-        ip[16..20].copy_from_slice(&dst);
+        ip[12..16].copy_from_slice(&tuple.src_ip.octets());
+        ip[16..20].copy_from_slice(&tuple.dst_ip.octets());
         let csum = ipv4_checksum(&ip);
         ip[10..12].copy_from_slice(&csum.to_be_bytes());
         self.out.write_all(&ip)?;
@@ -281,8 +270,8 @@ fn decode_frame(ts: Micros, frame: &[u8], journal: &EventSink) -> Option<PcapRec
     let udp_payload = &udp[UDP_LEN..udp_len];
 
     let tuple = FiveTuple {
-        src_ip: IpAddr::V4(src.into()),
-        dst_ip: IpAddr::V4(dst.into()),
+        src_ip: src.into(),
+        dst_ip: dst.into(),
         src_port,
         dst_port,
         proto: Protocol::Udp,

@@ -358,6 +358,23 @@ impl Deserialize for std::net::IpAddr {
     }
 }
 
+/// Through `IpAddr::V4`, so the text is the one an `IpAddr` field holding
+/// the same address always produced.
+impl Serialize for std::net::Ipv4Addr {
+    fn to_value(&self) -> Value {
+        std::net::IpAddr::V4(*self).to_value()
+    }
+}
+
+impl Deserialize for std::net::Ipv4Addr {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        match std::net::IpAddr::from_value(v)? {
+            std::net::IpAddr::V4(v4) => Ok(v4),
+            other => Err(Error::new(format!("expected IPv4 address, got `{other}`"))),
+        }
+    }
+}
+
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
