@@ -1,272 +1,319 @@
-//! CI perf-regression gate.
+//! CI perf-regression gate: one binary that stores nothing and reads
+//! nothing — no snapshot file, no environment variable, no argument.
 //!
-//! Re-measures the hot paths covered by the committed benchmark
-//! snapshots and fails (exit 1) when a fresh measurement regresses more
-//! than the tolerance against the committed numbers:
+//! Performance *numbers* live in one place, `bench_e2e` / `BENCHMARK.json`.
+//! What CI needs beside them is a cheap tripwire for five costs that have
+//! no end-to-end twin stable enough to gate on a shared runner. Each is a
+//! self-normalised pair — both sides measured in this process, on this
+//! machine, seconds apart — so the floors are constants that survive a
+//! change of CI box:
 //!
-//! * **`BENCH_forest.json`** — the flat-vs-pointer inference speedups
-//!   (`speedup_flat_single`, `speedup_flat_batch`). Speedups are
-//!   self-normalized (both layouts measured in the same process on the
-//!   same machine), so they gate cleanly across machines of different
-//!   absolute speed. The committed snapshot must also keep clearing the
-//!   5× per-slot acceptance floor.
-//! * **`BENCH_ingest_merge.json`** — the k-way merge scaling ratio
-//!   (4-way vs 1-way records/s), again self-normalized, plus the static
-//!   invariant that the committed adaptive batching policy does not lose
-//!   to the fixed baseline on bursty p99.
-//! * **Monitor tracing overhead** — serial monitor throughput with span
-//!   tracing disabled and with tracing attached but sampled out, both
-//!   held against `BENCH_forest.json`'s committed monitor number, and
-//!   their self-normalized ratio: the observability layer must stay free
-//!   when it is off.
-//! * **Monitor drift-observation overhead** — the same serial monitor
-//!   with a live drift sink attached (every inference pushes one score
-//!   observation into the lock-free drift ring), self-normalized against
-//!   the sink-absent run: the quality observatory must ride along within
-//!   tolerance.
-//! * **Live-slot indirection cost** — the same serial monitor served
-//!   from a `LiveModel` hot-swap slot instead of a fixed bundle,
-//!   self-normalized against the fixed-bundle run with a hard 0.90
-//!   floor: pinning a model version at admission must stay near-free.
-//! * **Swap-under-load tail latency** — ingest chunk latencies while a
-//!   publisher hot-swaps the bundle every millisecond; no chunk may
-//!   exceed a fixed headroom over the quiet run's p99, proving swaps
-//!   never stall the pipeline.
+//! * flat-vs-pointer forest inference speedup (single row and batch),
+//! * serial monitor with a trace sink attached but sampled out / no sink,
+//! * serial monitor with a drift sink attached / no sink,
+//! * serial monitor served from a `LiveModel` hot slot / a fixed bundle,
+//! * worst ingest chunk during a hot-swap storm / quiet-run p99.
 //!
-//! Absolute throughput numbers (records/s, raw ns) are machine-dependent
-//! and deliberately **not** gated — a faster or slower CI box would make
-//! them meaningless. Ratios survive the box change.
-//!
-//! ```text
-//! cargo run -p cgc-bench --release --bin bench_gate \
-//!     [BENCH_forest.json] [BENCH_ingest_merge.json]
-//! ```
-//!
-//! `PERF_GATE_TOLERANCE` overrides the allowed fractional regression
-//! (default `0.15` = 15 %).
+//! `cargo run -p cgc-bench --release --bin bench_gate`; exit status 1 and
+//! a list of the failed checks on a regression.
 
-use cgc_bench::forestperf::{
-    measure_inference, measure_monitor, measure_monitor_drifted, measure_monitor_live,
-    measure_monitor_traced, measure_swap_under_load, ForestSnapshot, SWAP_LATENCY_HEADROOM,
+use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
+
+use cgc_core::bundle::{ModelBundle, ModelSource};
+use cgc_core::monitor::{MonitorConfig, TapMonitor};
+use cgc_core::shard::TapRecord;
+use cgc_core::Obs;
+use cgc_deploy::train::{train_bundle, TrainConfig};
+use cgc_lifecycle::LiveModel;
+use cgc_obs::{
+    DriftConfig, DriftEngine, DriftSink, Registry, TraceCollector, TraceConfig, TraceSink,
 };
-use cgc_bench::mergeperf::{merge_feed, merge_records_per_sec};
-use serde::Deserialize;
+use mlcore::{argmax, Classifier, Dataset, RandomForest, RandomForestConfig};
+use nettrace::packet::FiveTuple;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-/// Reps for the gate's fresh measurement: a notch above the snapshot
-/// regenerator's, because a flaky gate is worse than a slow one.
-const REPS: usize = 15;
+// Floors. The two forest floors are the old gate's CI floors (committed
+// snapshot 4.71x / 5.16x, 20 % CI tolerance); a fresh run on the
+// development machine reads 4.29x / 4.91x.
+/// Flat single-row traversal over the allocating pointer-chasing predict.
+const FLAT_SINGLE_SPEEDUP_FLOOR: f64 = 3.75;
+/// Flat lockstep batch traversal, per row, over the same pointer predict.
+const FLAT_BATCH_SPEEDUP_FLOOR: f64 = 4.1;
+/// `(pair, numerator, floor)` of serial-monitor records/s over the
+/// [`Variant::Fixed`] run.
+const MONITOR_PAIRS: [(&str, Variant, f64); 3] = [
+    // An attached sink with every flow sampled out is a branch per span
+    // site: it may cost a shared runner's noise (20 %), not more.
+    ("trace sampled-out / off", Variant::TraceSampledOut, 0.80),
+    // One lock-free ring push per inference; same noise allowance.
+    ("drift sink on / off", Variant::DriftOn, 0.80),
+    // One `Acquire` pointer load per flow admission. If pinning a version
+    // ever costs 10 % of monitor throughput the zero-stall swap story is
+    // broken, so this floor is tighter than the noise allowance.
+    ("live slot / fixed bundle", Variant::LiveSlot, 0.90),
+];
+/// A publisher that stalled readers (a lock on the pin path, a torn-state
+/// retry loop) overshoots the quiet p99 by orders of magnitude; scheduler
+/// jitter from the one extra thread does not reach 8x.
+const SWAP_HEADROOM: f64 = 8.0;
 
-/// Merge-feed size for the gate re-measurement: the snapshot's. At a few
-/// tens of nanoseconds a record the ratio moves with how much of the feed
-/// the caches hold, so the two must measure the same feed.
-const MERGE_RECORDS: usize = 262_144;
+/// Best-of reps per measurement; a flaky gate is worse than a slow one.
+const FOREST_REPS: usize = 15;
+const MONITOR_REPS: usize = 5;
+const SWAP_REPS: usize = 3;
 
-#[derive(Deserialize)]
-struct MergeRow {
-    ways: usize,
-    records_per_sec: f64,
-}
+/// Stage-classifier scale: 4 engineered features, 4 activity classes.
+const N_FEATURES: usize = 4;
+const N_CLASSES: usize = 4;
+const TRAIN_ROWS: usize = 1_200;
+const PROBES: usize = 4_096;
+const MONITOR_FLOWS: usize = 10_000;
+const PACKETS_PER_FLOW: usize = 12;
+/// Records per latency-sampled ingest chunk: a few milliseconds of
+/// ingest, so a stalled swap dominates its chunk instead of drowning in
+/// scheduler noise.
+const SWAP_CHUNK: usize = 4_096;
 
-#[derive(Deserialize)]
-struct IngestSnapshot {
-    merge_throughput: Vec<MergeRow>,
-    adaptive_p99_improvement_pct_vs_fixed: f64,
-}
-
-struct Gate {
-    tolerance: f64,
-    failures: Vec<String>,
-}
+/// The checks that failed so far.
+#[derive(Default)]
+struct Gate(Vec<String>);
 
 impl Gate {
-    /// `current` must not sit more than `tolerance` below `committed`.
-    fn check(&mut self, what: &str, current: f64, committed: f64) {
-        let floor = committed * (1.0 - self.tolerance);
-        let verdict = if current >= floor { "ok" } else { "FAIL" };
-        eprintln!(
-            "  {verdict:>4}  {what}: current {current:.3} vs committed {committed:.3} (floor {floor:.3})"
-        );
-        if current < floor {
-            self.failures
-                .push(format!("{what}: {current:.3} < floor {floor:.3}"));
-        }
+    fn at_least(&mut self, what: &str, value: f64, floor: f64) {
+        let what = format!("{what}: {value:.3} (floor {floor:.3})");
+        self.require(&what, value >= floor);
     }
 
-    /// A static invariant on the committed snapshot itself.
     fn require(&mut self, what: &str, ok: bool) {
         eprintln!("  {:>4}  {what}", if ok { "ok" } else { "FAIL" });
         if !ok {
-            self.failures.push(what.to_string());
+            self.0.push(what.to_string());
         }
     }
 }
 
-fn committed_ratio(snapshot: &IngestSnapshot, ways: usize) -> f64 {
-    let rps = |w: usize| {
-        snapshot
-            .merge_throughput
-            .iter()
-            .find(|r| r.ways == w)
-            .unwrap_or_else(|| panic!("committed snapshot has no {w}-way merge row"))
-            .records_per_sec
+/// Best-of-`reps` wall time of `body`, in nanoseconds per row.
+fn best_ns_per_row(rows: usize, reps: usize, mut body: impl FnMut() -> usize) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(body());
+            start.elapsed().as_nanos() as f64 / rows as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// `(flat single, flat batch)` speedups over the pointer forest's
+/// `predict`, on a stage-scale forest: separable-but-noisy class blobs
+/// like the stage feature vectors, 60 trees of depth 10.
+fn forest_speedups() -> (f64, f64) {
+    let mut rng = StdRng::seed_from_u64(17);
+    let center = |class: usize, f: usize| (class * N_FEATURES + f) as f64 * 3.0;
+    let y: Vec<usize> = (0..TRAIN_ROWS).map(|i| i % N_CLASSES).collect();
+    let x = Vec::from_iter(y.iter().map(|&c| {
+        Vec::from_iter((0..N_FEATURES).map(|f| center(c, f) + rng.gen_range(-2.0..2.0)))
+    }));
+    let cfg = RandomForestConfig {
+        n_trees: 60,
+        max_depth: 10,
+        seed: 9,
+        ..Default::default()
     };
-    rps(ways) / rps(1)
+    let forest = RandomForest::fit(&Dataset::new(x, y), &cfg);
+    let flat = forest.to_flat();
+    let nc = flat.n_classes();
+    let mut rng = StdRng::seed_from_u64(23);
+    let probes: Vec<Vec<f64>> = (0..PROBES)
+        .map(|_| (0..N_FEATURES).map(|_| rng.gen_range(-5.0..50.0)).collect())
+        .collect();
+
+    // A wrong kernel must never be reported as a fast one: the two
+    // layouts agree exactly before anything is timed.
+    for x in probes.iter().take(256) {
+        assert_eq!(forest.predict_proba(x), flat.predict_proba(x));
+    }
+    let pointer = best_ns_per_row(PROBES, FOREST_REPS, || {
+        probes.iter().map(|x| forest.predict(x)).sum()
+    });
+    let flat_single = best_ns_per_row(PROBES, FOREST_REPS, || {
+        let mut buf = vec![0.0f64; nc];
+        probes
+            .iter()
+            .map(|x| {
+                flat.predict_proba_into(x, &mut buf);
+                argmax(&buf)
+            })
+            .sum()
+    });
+    let flat_batch = best_ns_per_row(PROBES, FOREST_REPS, || {
+        let mut out = vec![0.0f64; PROBES * nc];
+        flat.predict_proba_batch_into(&probes, &mut out);
+        out.chunks_exact(nc).map(argmax).sum()
+    });
+    (pointer / flat_single, pointer / flat_batch)
+}
+
+/// Round-robin packets over distinct gaming five-tuples, so 10 k flows
+/// stay interleaved; every fifth tick is the upstream direction.
+fn monitor_feed() -> Vec<TapRecord> {
+    let tuples: Vec<FiveTuple> = (0..MONITOR_FLOWS)
+        .map(|i| {
+            let (hi, lo) = ((i >> 8) as u8, (i & 0xff) as u8);
+            FiveTuple::udp_v4([10, 0, hi, lo], 49003, [100, 64, hi, lo], 50_000 + i as u16)
+        })
+        .collect();
+    let mut feed = Vec::with_capacity(MONITOR_FLOWS * PACKETS_PER_FLOW);
+    for tick in 0..PACKETS_PER_FLOW {
+        let up = tick % 5 == 4;
+        for (i, t) in tuples.iter().enumerate() {
+            let ts = tick as u64 * 1_000_000 + i as u64 * 7;
+            let wire = if up { t.reversed() } else { *t };
+            feed.push((ts, wire, if up { 120 } else { 1200 }));
+        }
+    }
+    feed
+}
+
+/// The serial-monitor configurations of [`MONITOR_PAIRS`]; `Fixed` is a
+/// fixed bundle with every sink disabled, the denominator of each pair.
+#[derive(Clone, Copy)]
+enum Variant {
+    Fixed,
+    TraceSampledOut,
+    DriftOn,
+    LiveSlot,
+}
+
+/// Everything a replay needs, built once: one trained bundle behind both
+/// model sources, the feed, and the two attached sinks (their collectors
+/// are dropped — a full ring sheds, which is the cost being measured).
+struct Rig {
+    bundle: ModelBundle,
+    live: LiveModel<ModelBundle>,
+    feed: Vec<TapRecord>,
+    trace: TraceSink,
+    drift: DriftSink,
+}
+
+impl Rig {
+    fn new() -> Self {
+        let bundle = train_bundle(&TrainConfig::quick());
+        let registry = Registry::new();
+        let sampled_out = TraceConfig::default().with_sample(u64::MAX);
+        Rig {
+            live: LiveModel::new(bundle.clone()),
+            bundle,
+            feed: monitor_feed(),
+            trace: TraceCollector::new(sampled_out, &registry).0,
+            drift: DriftEngine::new(DriftConfig::default(), &registry).0,
+        }
+    }
+
+    /// One replay of the feed through a serial `TapMonitor`: per-chunk
+    /// ingest wall times in nanoseconds, and records per second over the
+    /// whole run including the final drain.
+    fn replay(&self, variant: Variant) -> (Vec<f64>, f64) {
+        let source: ModelSource<'_> = match variant {
+            Variant::LiveSlot => (&self.live).into(),
+            _ => (&self.bundle).into(),
+        };
+        let mut obs = Obs::clone(&Obs::global());
+        match variant {
+            Variant::TraceSampledOut => obs.trace = self.trace.clone(),
+            Variant::DriftOn => obs.drift = self.drift.clone(),
+            Variant::Fixed | Variant::LiveSlot => {}
+        }
+        let mut monitor = TapMonitor::with_obs(source, MonitorConfig::default(), obs);
+        let start = Instant::now();
+        let mut chunks = Vec::with_capacity(self.feed.len() / SWAP_CHUNK + 1);
+        for chunk in self.feed.chunks(SWAP_CHUNK) {
+            let chunk_start = Instant::now();
+            for (ts, tuple, len) in chunk {
+                monitor.ingest(*ts, tuple, *len);
+            }
+            chunks.push(chunk_start.elapsed().as_nanos() as f64);
+        }
+        black_box(monitor.finish_all().len());
+        let records_per_s = self.feed.len() as f64 / start.elapsed().as_secs_f64();
+        (chunks, records_per_s)
+    }
+
+    /// Best-of-[`MONITOR_REPS`] records per second of `variant`.
+    fn measure_monitor(&self, variant: Variant) -> f64 {
+        (0..MONITOR_REPS)
+            .map(|_| self.replay(variant).1)
+            .fold(0.0, f64::max)
+    }
+
+    /// `(swaps landed, quiet p99 ns, worst swapped chunk ns)`: quiet
+    /// passes over the hot slot, then passes with a publisher thread
+    /// republishing the bundle every millisecond. Best-of on both sides —
+    /// the gate asks whether a swap *must* stall ingest, not whether the
+    /// scheduler *can*.
+    fn swap_storm(&self) -> (usize, f64, f64) {
+        let p99 = |mut chunks: Vec<f64>| {
+            chunks.sort_by(f64::total_cmp);
+            chunks[(chunks.len() - 1) * 99 / 100]
+        };
+        let quiet_p99 = (0..SWAP_REPS)
+            .map(|_| p99(self.replay(Variant::LiveSlot).0))
+            .fold(f64::INFINITY, f64::min);
+        let mut best = (0, f64::INFINITY);
+        for _ in 0..SWAP_REPS {
+            let stop = AtomicBool::new(false);
+            let (swaps, chunks) = std::thread::scope(|s| {
+                let publisher = s.spawn(|| {
+                    let mut published = 0usize;
+                    while !stop.load(Ordering::Relaxed) {
+                        self.live.publish(self.bundle.clone());
+                        published += 1;
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    published
+                });
+                let chunks = self.replay(Variant::LiveSlot).0;
+                stop.store(true, Ordering::Relaxed);
+                (publisher.join().expect("publisher thread panicked"), chunks)
+            });
+            let worst = chunks.into_iter().fold(0.0, f64::max);
+            if worst < best.1 {
+                best = (swaps, worst);
+            }
+        }
+        (best.0, quiet_p99, best.1)
+    }
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let forest_path = args.next().unwrap_or_else(|| "BENCH_forest.json".into());
-    let ingest_path = args
-        .next()
-        .unwrap_or_else(|| "BENCH_ingest_merge.json".into());
-    let tolerance: f64 = std::env::var("PERF_GATE_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.15);
-    let mut gate = Gate {
-        tolerance,
-        failures: Vec::new(),
-    };
-    eprintln!("perf gate: tolerance {:.0}%", tolerance * 100.0);
+    let mut gate = Gate::default();
 
-    // --- Forest inference -------------------------------------------------
-    let committed: ForestSnapshot = serde_json::from_str(
-        &std::fs::read_to_string(&forest_path)
-            .unwrap_or_else(|e| panic!("read {forest_path}: {e}")),
-    )
-    .expect("parse committed forest snapshot");
-    eprintln!("forest inference (fresh measurement, best of {REPS}):");
-    let fresh = measure_inference(REPS);
-    gate.check(
-        "flat single-row speedup",
-        fresh.speedup_flat_single,
-        committed.inference.speedup_flat_single,
-    );
-    gate.check(
-        "flat batch speedup",
-        fresh.speedup_flat_batch,
-        committed.inference.speedup_flat_batch,
-    );
-    gate.require(
-        "committed snapshot clears the 5x per-slot inference floor",
-        committed
-            .inference
-            .speedup_flat_single
-            .max(committed.inference.speedup_flat_batch)
-            >= 5.0,
-    );
+    eprintln!("forest inference, flat over pointer (best of {FOREST_REPS}):");
+    let (single, batch) = forest_speedups();
+    gate.at_least("flat single-row speedup", single, FLAT_SINGLE_SPEEDUP_FLOOR);
+    gate.at_least("flat batch speedup", batch, FLAT_BATCH_SPEEDUP_FLOOR);
 
-    // --- Monitor throughput under tracing ----------------------------------
-    // Three serial-monitor measurements in this process: tracing disabled
-    // (the committed configuration), tracing attached but every flow
-    // sampled out (the cost of the branches alone), and their ratio.
-    // The tracing-cost checks are self-normalized; the disabled path is
-    // additionally held against the committed absolute number so a hot-path
-    // regression that slips past the inference gates still trips here.
-    const MONITOR_REPS: usize = 5;
-    eprintln!("monitor throughput under tracing (fresh measurement, best of {MONITOR_REPS}):");
-    let untraced = measure_monitor(MONITOR_REPS);
-    let sampled_out = measure_monitor_traced(MONITOR_REPS, u64::MAX);
-    gate.check(
-        "monitor records/s, tracing disabled, vs committed",
-        untraced.records_per_sec,
-        committed.monitor.records_per_sec,
-    );
-    gate.check(
-        "monitor records/s, tracing sampled out, vs committed",
-        sampled_out.records_per_sec,
-        committed.monitor.records_per_sec,
-    );
-    gate.check(
-        "monitor sampled-out/disabled throughput ratio",
-        sampled_out.records_per_sec / untraced.records_per_sec,
-        1.0,
-    );
+    let rig = Rig::new();
+    eprintln!("serial monitor, records/s against the fixed bundle (best of {MONITOR_REPS}):");
+    rig.replay(Variant::Fixed); // untimed: the first side of a pair must not be the cold one
+    let fixed = rig.measure_monitor(Variant::Fixed);
+    eprintln!("        fixed bundle, sinks off: {fixed:.0} records/s (not gated)");
+    for (what, variant, floor) in MONITOR_PAIRS {
+        gate.at_least(what, rig.measure_monitor(variant) / fixed, floor);
+    }
 
-    // --- Monitor throughput under drift observation ------------------------
-    // The quality observatory's hot-path cost: a live drift sink makes
-    // every title/stage inference push one score observation into a
-    // lock-free ring. Self-normalized against the sink-absent run above —
-    // the observatory must ride along within tolerance.
-    eprintln!(
-        "monitor throughput under drift observation (fresh measurement, best of {MONITOR_REPS}):"
-    );
-    let drifted = measure_monitor_drifted(MONITOR_REPS);
-    gate.check(
-        "monitor drift-sink installed/absent throughput ratio",
-        drifted.records_per_sec / untraced.records_per_sec,
-        1.0,
-    );
+    eprintln!("swap-under-load tail latency (best of {SWAP_REPS}):");
+    let (swaps, quiet_p99, worst) = rig.swap_storm();
+    eprintln!("        {swaps} swaps landed; quiet p99 {quiet_p99:.0} ns, worst swapped chunk {worst:.0} ns");
+    gate.require("at least one hot-swap landed mid-ingest", swaps > 0);
+    let within = format!("worst swapped chunk within {SWAP_HEADROOM:.0}x the quiet p99");
+    gate.require(&within, worst <= quiet_p99 * SWAP_HEADROOM);
 
-    // --- Monitor throughput under live-slot indirection --------------------
-    // The hot-swap slot's read-path cost: every flow admission pins its
-    // model version with one Acquire pointer load instead of chasing a
-    // plain reference. Self-normalized against the fixed-bundle run, with
-    // a hard 0.90 floor — if the indirection ever costs more than 10 % of
-    // monitor throughput, the zero-stall swap story is broken.
-    eprintln!(
-        "monitor throughput under live-slot indirection (fresh measurement, best of {MONITOR_REPS}):"
-    );
-    let live = measure_monitor_live(MONITOR_REPS);
-    let live_ratio = live.records_per_sec / untraced.records_per_sec;
-    gate.check(
-        "monitor live-slot/fixed-bundle throughput ratio",
-        live_ratio,
-        1.0,
-    );
-    gate.require(
-        &format!("live-slot throughput ratio {live_ratio:.3} clears the 0.90 hot-swap floor"),
-        live_ratio >= 0.90,
-    );
-
-    // --- Swap-under-load tail latency --------------------------------------
-    // Ingest chunk latencies while a publisher republishes the bundle
-    // every millisecond. A swap must never stall ingest: the worst chunk
-    // during the swap storm has to stay within a fixed headroom of the
-    // quiet run's p99.
-    eprintln!("swap-under-load tail latency (fresh measurement, best of 3):");
-    let swap = measure_swap_under_load(3);
-    eprintln!(
-        "        {} swaps landed; quiet p99 {:.0} ns, swapped p99 {:.0} ns, swapped max {:.0} ns",
-        swap.swaps, swap.quiet_p99_ns, swap.swapped_p99_ns, swap.swapped_max_ns
-    );
-    gate.require(
-        "swap storm landed at least one hot-swap mid-ingest",
-        swap.swaps > 0,
-    );
-    gate.require(
-        &format!(
-            "no ingest chunk during hot-swaps exceeds {SWAP_LATENCY_HEADROOM:.0}x the quiet p99 floor"
-        ),
-        swap.within_headroom(),
-    );
-
-    // --- Ingest merge ------------------------------------------------------
-    let ingest: IngestSnapshot = serde_json::from_str(
-        &std::fs::read_to_string(&ingest_path)
-            .unwrap_or_else(|e| panic!("read {ingest_path}: {e}")),
-    )
-    .expect("parse committed ingest snapshot");
-    eprintln!("ingest merge scaling (fresh measurement, best of {REPS}):");
-    let feed = merge_feed(MERGE_RECORDS);
-    let fresh = merge_records_per_sec(&feed, &[1, 4], REPS);
-    gate.check(
-        "merge 4-way/1-way throughput ratio",
-        fresh[1] / fresh[0],
-        committed_ratio(&ingest, 4),
-    );
-    gate.require(
-        "committed adaptive batching beats fixed baseline on bursty p99",
-        ingest.adaptive_p99_improvement_pct_vs_fixed > 0.0,
-    );
-
-    if gate.failures.is_empty() {
-        eprintln!("perf gate: green");
-    } else {
-        eprintln!("perf gate: {} regression(s):", gate.failures.len());
-        for f in &gate.failures {
-            eprintln!("  - {f}");
-        }
+    if !gate.0.is_empty() {
+        eprintln!("perf gate: regression:\n  - {}", gate.0.join("\n  - "));
         std::process::exit(1);
     }
+    eprintln!("perf gate: green");
 }

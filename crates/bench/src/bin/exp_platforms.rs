@@ -59,7 +59,9 @@ fn main() {
             }
             let mut analyzer =
                 SessionAnalyzer::new(&bundle, AnalyzerConfig::default(), QoeInputs::default());
-            analyzer.analyze_packets(&s.packets);
+            for p in &s.packets {
+                analyzer.push_packet(p);
+            }
             let report = analyzer.finish();
             for (j, &pred) in report.stage_slots.iter().enumerate() {
                 let mid = j as u64 * report.slot_width + report.slot_width / 2;

@@ -1,10 +1,13 @@
 //! # cgc-bench — experiment regenerators and benchmarks
 //!
 //! One binary per table/figure of the paper (see `src/bin/exp_*.rs` and
-//! DESIGN.md §4 for the index), plus Criterion micro-benchmarks of the
-//! pipeline's hot paths. This library holds the evaluation helpers the
-//! binaries share: multi-config launch-attribute dataset construction,
-//! accuracy sweeps, and session-level stage/pattern evaluation.
+//! DESIGN.md §4 for the index), the end-to-end benchmark `bench_e2e`
+//! (`BENCHMARK.json`; the one place a performance number is stored or
+//! read), CI's `bench_gate`, and Criterion benches for what has no
+//! end-to-end twin. This library holds the evaluation helpers the
+//! experiment binaries share: multi-config launch-attribute dataset
+//! construction, accuracy sweeps, and session-level stage/pattern
+//! evaluation.
 
 #![warn(missing_docs)]
 
@@ -22,9 +25,6 @@ use mlcore::metrics::{accuracy, ConfusionMatrix};
 use mlcore::{Classifier, Dataset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-pub mod forestperf;
-pub mod mergeperf;
 
 /// How launch attributes are derived from a session for an evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

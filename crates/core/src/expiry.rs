@@ -14,9 +14,7 @@
 //! last-seen wins), which the bounded flow table uses for LRU eviction.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use nettrace::clock::{RealClock, SharedClock};
 use nettrace::units::Micros;
 
 /// Per-entry bookkeeping: the newest bucket holding a live entry for the
@@ -50,41 +48,18 @@ pub struct ExpiryWheel {
     /// the observability counter proving expiry work is proportional to due
     /// flows, not to the table size.
     scanned: u64,
-    /// Time source behind [`drain_idle`](Self::drain_idle): wall time in
-    /// deployment, a `VirtualClock` in tests.
-    clock: SharedClock,
 }
 
 impl ExpiryWheel {
-    /// A wheel with the given bucket width (clamped to ≥ 1 µs), running
-    /// idle expiry on wall time.
+    /// A wheel with the given bucket width (clamped to ≥ 1 µs).
     pub fn new(bucket_width: Micros) -> Self {
-        Self::with_clock(bucket_width, Arc::new(RealClock::new()))
-    }
-
-    /// A wheel whose [`drain_idle`](Self::drain_idle) cutoffs come from
-    /// `clock` — inject a `VirtualClock` for deterministic, instant
-    /// expiry tests.
-    pub fn with_clock(bucket_width: Micros, clock: SharedClock) -> Self {
         ExpiryWheel {
             buckets: BTreeMap::new(),
             slots: Vec::new(),
             live: 0,
             width: bucket_width.max(1),
             scanned: 0,
-            clock,
         }
-    }
-
-    /// Replaces the wheel's time source (existing entries are unaffected;
-    /// only future `drain_idle` cutoffs move to the new clock).
-    pub fn set_clock(&mut self, clock: SharedClock) {
-        self.clock = clock;
-    }
-
-    /// The wheel's current time, on its clock's axis.
-    pub fn clock_now(&self) -> Micros {
-        self.clock.now()
     }
 
     /// Number of live keys.
@@ -101,12 +76,6 @@ impl ExpiryWheel {
     /// [`pop_least_recent`](Self::pop_least_recent) so far.
     pub fn entries_scanned(&self) -> u64 {
         self.scanned
-    }
-
-    /// Number of buckets currently allocated (live + stale); exposed for
-    /// tests asserting the wheel stays compact.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
     }
 
     /// Records that `key` was seen at `last_seen`. The previous entry (if
@@ -183,17 +152,6 @@ impl ExpiryWheel {
             }
         }
         due
-    }
-
-    /// Removes and returns every key idle for `idle_timeout` or longer on
-    /// the wheel's clock — `drain_due(clock.now() - idle_timeout)`. This
-    /// is the deployment-facing form of expiry: with a `RealClock` a
-    /// long-lived monitor expires flows on wall time; with a
-    /// `VirtualClock` tests advance time explicitly and expiry is
-    /// deterministic and instant.
-    pub fn drain_idle(&mut self, idle_timeout: Micros) -> Vec<u32> {
-        let cutoff = self.clock.now().saturating_sub(idle_timeout);
-        self.drain_due(cutoff)
     }
 
     /// Removes and returns the exact least-recently-seen key, cleaning up
@@ -298,7 +256,7 @@ mod tests {
         // Bucket 5 still holds the stale 3 beside the live 4.
         assert_eq!(w.drain_due(10_000_000), vec![4]);
         assert!(w.is_empty());
-        assert_eq!(w.bucket_count(), 0);
+        assert!(w.buckets.is_empty());
     }
 
     #[test]
@@ -363,37 +321,7 @@ mod tests {
             assert_eq!(got, expect, "cutoff {cutoff}");
         }
         assert!(w.is_empty());
-        assert_eq!(w.bucket_count(), 0);
-    }
-
-    #[test]
-    fn drain_idle_runs_on_virtual_time_deterministically() {
-        use nettrace::clock::VirtualClock;
-        let clock = VirtualClock::starting_at(0);
-        let mut w: ExpiryWheel = ExpiryWheel::with_clock(1_000_000, clock.shared());
-        w.touch(1, 100);
-        w.touch(2, 30_000_000);
-        // Clock still at flow 2's era: only flow 1 is 60 s idle.
-        clock.advance_to(61_000_000);
-        assert_eq!(w.drain_idle(60_000_000), vec![1]);
-        assert_eq!(w.drain_idle(60_000_000), Vec::<u32>::new());
-        // Jump the virtual clock — no wall waiting — and flow 2 expires.
-        clock.advance_by(30_000_000);
-        assert_eq!(w.drain_idle(60_000_000), vec![2]);
-        assert!(w.is_empty());
-        assert_eq!(w.clock_now(), 91_000_000);
-    }
-
-    #[test]
-    fn set_clock_moves_future_cutoffs() {
-        use nettrace::clock::VirtualClock;
-        let mut w: ExpiryWheel = ExpiryWheel::new(1_000);
-        w.touch(9, 10);
-        // On the default wall clock (origin 0, just constructed) nothing
-        // is an hour idle; swap in a virtual clock far in the future.
-        let late = VirtualClock::starting_at(3_600_000_000 * 24);
-        w.set_clock(late.shared());
-        assert_eq!(w.drain_idle(3_600_000_000), vec![9]);
+        assert!(w.buckets.is_empty());
     }
 
     #[test]

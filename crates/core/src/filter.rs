@@ -12,13 +12,15 @@
 //!    with video streaming, and
 //! 5. is bidirectional (upstream input packets present).
 //!
-//! Conditions 1–3 are cheap per-packet checks; 4–5 are confirmed over a
+//! Conditions 1–2 are cheap per-packet checks; 4–5 are confirmed over a
 //! short observation window before the flow is handed to the classifiers.
+//! Condition 3 is the capture side's: a tap record carries a payload
+//! length, not the payload, so RTP validity is settled where the bytes are
+//! (`nettrace::pcap` parses the header) and not re-checked here.
 
 use nettrace::flow::FlowStats;
 use nettrace::metrics::TraceMetrics;
 use nettrace::packet::{FiveTuple, Packet, Protocol};
-use nettrace::rtp::RtpHeader;
 use serde::{Deserialize, Serialize};
 
 pub use cgc_domain::Platform;
@@ -65,14 +67,6 @@ impl CloudGamingFilter {
         Platform::from_port(tuple.src_port).or_else(|| Platform::from_port(tuple.dst_port))
     }
 
-    /// RTP validity check on a downstream UDP payload.
-    pub fn rtp_check(payload: &[u8]) -> bool {
-        match RtpHeader::decode(payload) {
-            Ok((h, _)) => (96..=127).contains(&h.payload_type),
-            Err(_) => false,
-        }
-    }
-
     /// Volumetric confirmation over an observed window of flow statistics.
     pub fn confirm(&self, stats: &FlowStats) -> bool {
         if stats.down_pkts == 0 || stats.duration() == 0 {
@@ -102,32 +96,6 @@ pub fn stats_of(packets: &[Packet]) -> FlowStats {
     }
     TraceMetrics::global().packets.add(packets.len() as u64);
     s
-}
-
-/// Finds the game streaming flow in a raw capture: the busiest UDP
-/// conversation whose server side matches a platform port signature,
-/// returned in downstream orientation (server as `src`). Returns the tuple
-/// and the detected platform.
-pub fn detect_streaming_tuple(
-    records: &[nettrace::pcap::PcapRecord],
-) -> Option<(FiveTuple, Platform)> {
-    use std::collections::HashMap;
-    let mut volume: HashMap<FiveTuple, u64> = HashMap::new();
-    for r in records {
-        *volume.entry(r.tuple.normalized()).or_default() += u64::from(r.payload_len);
-    }
-    volume
-        .into_iter()
-        .filter_map(|(t, bytes)| {
-            // Orient so the platform-signature port is the server side.
-            if let Some(p) = Platform::from_port(t.src_port) {
-                Some((t, p, bytes))
-            } else {
-                Platform::from_port(t.dst_port).map(|p| (t.reversed(), p, bytes))
-            }
-        })
-        .max_by_key(|(_, _, bytes)| *bytes)
-        .map(|(t, p, _)| (t, p))
 }
 
 #[cfg(test)]
@@ -200,69 +168,9 @@ mod tests {
     }
 
     #[test]
-    fn rtp_check_validates_header() {
-        let mut buf = Vec::new();
-        RtpHeader::video(1, 2, 3, false).encode(&mut buf);
-        assert!(CloudGamingFilter::rtp_check(&buf));
-        // Non-dynamic payload type is rejected.
-        let mut h = RtpHeader::video(1, 2, 3, false);
-        h.payload_type = 0;
-        let mut buf2 = Vec::new();
-        h.encode(&mut buf2);
-        assert!(!CloudGamingFilter::rtp_check(&buf2));
-        assert!(!CloudGamingFilter::rtp_check(&[0u8; 4]));
-    }
-
-    #[test]
     fn empty_stats_are_rejected() {
         let f = CloudGamingFilter::default();
         assert!(!f.confirm(&FlowStats::default()));
-    }
-
-    #[test]
-    fn detect_streaming_tuple_picks_the_busiest_platform_flow() {
-        use nettrace::pcap::PcapRecord;
-        let game = gfn_tuple();
-        let chatter = FiveTuple::udp_v4([1, 1, 1, 1], 443, [192, 168, 0, 2], 51001);
-        let mut records = Vec::new();
-        for i in 0..100u64 {
-            records.push(PcapRecord {
-                ts: i,
-                tuple: game,
-                rtp: None,
-                payload_len: 1432,
-            });
-            // Upstream direction of the same conversation.
-            records.push(PcapRecord {
-                ts: i,
-                tuple: game.reversed(),
-                rtp: None,
-                payload_len: 60,
-            });
-            records.push(PcapRecord {
-                ts: i,
-                tuple: chatter,
-                rtp: None,
-                payload_len: 1400,
-            });
-        }
-        let (tuple, platform) = detect_streaming_tuple(&records).expect("flow found");
-        assert_eq!(platform, Platform::GeForceNow);
-        // Downstream orientation: the platform port is the source.
-        assert_eq!(tuple.src_port, 49004);
-        assert_eq!(tuple.normalized(), game.normalized());
-    }
-
-    #[test]
-    fn detect_streaming_tuple_none_without_platform_ports() {
-        use nettrace::pcap::PcapRecord;
-        let records = vec![PcapRecord {
-            ts: 0,
-            tuple: FiveTuple::udp_v4([1, 1, 1, 1], 443, [2, 2, 2, 2], 444),
-            rtp: None,
-            payload_len: 100,
-        }];
-        assert!(detect_streaming_tuple(&records).is_none());
     }
 
     #[test]

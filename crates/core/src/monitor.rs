@@ -232,14 +232,6 @@ impl<'b> TapMonitor<'b> {
         Arc::make_mut(&mut self.obs).journal = sink;
     }
 
-    /// Replaces the clock behind [`finish_idle_now`](Self::finish_idle_now):
-    /// wall time by default, a `VirtualClock` for deterministic tests. The
-    /// clock must share the tap timebase (anchor a `RealClock` at the
-    /// capture origin when replaying).
-    pub fn set_clock(&mut self, clock: nettrace::clock::SharedClock) {
-        self.expiry.set_clock(clock);
-    }
-
     /// Ingests one observed datagram: tap timestamp, wire five-tuple (src =
     /// sender) and RTP payload length. Packets of flows without a platform
     /// port signature are counted and dropped.
@@ -416,15 +408,6 @@ impl<'b> TapMonitor<'b> {
     pub fn finish_idle(&mut self, now: Micros) -> Vec<MonitoredSession> {
         let cutoff = now.saturating_sub(self.config.idle_timeout);
         let due = self.expiry.drain_due(cutoff);
-        self.finalize_due(due)
-    }
-
-    /// Finalizes flows idle past the timeout *on the monitor's clock*
-    /// (see [`set_clock`](Self::set_clock)) — the long-lived-deployment
-    /// form of [`finish_idle`](Self::finish_idle), where "now" is wall
-    /// time instead of a caller-supplied tap timestamp.
-    pub fn finish_idle_now(&mut self) -> Vec<MonitoredSession> {
-        let due = self.expiry.drain_idle(self.config.idle_timeout);
         self.finalize_due(due)
     }
 
@@ -658,30 +641,6 @@ mod tests {
             "examined {examined} wheel entries to expire 1 of 400 flows"
         );
         assert_eq!(monitor.active_flows(), 399);
-    }
-
-    #[test]
-    fn finish_idle_now_expires_on_virtual_time() {
-        use nettrace::clock::VirtualClock;
-        let b = bundle();
-        let s = session(7, GameTitle::Fortnite);
-        let clock = VirtualClock::starting_at(0);
-        let mut monitor = TapMonitor::with_obs(&b, MonitorConfig::default(), Obs::global());
-        monitor.set_clock(clock.shared());
-        for p in &s.packets {
-            monitor.ingest(p.ts, &wire(&s, p), p.payload_len);
-        }
-        let last = s.packets.last().unwrap().ts;
-        // Clock sits just past the last packet: nothing is idle yet.
-        clock.advance_to(last + 10_000_000);
-        assert!(monitor.finish_idle_now().is_empty());
-        assert_eq!(monitor.active_flows(), 1);
-        // One virtual jump past the 60 s timeout — instant, no wall wait.
-        clock.advance_to(last + 61_000_000);
-        let out = monitor.finish_idle_now();
-        assert_eq!(out.len(), 1);
-        assert!(out[0].confirmed);
-        assert_eq!(monitor.active_flows(), 0);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! 3. per slot, objective and effective QoE labels are produced by
 //!    combining measured QoS with the classified context.
 //!
-//! Both ingestion paths converge on the same slot loop: full packet traces
-//! (`analyze_packets`) and launch-packets-plus-volumetrics
-//! (`analyze`) — the latter is what deployment-scale runs use.
+//! Both ingestion paths converge on the same slot loop: packets one at a
+//! time (`push_packet`, what a tap feeds) and launch-packets-plus-
+//! volumetrics (`analyze`, what deployment-scale runs use).
 
 use std::sync::Arc;
 
@@ -503,15 +503,6 @@ impl<'b> SessionAnalyzer<'b> {
         }
     }
 
-    /// Batch path for full packet traces (lab fidelity).
-    pub fn analyze_packets(&mut self, packets: &[Packet]) {
-        self.ingest_title_window(packets);
-        let vol = VolSeries::from_packets(packets, 0, self.bundle.stage_slot);
-        for s in &vol.samples {
-            self.push_slot(s);
-        }
-    }
-
     /// Finalizes the analysis into a report, flushing streaming state.
     pub fn finish(mut self) -> SessionReport {
         // Flush the streaming path: pending title window and partial slot.
@@ -859,7 +850,8 @@ mod streaming_tests {
         let s = full_session(5);
 
         let mut batch = SessionAnalyzer::new(&b, AnalyzerConfig::default(), QoeInputs::default());
-        batch.analyze_packets(&s.packets);
+        let vol = VolSeries::from_packets(&s.packets, 0, b.stage_slot);
+        batch.analyze(&s.packets, &vol);
         let rb = batch.finish();
 
         let mut stream = SessionAnalyzer::new(&b, AnalyzerConfig::default(), QoeInputs::default());

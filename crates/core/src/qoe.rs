@@ -151,7 +151,7 @@ impl Default for CalibrationTable {
 impl CalibrationTable {
     /// Expected active-stage throughput of a context at its settings tier,
     /// Mbps.
-    pub fn expected_active_mbps(&self, ctx: &GameContext) -> f64 {
+    fn expected_active_mbps(&self, ctx: &GameContext) -> f64 {
         let factor = if ctx.settings_factor > 0.0 {
             ctx.settings_factor
         } else {
@@ -180,7 +180,7 @@ impl CalibrationTable {
 
 /// How much of the active-stage demand a stage intrinsically needs
 /// (§3.3's relative volumetric levels).
-pub fn stage_demand_factor(stage: Stage) -> f64 {
+fn stage_demand_factor(stage: Stage) -> f64 {
     match stage {
         Stage::Active => 1.0,
         Stage::Passive => 0.85,

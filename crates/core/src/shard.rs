@@ -54,7 +54,7 @@ pub enum SharedModels {
 
 impl SharedModels {
     /// Borrows this shared handle as a per-monitor [`ModelSource`].
-    pub fn as_source(&self) -> ModelSource<'_> {
+    fn as_source(&self) -> ModelSource<'_> {
         match self {
             SharedModels::Fixed(bundle) => ModelSource::Fixed(bundle),
             SharedModels::Live(slot) => ModelSource::Live(slot),

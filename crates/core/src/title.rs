@@ -116,7 +116,7 @@ impl TitleClassifier {
     /// margin (top vote share minus runner-up share) — the label-free
     /// drift signal, computed from the same probability pass at no extra
     /// inference cost.
-    pub fn classify_features_scored(&self, attrs: &[f64]) -> (TitlePrediction, f64) {
+    fn classify_features_scored(&self, attrs: &[f64]) -> (TitlePrediction, f64) {
         let mut proba = vec![0.0f64; self.flat.n_classes()];
         self.flat.predict_proba_into(attrs, &mut proba);
         let best = argmax(&proba);

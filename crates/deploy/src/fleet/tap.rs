@@ -27,7 +27,7 @@ use cgc_obs::{
 };
 use gamesim::{Fidelity, SessionGenerator};
 use nettrace::clock::SharedClock;
-use nettrace::packet::{Direction, FiveTuple};
+use nettrace::packet::Direction;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -74,14 +74,6 @@ pub struct TapFleetRun {
     pub snapshot: Snapshot,
     /// Per-flow decision timelines from the run's journal.
     pub timelines: Vec<FlowTimeline>,
-}
-
-impl TapFleetRun {
-    /// The timeline recorded for `tuple`'s flow, if any.
-    pub fn timeline_for(&self, tuple: &FiveTuple) -> Option<&FlowTimeline> {
-        let id = tuple.flow_id();
-        self.timelines.iter().find(|t| t.flow == id)
-    }
 }
 
 /// Builds the interleaved tap feed [`run_tap_fleet`] analyzes:
@@ -319,14 +311,6 @@ pub struct TapReplayRun {
     pub traces: Vec<TraceTimeline>,
 }
 
-impl TapReplayRun {
-    /// The span timeline recorded for `tuple`'s flow, if any.
-    pub fn trace_for(&self, tuple: &FiveTuple) -> Option<&TraceTimeline> {
-        let id = tuple.flow_id();
-        self.traces.iter().find(|t| t.flow == id)
-    }
-}
-
 /// [`drive_tap_feed`] on a registry, journal and (per `opts.trace`) span
 /// collector private to the run, handed back as the snapshot, the
 /// decision timelines and the span timelines of a [`TapReplayRun`] — the
@@ -381,7 +365,12 @@ mod tests {
     use super::*;
     use crate::train::quick_bundle;
     use cgc_obs::event::{CloseCause, EventKind};
-    use nettrace::VirtualClock;
+    use nettrace::{FiveTuple, VirtualClock};
+
+    fn timeline_for<'a>(run: &'a TapFleetRun, tuple: &FiveTuple) -> Option<&'a FlowTimeline> {
+        let id = tuple.flow_id();
+        run.timelines.iter().find(|t| t.flow == id)
+    }
 
     fn replay_whole_feed(cfg: &TapFleetConfig, opts: TapReplayOptions) -> TapReplayRun {
         run_tap_feed_replay(
@@ -437,7 +426,7 @@ mod tests {
         // bracketed by admission and closure, nothing dropped.
         assert_eq!(run.timelines.len(), 6);
         for m in sessions {
-            let tl = run.timeline_for(&m.tuple).expect("timeline per session");
+            let tl = timeline_for(&run, &m.tuple).expect("timeline per session");
             assert_eq!(tl.first_event(), "flow_admitted");
             assert_eq!(tl.last_event(), "flow_closed");
         }
@@ -476,7 +465,12 @@ mod tests {
             Some(0)
         );
         for m in &run.fleet.sessions {
-            let tl = run.trace_for(&m.tuple).expect("trace per session");
+            let id = m.tuple.flow_id();
+            let tl = run
+                .traces
+                .iter()
+                .find(|t| t.flow == id)
+                .expect("trace per session");
             assert!(!tl.truncated);
             assert_eq!(
                 tl.stages(),
@@ -497,7 +491,7 @@ mod tests {
             assert_eq!(chain.last().unwrap().stage, TraceStage::Verdict);
             // Trace flow ids are journal flow ids: the decision timeline
             // and the span timeline key to the same normalized hash.
-            assert!(run.fleet.timeline_for(&m.tuple).is_some());
+            assert!(timeline_for(&run.fleet, &m.tuple).is_some());
         }
         // Without the option, the same run keeps every stage span-free.
         let quiet = replay_whole_feed(&cfg, TapReplayOptions::default());
@@ -538,7 +532,7 @@ mod tests {
         let swept = run(Some(EVERY));
 
         let close_cause = |run: &TapReplayRun, m: &MonitoredSession| {
-            let timeline = run.fleet.timeline_for(&m.tuple).expect("journaled flow");
+            let timeline = timeline_for(&run.fleet, &m.tuple).expect("journaled flow");
             match timeline.events.last().expect("closed flow").kind {
                 EventKind::FlowClosed { cause, .. } => cause,
                 ref other => panic!("last event is {other}, not a closure"),

@@ -170,7 +170,7 @@ impl LifecyclePilot {
     /// flight recorder kept per flow) joined with the "server log"
     /// truth pattern, sampled at the same prefix ladder the original
     /// training used so confidence keeps behaving on short windows.
-    pub fn relabel_pattern_dataset(records: &[SessionRecord]) -> Dataset {
+    fn relabel_pattern_dataset(records: &[SessionRecord]) -> Dataset {
         let prefixes = [30usize, 60, 90, 150, 240, 420, 600, 900, usize::MAX];
         let mut x = Vec::new();
         let mut y = Vec::new();
@@ -191,12 +191,8 @@ impl LifecyclePilot {
         Dataset::new(x, y).with_n_classes(2)
     }
 
-    /// Synchronously fits, registers and arms a shadow candidate: the
-    /// live bundle with its pattern inferrer retrained on the
-    /// re-labeled journal evidence. Returns the candidate's registry
-    /// version. ([`LifecyclePilot::shadow_retrain`] is the off-thread
-    /// wrapper deployments use so training never stalls the pipeline.)
-    pub fn retrain_now(&self, records: &[SessionRecord]) -> io::Result<u32> {
+    /// The synchronous body of [`LifecyclePilot::shadow_retrain`].
+    fn retrain_now(&self, records: &[SessionRecord]) -> io::Result<u32> {
         let data = Self::relabel_pattern_dataset(records);
         if data.len() < 8 {
             return Err(io::Error::new(
@@ -217,10 +213,11 @@ impl LifecyclePilot {
         Ok(manifest.version)
     }
 
-    /// Kicks off [`LifecyclePilot::retrain_now`] on a background thread
-    /// (the drift-alarm handler's shape: the pipeline keeps serving the
-    /// live version while the candidate fits). Join the handle for the
-    /// registered version.
+    /// Fits, registers and arms a shadow candidate on a background thread
+    /// — the live bundle with its pattern inferrer retrained on the
+    /// re-labeled journal evidence (the drift-alarm handler's shape: the
+    /// pipeline keeps serving the live version while the candidate fits).
+    /// Join the handle for the candidate's registry version.
     pub fn shadow_retrain(
         self: &Arc<Self>,
         records: Vec<SessionRecord>,

@@ -106,7 +106,7 @@ fn gen_session(
 
 /// Builds the title dataset: launch-attribute vectors labeled with
 /// [`GameTitle::index`], augmented per §4.4.
-pub fn title_dataset(cfg: &TrainConfig) -> Dataset {
+fn title_dataset(cfg: &TrainConfig) -> Dataset {
     let mut generator = SessionGenerator::new();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let attr = &cfg.title_cfg.attr;
@@ -140,7 +140,7 @@ pub fn title_dataset(cfg: &TrainConfig) -> Dataset {
 
 /// Builds the stage dataset: per-slot pipeline features labeled with the
 /// ground-truth stage at the slot midpoint (4 classes incl. launch).
-pub fn stage_dataset(cfg: &TrainConfig) -> Dataset {
+fn stage_dataset(cfg: &TrainConfig) -> Dataset {
     let mut generator = SessionGenerator::new();
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5747_4f45);
     let slot = ModelBundle::DEFAULT_STAGE_SLOT;
@@ -196,10 +196,7 @@ fn cfg_stage_feature() -> cgc_features::vol_attrs::StageFeatureConfig {
 /// The per-slot stage sequence the deployed pipeline would classify for a
 /// session (peak seeding from the first slots, then slot-by-slot
 /// classification).
-pub fn classified_stage_sequence(
-    stage_clf: &StageClassifier,
-    s: &Session,
-) -> Vec<cgc_domain::Stage> {
+fn classified_stage_sequence(stage_clf: &StageClassifier, s: &Session) -> Vec<cgc_domain::Stage> {
     let slot = ModelBundle::DEFAULT_STAGE_SLOT;
     let vol = s.vol_at(slot);
     let seed_slots = 10usize.min(vol.len());
@@ -217,7 +214,7 @@ pub fn classified_stage_sequence(
 /// classifier produces (not from ground truth), so the inferrer is trained
 /// on the same flickery distribution it will see in deployment. One sample
 /// per prefix length per session.
-pub fn pattern_dataset_with(stage_clf: &StageClassifier, cfg: &TrainConfig) -> Dataset {
+fn pattern_dataset_with(stage_clf: &StageClassifier, cfg: &TrainConfig) -> Dataset {
     let mut generator = SessionGenerator::new();
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5041_5454);
     // Short prefixes are deliberately included: early transition matrices
@@ -269,8 +266,7 @@ pub fn pattern_dataset_with(stage_clf: &StageClassifier, cfg: &TrainConfig) -> D
 }
 
 /// Builds the pattern dataset, training an intermediate stage classifier
-/// from the same config (convenience wrapper over
-/// [`pattern_dataset_with`]).
+/// from the same config.
 pub fn pattern_dataset(cfg: &TrainConfig) -> Dataset {
     let stage = StageClassifier::train(&stage_dataset(cfg), cfg.stage_cfg);
     pattern_dataset_with(&stage, cfg)

@@ -32,7 +32,7 @@ impl Platform {
     ];
 
     /// Matches a server-side UDP port against the platform's signature.
-    pub fn matches_port(&self, port: u16) -> bool {
+    fn matches_port(&self, port: u16) -> bool {
         match self {
             Platform::GeForceNow => (49003..=49006).contains(&port),
             Platform::XboxCloud => (3074..=3076).contains(&port) || port == 9002,

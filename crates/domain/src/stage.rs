@@ -35,11 +35,6 @@ impl Stage {
         Stage::GAMEPLAY.iter().position(|s| *s == self)
     }
 
-    /// Gameplay stage from its class id.
-    pub fn from_class_id(i: usize) -> Option<Stage> {
-        Stage::GAMEPLAY.get(i).copied()
-    }
-
     /// True for the three gameplay stages.
     pub fn is_gameplay(self) -> bool {
         self != Stage::Launch
@@ -62,12 +57,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn class_ids_roundtrip() {
-        for s in Stage::GAMEPLAY {
-            assert_eq!(Stage::from_class_id(s.class_id().unwrap()), Some(s));
+    fn class_ids_index_the_gameplay_stages() {
+        for (i, s) in Stage::GAMEPLAY.into_iter().enumerate() {
+            assert_eq!(s.class_id(), Some(i));
         }
         assert_eq!(Stage::Launch.class_id(), None);
-        assert_eq!(Stage::from_class_id(3), None);
     }
 
     #[test]

@@ -140,13 +140,6 @@ pub fn flow_volumetric_attributes(packets: &[Packet], cfg: &LaunchAttrConfig) ->
     out
 }
 
-/// Names for the flow-volumetric attributes.
-pub fn flow_volumetric_names(cfg: &LaunchAttrConfig) -> Vec<String> {
-    (0..cfg.n_slots())
-        .flat_map(|s| [format!("pkt_rate[{s}]"), format!("kbytes[{s}]")])
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,7 +227,6 @@ mod tests {
         assert_eq!(attrs[0], 2.0); // slot 0 count
         assert!((attrs[1] - 2.0).abs() < 1e-9); // slot 0 KB (2 × 1000 B wire)
         assert_eq!(attrs[2], 1.0); // slot 1 count
-        assert_eq!(flow_volumetric_names(&cfg).len(), 10);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use cgc_domain::Stage;
 use serde::{Deserialize, Serialize};
 
 /// Number of pattern attributes (3 × 3 transition cells).
-pub const N_TRANSITION_FEATURES: usize = 9;
+const N_TRANSITION_FEATURES: usize = 9;
 
 /// Streaming accumulator of per-slot stage transitions.
 ///

@@ -12,13 +12,13 @@
 //! peak as gameplay exceeds it.
 
 use nettrace::units::Micros;
-use nettrace::vol::{VolSample, VolSeries};
+use nettrace::vol::VolSample;
 use serde::{Deserialize, Serialize};
 
 use crate::relative::{Ema, PeakNormalizer};
 
 /// Number of volumetric attributes per slot.
-pub const N_STAGE_FEATURES: usize = 4;
+const N_STAGE_FEATURES: usize = 4;
 
 /// Configuration of the stage-feature extractor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -79,11 +79,6 @@ impl StageFeatureExtractor {
     pub fn push(&mut self, sample: &VolSample) -> [f64; N_STAGE_FEATURES] {
         let raw = raw_features(sample, self.width_secs);
         std::array::from_fn(|i| self.emas[i].push(self.norms[i].push(raw[i])))
-    }
-
-    /// Convenience: extract features for every slot of a gameplay series.
-    pub fn extract_series(&mut self, series: &VolSeries) -> Vec<[f64; N_STAGE_FEATURES]> {
-        series.samples.iter().map(|s| self.push(s)).collect()
     }
 }
 
@@ -172,13 +167,5 @@ mod tests {
         let f = ex.push(&sample(125_000, 100, 1_000, 2));
         // 1 Mbps against the 1 Mbps floor → reaches (or raises) the peak.
         assert!(f[0] > 0.9, "down rel {}", f[0]);
-    }
-
-    #[test]
-    fn extract_series_maps_all_slots() {
-        let cfg = StageFeatureConfig::default();
-        let mut ex = StageFeatureExtractor::new(&cfg, MICROS_PER_SEC, &[]);
-        let series = VolSeries::from_samples(vec![sample(1, 1, 1, 1); 7], 0, MICROS_PER_SEC);
-        assert_eq!(ex.extract_series(&series).len(), 7);
     }
 }

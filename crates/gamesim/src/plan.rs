@@ -101,7 +101,7 @@ mod rand_distr_normal {
     use rand::rngs::StdRng;
     use rand::Rng;
 
-    pub fn sample_normal(rng: &mut StdRng, mean: f64, std: f64) -> f64 {
+    pub(super) fn sample_normal(rng: &mut StdRng, mean: f64, std: f64) -> f64 {
         let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = rng.gen();
         mean + std * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

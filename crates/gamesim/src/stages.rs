@@ -214,26 +214,22 @@ impl StageTimeline {
         }
         out
     }
-
-    /// 3×3 per-slot transition counts over the gameplay stage sequence
-    /// (rows = from, cols = to, order idle/passive/active), including
-    /// self-retention — the raw form of the Fig. 5 transition statistics
-    /// and of the pattern-inference attributes.
-    pub fn transition_counts(&self, width: Micros) -> [[u64; 3]; 3] {
-        let seq = self.slot_stages(width);
-        let mut m = [[0u64; 3]; 3];
-        for w in seq.windows(2) {
-            let (a, b) = (w[0].class_id().unwrap(), w[1].class_id().unwrap());
-            m[a][b] += 1;
-        }
-        m
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// 3×3 per-slot transition counts over the gameplay stage sequence
+    /// (rows = from, cols = to, class-id order), self-retention included.
+    fn transition_counts(tl: &StageTimeline, width: Micros) -> [[u64; 3]; 3] {
+        let mut m = [[0u64; 3]; 3];
+        for w in tl.slot_stages(width).windows(2) {
+            m[w[0].class_id().unwrap()][w[1].class_id().unwrap()] += 1;
+        }
+        m
+    }
 
     fn neutral() -> StageMix {
         StageMix {
@@ -336,7 +332,7 @@ mod tests {
             1800.0,
             &mut rng,
         );
-        let m = tl.transition_counts(1_000_000);
+        let m = transition_counts(&tl, 1_000_000);
         let total: u64 = m.iter().flatten().sum();
         assert_eq!(total, 1800 - 1);
         // Dwells are tens of seconds, so self-transitions dominate.
@@ -354,7 +350,7 @@ mod tests {
             3600.0,
             &mut rng,
         );
-        let m = tl.transition_counts(1_000_000);
+        let m = transition_counts(&tl, 1_000_000);
         let passive_row: u64 = m[Stage::Passive.class_id().unwrap()].iter().sum();
         let total: u64 = m.iter().flatten().sum();
         assert!((passive_row as f64) < 0.05 * total as f64);

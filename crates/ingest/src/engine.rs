@@ -19,10 +19,9 @@
 //! the record into its ring slot and one counter increment; the flow's
 //! identity hash ([`FiveTuple::flow_id`], byte-serial FNV-1a) is only
 //! computed when a trace sink is enabled.
-//! Each sweep the router sizes a per-queue drain batch from its
-//! [`BatchPolicy`] — under the default adaptive policy the observed
-//! queue depth picks the size, so shallow queues hand records off with
-//! minimal latency while deep queues amortize per-batch sink overhead —
+//! Each sweep the router sizes a per-queue drain batch from the observed
+//! queue depth, clamped into `[32, 8192]` — shallow queues hand records
+//! off with minimal latency, deep queues amortize per-batch sink overhead —
 //! claims that many records from the ring in one run
 //! ([`BoundedQueue::pop_into`]: one compare-exchange per batch, not per
 //! record) and hands them to the sink. Queue depths, batch counts, the
@@ -120,8 +119,8 @@ impl BatchSink for MonitorSink {
     type Output = (Vec<MonitoredSession>, MonitorStats);
 
     fn on_batch(&mut self, records: &[TapRecord]) {
-        // One partitioned dispatch per router batch: the batch policy's
-        // size choice becomes the unit of delivery to the shard workers.
+        // One partitioned dispatch per router batch: the router's size
+        // choice becomes the unit of delivery to the shard workers.
         self.monitor.ingest_batch(records);
     }
 
@@ -141,73 +140,19 @@ impl BatchSink for MonitorSink {
     }
 }
 
-/// How the router sizes each per-queue drain batch.
-///
-/// Batch size trades hand-off latency against per-batch sink overhead:
-/// a small batch reaches the sink as soon as it is popped, a large one
-/// amortizes the sink's fixed per-call cost across more records. The
-/// adaptive policy resolves the trade at runtime from the observed
-/// queue depth — a shallow queue means arrivals are trickling in and
-/// latency dominates, a deep queue means the router is behind and
-/// throughput dominates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// Pop up to this many records per queue per sweep regardless of
-    /// depth (≥ 1) — the pre-adaptive behaviour, kept for benchmarks
-    /// and for pinning batch size in tests.
-    Fixed(usize),
-    /// Size each batch to the queue's observed depth, clamped into
-    /// `[min, max]`: depth-many records when `min ≤ depth ≤ max`, so a
-    /// near-empty queue hands off immediately and a backlogged queue
-    /// drains in `max`-record gulps.
-    Adaptive {
-        /// Smallest batch worth a sink call (≥ 1).
-        min: usize,
-        /// Largest batch popped in one gulp; bounds sink call latency
-        /// and the router's reusable buffer (≥ `min`).
-        max: usize,
-    },
-}
+/// Smallest drain batch the router asks a queue for: at trickle rates a
+/// hand-off this small is still cheap, and a shallow queue must not wait
+/// for more.
+const BATCH_MIN: usize = 32;
 
-impl BatchPolicy {
-    /// Records to pop from a queue currently holding `depth` records.
-    ///
-    /// ```
-    /// use cgc_ingest::BatchPolicy;
-    /// let adaptive = BatchPolicy::default(); // Adaptive { min: 32, max: 8192 }
-    /// assert_eq!(adaptive.size_for(4), 32); // shallow queue: min-size hand-off
-    /// assert_eq!(adaptive.size_for(500), 500); // mid-range tracks depth
-    /// assert_eq!(adaptive.size_for(100_000), 8_192); // backlog: max-size gulps
-    /// ```
-    pub fn size_for(&self, depth: usize) -> usize {
-        match *self {
-            BatchPolicy::Fixed(n) => n.max(1),
-            BatchPolicy::Adaptive { min, max } => {
-                let min = min.max(1);
-                depth.clamp(min, max.max(min))
-            }
-        }
-    }
+/// Largest drain batch popped in one gulp: bounds one sink call's latency
+/// and the router's reusable buffer, and is past the point where a larger
+/// batch amortizes the sink's per-call cost any further.
+const BATCH_MAX: usize = 8_192;
 
-    /// Largest batch this policy can ever request (buffer sizing).
-    fn max_size(&self) -> usize {
-        match *self {
-            BatchPolicy::Fixed(n) => n.max(1),
-            BatchPolicy::Adaptive { min, max } => max.max(min).max(1),
-        }
-    }
-}
-
-impl Default for BatchPolicy {
-    /// Adaptive over `32..=8192`: single-record hand-offs are still
-    /// cheap enough at trickle rates, and 8192 records per sink call is
-    /// past the point of diminishing amortization returns.
-    fn default() -> Self {
-        BatchPolicy::Adaptive {
-            min: 32,
-            max: 8_192,
-        }
-    }
+/// Records to pop from a queue currently holding `depth` records.
+fn batch_size_for(depth: usize) -> usize {
+    depth.clamp(BATCH_MIN, BATCH_MAX)
 }
 
 /// Engine sizing and policy.
@@ -219,8 +164,6 @@ pub struct IngestConfig {
     pub queue_capacity: usize,
     /// What producers do when their queue is full.
     pub policy: BackpressurePolicy,
-    /// How the router sizes each per-queue drain batch.
-    pub batch: BatchPolicy,
     /// Clock driving [`BatchSink::on_tick`]; `None` disables ticks.
     pub clock: Option<SharedClock>,
     /// Span recorder for the Queue/Router stages; disabled by default —
@@ -234,7 +177,6 @@ impl Default for IngestConfig {
             queues: 2,
             queue_capacity: 65_536,
             policy: BackpressurePolicy::Block,
-            batch: BatchPolicy::default(),
             clock: None,
             trace: TraceSink::disabled(),
         }
@@ -400,11 +342,10 @@ impl<S: BatchSink> IngestEngine<S> {
             shared.metrics.queue_capacity.set(q.capacity() as i64);
         }
         let router_shared = Arc::clone(&shared);
-        let batch = config.batch;
         let clock = config.clock.clone();
         let router = std::thread::Builder::new()
             .name("ingest-router".into())
-            .spawn(move || router_loop(router_shared, sink, batch, clock))
+            .spawn(move || router_loop(router_shared, sink, clock))
             .expect("spawn ingest router");
         IngestEngine {
             shared,
@@ -428,7 +369,7 @@ impl<S: BatchSink> IngestEngine<S> {
     /// Stops admitting new records without waiting for the drain. Pushes
     /// after this point fail fast and are counted in
     /// `cgc_ingest_rejected_closed_total`. Idempotent.
-    pub fn begin_shutdown(&self) {
+    fn begin_shutdown(&self) {
         self.shared.accepting.store(false, Ordering::Release);
     }
 
@@ -482,17 +423,16 @@ impl<S: BatchSink> std::fmt::Debug for IngestEngine<S> {
 fn router_loop<S: BatchSink>(
     shared: Arc<EngineShared>,
     mut sink: S,
-    batch: BatchPolicy,
     clock: Option<SharedClock>,
 ) -> S::Output {
-    let mut buf: Vec<TapRecord> = Vec::with_capacity(batch.max_size().min(65_536));
+    let mut buf: Vec<TapRecord> = Vec::with_capacity(BATCH_MAX);
     let mut empty_sweeps = 0u32;
     loop {
         let mut handed = 0u64;
         for (i, queue) in shared.queues.iter().enumerate() {
             // Depth is sampled once per sweep; racing producers only make
             // the batch smaller or larger than ideal, never incorrect.
-            let target = batch.size_for(queue.len());
+            let target = batch_size_for(queue.len());
             buf.clear();
             queue.pop_into(&mut buf, target);
             shared.metrics.queue_depth[i].set(queue.len() as i64);
@@ -669,74 +609,42 @@ mod tests {
 
     #[test]
     fn batch_policy_sizes_by_depth() {
-        let fixed = BatchPolicy::Fixed(256);
-        assert_eq!(fixed.size_for(0), 256);
-        assert_eq!(fixed.size_for(1_000_000), 256);
-        assert_eq!(BatchPolicy::Fixed(0).size_for(10), 1, "floored at 1");
-
-        let adaptive = BatchPolicy::Adaptive { min: 32, max: 8192 };
-        assert_eq!(adaptive.size_for(0), 32, "shallow clamps to min");
-        assert_eq!(adaptive.size_for(500), 500, "mid-range tracks depth");
-        assert_eq!(adaptive.size_for(100_000), 8192, "deep clamps to max");
-
-        let degenerate = BatchPolicy::Adaptive { min: 64, max: 8 };
-        assert_eq!(degenerate.size_for(1_000), 64, "max lifted to min");
+        assert_eq!(batch_size_for(0), BATCH_MIN, "shallow clamps to min");
+        assert_eq!(batch_size_for(500), 500, "mid-range tracks depth");
+        assert_eq!(batch_size_for(100_000), BATCH_MAX, "deep clamps to max");
     }
 
     #[test]
-    fn batch_size_histogram_tracks_the_policy_cap() {
+    fn depth_sized_batching_drains_losslessly_and_respects_max() {
+        // More records than one gulp may take: however far the router
+        // falls behind, a batch stops at the cap.
+        const RECORDS: u64 = 3 * BATCH_MAX as u64;
         let registry = Registry::new();
         let engine = IngestEngine::start(
             VecSink(Vec::new()),
             IngestConfig {
                 queues: 1,
-                batch: BatchPolicy::Fixed(4),
                 ..Default::default()
             },
             &registry,
         );
         let producer = engine.producer();
-        for i in 0..1_000u64 {
+        for i in 0..RECORDS {
             assert!(producer.push(i, &tuple(1), 1200));
         }
         drop(producer);
         let run = engine.shutdown();
-        assert_eq!(run.handed_off, 1_000);
-        let snap = registry.snapshot();
-        let hist = snap.histogram("cgc_ingest_batch_size").unwrap();
-        assert!(hist.count > 0, "non-empty batches must be observed");
-        assert_eq!(hist.sum, 1_000, "histogram sums to records handed off");
-        assert!(
-            hist.max <= 4,
-            "no batch may exceed Fixed(4), saw {}",
-            hist.max
-        );
-    }
-
-    #[test]
-    fn adaptive_batching_drains_losslessly_and_respects_max() {
-        let registry = Registry::new();
-        let engine = IngestEngine::start(
-            VecSink(Vec::new()),
-            IngestConfig {
-                queues: 1,
-                batch: BatchPolicy::Adaptive { min: 8, max: 64 },
-                ..Default::default()
-            },
-            &registry,
-        );
-        let producer = engine.producer();
-        for i in 0..10_000u64 {
-            assert!(producer.push(i, &tuple(1), 1200));
-        }
-        drop(producer);
-        let run = engine.shutdown();
-        assert_eq!(run.handed_off, 10_000);
+        assert_eq!(run.handed_off, RECORDS);
         assert_eq!(run.dropped, 0);
         let snap = registry.snapshot();
         let hist = snap.histogram("cgc_ingest_batch_size").unwrap();
-        assert_eq!(hist.sum, 10_000);
-        assert!(hist.max <= 64, "adaptive max bounds every batch");
+        assert!(hist.count > 0, "non-empty batches must be observed");
+        assert_eq!(hist.sum, RECORDS, "histogram sums to records handed off");
+        assert!(
+            hist.max <= BATCH_MAX as u64,
+            "no batch may exceed BATCH_MAX, saw {}",
+            hist.max
+        );
     }
 
     #[test]

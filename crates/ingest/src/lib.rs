@@ -15,7 +15,7 @@
 //!   (`cgc_ingest_queue_depth{shard=…}`,
 //!   `cgc_ingest_dropped_total{policy=…}`).
 //! * **The engine** ([`engine`]): a router thread draining the queues in
-//!   adaptively sized batches (see [`BatchPolicy`]) into a [`BatchSink`]
+//!   batches sized by queue depth (clamped to `[32, 8192]`) into a [`BatchSink`]
 //!   — [`MonitorSink`] feeds the sharded tap monitor — plus graceful
 //!   shutdown that quiesces producers, drains the queues dry and emits
 //!   final session verdicts.
@@ -67,9 +67,7 @@ pub mod metrics;
 pub mod queue;
 pub mod replay;
 
-pub use engine::{
-    BatchPolicy, BatchSink, IngestConfig, IngestEngine, IngestProducer, IngestRun, MonitorSink,
-};
+pub use engine::{BatchSink, IngestConfig, IngestEngine, IngestProducer, IngestRun, MonitorSink};
 pub use merge::{
     merge_sources, split_round_robin, KWayMerge, MergeConfig, MergeSource, MergeStats,
 };

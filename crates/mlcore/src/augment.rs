@@ -4,8 +4,7 @@
 //! randomly varied sizes and arrival times based on the original
 //! ground-truth data, especially for classes with fewer samples". In
 //! feature space that corresponds to multiplicative jitter on the derived
-//! attributes; [`augment_to_balance`] additionally oversamples minority
-//! classes to a common per-class count.
+//! attributes.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,28 +25,6 @@ pub fn augment_multiply(data: &Dataset, factor: usize, rel_noise: f64, seed: u64
         for (row, &label) in data.x.iter().zip(&data.y) {
             out.x.push(jitter(row, rel_noise, &mut rng));
             out.y.push(label);
-        }
-    }
-    out
-}
-
-/// Oversamples every class to `per_class` samples by adding jittered
-/// variants of randomly chosen existing samples of that class. Classes that
-/// already have `per_class` or more samples are left untouched.
-pub fn augment_to_balance(data: &Dataset, per_class: usize, rel_noise: f64, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = data.clone();
-    for class in 0..data.n_classes {
-        let idx = data.class_indices(class);
-        if idx.is_empty() {
-            continue;
-        }
-        let mut have = idx.len();
-        while have < per_class {
-            let &src = &idx[rng.gen_range(0..idx.len())];
-            out.x.push(jitter(&data.x[src], rel_noise, &mut rng));
-            out.y.push(class);
-            have += 1;
         }
     }
     out
@@ -92,23 +69,6 @@ mod tests {
         let a = augment_multiply(&d, 1, 0.2, 5);
         assert_eq!(a.x, d.x);
         assert_eq!(a.y, d.y);
-    }
-
-    #[test]
-    fn balance_fills_minority_class() {
-        let d = toy(); // class 0: 2 samples, class 1: 1 sample
-        let a = augment_to_balance(&d, 5, 0.05, 2);
-        assert_eq!(a.class_indices(0).len(), 5);
-        assert_eq!(a.class_indices(1).len(), 5);
-        assert_eq!(a.len(), 10);
-    }
-
-    #[test]
-    fn balance_leaves_majority_untouched() {
-        let d = toy();
-        let a = augment_to_balance(&d, 2, 0.05, 3);
-        assert_eq!(a.class_indices(0).len(), 2);
-        assert_eq!(a.class_indices(1).len(), 2);
     }
 
     #[test]

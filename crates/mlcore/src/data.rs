@@ -147,28 +147,6 @@ impl Dataset {
         test_idx.shuffle(&mut rng);
         (self.subset(&train_idx), self.subset(&test_idx))
     }
-
-    /// Stratified k-fold indices: returns `k` (train, test) index pairs.
-    pub fn k_folds(&self, k: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
-        assert!(k >= 2, "need at least 2 folds");
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Assign each sample a fold, stratified per class.
-        let mut fold_of = vec![0usize; self.len()];
-        for class in 0..self.n_classes {
-            let mut idx = self.class_indices(class);
-            idx.shuffle(&mut rng);
-            for (j, &i) in idx.iter().enumerate() {
-                fold_of[i] = j % k;
-            }
-        }
-        (0..k)
-            .map(|f| {
-                let test: Vec<usize> = (0..self.len()).filter(|&i| fold_of[i] == f).collect();
-                let train: Vec<usize> = (0..self.len()).filter(|&i| fold_of[i] != f).collect();
-                (train, test)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -225,22 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn k_folds_partition_all_samples() {
-        let d = toy(9, 3);
-        let folds = d.k_folds(3, 2);
-        assert_eq!(folds.len(), 3);
-        let mut seen = vec![0; d.len()];
-        for (train, test) in &folds {
-            assert_eq!(train.len() + test.len(), d.len());
-            for &i in test {
-                seen[i] += 1;
-            }
-        }
-        // Each sample appears in exactly one test fold.
-        assert!(seen.iter().all(|&c| c == 1));
-    }
-
-    #[test]
     fn extend_merges() {
         let mut a = toy(2, 2);
         let b = toy(3, 3);
@@ -265,76 +227,5 @@ mod tests {
     fn feature_names_roundtrip() {
         let d = toy(2, 2).with_feature_names(vec!["a".into(), "b".into()]);
         assert_eq!(d.feature_names, vec!["a", "b"]);
-    }
-}
-
-/// Mean k-fold cross-validated accuracy of a model family: `fit` builds a
-/// model from each fold's training subset, which is then scored on the
-/// held-out fold — the model-selection procedure behind the paper's
-/// hyperparameter sweeps (Appendix C).
-pub fn cross_validate<C, F>(data: &Dataset, k: usize, seed: u64, mut fit: F) -> f64
-where
-    C: crate::Classifier,
-    F: FnMut(&Dataset) -> C,
-{
-    let folds = data.k_folds(k, seed);
-    let mut acc_sum = 0.0;
-    for (train_idx, test_idx) in &folds {
-        let train = data.subset(train_idx);
-        let test = data.subset(test_idx);
-        let model = fit(&train);
-        let preds = model.predict_batch(&test.x);
-        acc_sum += crate::metrics::accuracy(&test.y, &preds);
-    }
-    acc_sum / folds.len() as f64
-}
-
-#[cfg(test)]
-mod cv_tests {
-    use super::*;
-    use crate::forest::{RandomForest, RandomForestConfig};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn cross_validation_scores_separable_data_high() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut x = Vec::new();
-        let mut y = Vec::new();
-        for _ in 0..120 {
-            let c = rng.gen_range(0..2usize);
-            x.push(vec![c as f64 * 3.0 + rng.gen_range(-1.0..1.0)]);
-            y.push(c);
-        }
-        let data = Dataset::new(x, y);
-        let acc = cross_validate(&data, 5, 3, |train| {
-            RandomForest::fit(
-                train,
-                &RandomForestConfig {
-                    n_trees: 10,
-                    ..Default::default()
-                },
-            )
-        });
-        assert!(acc > 0.9, "cv accuracy {acc}");
-    }
-
-    #[test]
-    fn cross_validation_scores_random_labels_low() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let data = Dataset::new(
-            (0..100).map(|_| vec![rng.gen_range(-1.0..1.0)]).collect(),
-            (0..100).map(|_| rng.gen_range(0..2)).collect(),
-        );
-        let acc = cross_validate(&data, 4, 5, |train| {
-            RandomForest::fit(
-                train,
-                &RandomForestConfig {
-                    n_trees: 10,
-                    ..Default::default()
-                },
-            )
-        });
-        assert!((0.25..0.75).contains(&acc), "cv accuracy {acc}");
     }
 }

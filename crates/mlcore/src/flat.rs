@@ -8,7 +8,8 @@
 //! [`FlatForest`] compiles a trained forest into one contiguous
 //! structure-of-arrays node table shared by all trees:
 //!
-//! * `feature[i]` — split feature of node `i`, or [`LEAF`] for a leaf;
+//! * `feature[i]` — split feature of node `i`, or `LEAF` (`u32::MAX`) for a
+//!   leaf;
 //! * `threshold[i]` — split threshold;
 //! * `child[i]` — for a split, the index of the *left* child (the right
 //!   child is always `child[i] + 1`: sibling pairs are allocated
@@ -43,7 +44,7 @@ use crate::tree::Node;
 use crate::{argmax, Classifier};
 
 /// Sentinel marking a leaf in [`FlatForest`]'s `feature` array.
-pub const LEAF: u32 = u32::MAX;
+const LEAF: u32 = u32::MAX;
 
 /// A forest compiled to a flat SoA node-array layout for fast inference.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -363,17 +364,9 @@ impl FlatForest {
         }
     }
 
-    /// Batch probability inference, allocating one row per input.
-    pub fn predict_proba_batch<R: AsRef<[f64]>>(&self, xs: &[R]) -> Vec<Vec<f64>> {
-        let nc = self.n_classes;
-        let mut flat = vec![0.0; xs.len() * nc];
-        self.predict_proba_batch_into(xs, &mut flat);
-        flat.chunks(nc.max(1)).map(<[f64]>::to_vec).collect()
-    }
-
     /// Batch class prediction over rows of any slice-like feature type
     /// (the trait's `predict_batch` is fixed to `&[Vec<f64>]`).
-    pub fn predict_rows<R: AsRef<[f64]>>(&self, xs: &[R]) -> Vec<usize> {
+    fn predict_rows<R: AsRef<[f64]>>(&self, xs: &[R]) -> Vec<usize> {
         let nc = self.n_classes.max(1);
         let mut scores = vec![0.0; xs.len() * nc];
         self.predict_proba_batch_into(xs, &mut scores);
@@ -453,9 +446,11 @@ mod tests {
     #[test]
     fn batch_matches_single_row() {
         let (_, flat, d) = fitted(2);
-        let batch = flat.predict_proba_batch(&d.x);
-        for (x, row) in d.x.iter().zip(&batch) {
-            assert_eq!(&flat.predict_proba(x), row);
+        let nc = flat.n_classes();
+        let mut batch = vec![0.0; d.x.len() * nc];
+        flat.predict_proba_batch_into(&d.x, &mut batch);
+        for (x, row) in d.x.iter().zip(batch.chunks(nc)) {
+            assert_eq!(flat.predict_proba(x), row);
         }
         assert_eq!(
             flat.predict_batch(&d.x),

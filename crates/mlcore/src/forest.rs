@@ -81,73 +81,6 @@ impl RandomForest {
         }
     }
 
-    /// Fits a forest and estimates the out-of-bag error: each sample is
-    /// scored only by trees whose bootstrap resample missed it (≈36.8 % of
-    /// trees), giving an unbiased generalization estimate without a
-    /// held-out split. Returns `(forest, oob_error)`; samples that every
-    /// tree saw (possible with very few trees) are skipped.
-    pub fn fit_oob(data: &Dataset, config: &RandomForestConfig) -> (RandomForest, f64) {
-        assert!(!data.is_empty(), "cannot fit on an empty dataset");
-        assert!(config.n_trees > 0, "need at least one tree");
-        let mtry = config
-            .features_per_split
-            .unwrap_or_else(|| (data.n_features() as f64).sqrt().round().max(1.0) as usize);
-        let tree_config = TreeConfig {
-            max_depth: config.max_depth,
-            min_samples_split: config.min_samples_split,
-            features_per_split: Some(mtry),
-        };
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let n = data.len();
-        let mut trees = Vec::with_capacity(config.n_trees);
-        let mut in_bag: Vec<Vec<bool>> = Vec::with_capacity(config.n_trees);
-        for _ in 0..config.n_trees {
-            let idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-            let mut mask = vec![false; n];
-            for &i in &idx {
-                mask[i] = true;
-            }
-            trees.push(DecisionTree::fit_subset(data, &idx, &tree_config, &mut rng));
-            in_bag.push(mask);
-        }
-        // OOB vote per sample.
-        let mut errors = 0usize;
-        let mut scored = 0usize;
-        for i in 0..n {
-            let mut acc = vec![0.0f64; data.n_classes];
-            let mut voters = 0usize;
-            for (t, mask) in trees.iter().zip(&in_bag) {
-                if !mask[i] {
-                    for (a, v) in acc.iter_mut().zip(t.predict_proba(&data.x[i])) {
-                        *a += v;
-                    }
-                    voters += 1;
-                }
-            }
-            if voters == 0 {
-                continue;
-            }
-            scored += 1;
-            let pred = acc
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .map(|(k, _)| k)
-                .unwrap_or(0);
-            if pred != data.y[i] {
-                errors += 1;
-            }
-        }
-        let oob = errors as f64 / scored.max(1) as f64;
-        (
-            RandomForest {
-                trees,
-                n_classes: data.n_classes,
-            },
-            oob,
-        )
-    }
-
     /// Mean-decrease-in-impurity importance per feature, averaged over the
     /// trees and normalized to sum to 1 — the fast, training-time
     /// alternative to permutation importance.
@@ -424,10 +357,8 @@ mod prop_tests {
 }
 
 #[cfg(test)]
-mod oob_mdi_tests {
+mod mdi_tests {
     use super::*;
-    use crate::metrics::accuracy;
-    use crate::Classifier;
 
     fn blobs(seed: u64, n: usize) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -444,40 +375,6 @@ mod oob_mdi_tests {
             y.push(c);
         }
         Dataset::new(x, y)
-    }
-
-    #[test]
-    fn oob_error_tracks_test_error() {
-        let train = blobs(1, 400);
-        let test = blobs(2, 200);
-        let (forest, oob) = RandomForest::fit_oob(
-            &train,
-            &RandomForestConfig {
-                n_trees: 40,
-                ..Default::default()
-            },
-        );
-        let test_err = 1.0 - accuracy(&test.y, &forest.predict_batch(&test.x));
-        assert!(
-            (oob - test_err).abs() < 0.06,
-            "oob {oob} vs test {test_err}"
-        );
-        assert!(oob < 0.1, "oob {oob}");
-    }
-
-    #[test]
-    fn oob_forest_predicts_like_fit_forest() {
-        let d = blobs(3, 150);
-        let cfg = RandomForestConfig {
-            n_trees: 12,
-            seed: 9,
-            ..Default::default()
-        };
-        let plain = RandomForest::fit(&d, &cfg);
-        let (oob_forest, _) = RandomForest::fit_oob(&d, &cfg);
-        for x in d.x.iter().take(20) {
-            assert_eq!(plain.predict(x), oob_forest.predict(x));
-        }
     }
 
     #[test]

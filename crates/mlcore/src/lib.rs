@@ -13,9 +13,9 @@
 //!   kernels, one-vs-rest multiclass.
 //! * [`knn`] — brute-force k-nearest-neighbours with Euclidean or
 //!   Manhattan distances.
-//! * [`data`] — datasets, stratified train/test splits, k-fold CV.
+//! * [`data`] — datasets, stratified train/test splits.
 //! * [`metrics`] — accuracy, confusion matrices, per-class precision /
-//!   recall / F1.
+//!   recall.
 //! * [`importance`] — permutation importance (Breiman 2001), the metric
 //!   behind the paper's Fig. 9 and Table 5.
 //! * [`augment`] — variation-based augmentation for under-represented
@@ -57,7 +57,7 @@ pub mod scale;
 pub mod svm;
 pub mod tree;
 
-pub use data::{cross_validate, Dataset};
+pub use data::Dataset;
 pub use flat::FlatForest;
 pub use forest::{RandomForest, RandomForestConfig};
 pub use importance::permutation_importance;

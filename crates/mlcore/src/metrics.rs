@@ -111,17 +111,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// F1 score of a class (harmonic mean of precision and recall).
-    pub fn f1(&self, class: usize) -> f64 {
-        let p = self.precision(class);
-        let r = self.recall(class);
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-
     /// Unweighted mean of per-class recalls (macro recall).
     pub fn macro_recall(&self) -> f64 {
         let with_samples: Vec<usize> = (0..self.n_classes)
@@ -197,8 +186,6 @@ mod tests {
         assert_eq!(m.recall(1), 1.0);
         assert_eq!(m.precision(0), 1.0);
         assert!((m.precision(1) - 2.0 / 3.0).abs() < 1e-12);
-        let f1 = m.f1(1);
-        assert!((f1 - 0.8).abs() < 1e-12);
         assert!((m.macro_recall() - 0.75).abs() < 1e-12);
     }
 
@@ -207,7 +194,6 @@ mod tests {
         let m = ConfusionMatrix::from_pairs(3, &[0], &[0]);
         assert_eq!(m.recall(2), 0.0);
         assert_eq!(m.precision(2), 0.0);
-        assert_eq!(m.f1(2), 0.0);
         // Macro recall ignores classes without samples.
         assert_eq!(m.macro_recall(), 1.0);
     }
@@ -242,7 +228,6 @@ mod tests {
         for c in 0..3 {
             assert_eq!(m.recall(c), 0.0);
             assert_eq!(m.precision(c), 0.0);
-            assert_eq!(m.f1(c), 0.0);
         }
     }
 
@@ -312,7 +297,6 @@ mod tests {
         let m = ConfusionMatrix::from_pairs(3, &[0, 1, 0, 1], &[0, 1, 1, 1]);
         assert_eq!(m.recall(2), 0.0);
         assert_eq!(m.precision(2), 0.0);
-        assert_eq!(m.f1(2), 0.0);
         assert!(m.recall(2).is_finite() && m.precision(2).is_finite());
     }
 

@@ -54,7 +54,7 @@ impl StandardScaler {
     }
 
     /// Transforms one sample in place.
-    pub fn transform_inplace(&self, x: &mut [f64]) {
+    fn transform_inplace(&self, x: &mut [f64]) {
         for ((v, m), s) in x.iter_mut().zip(&self.mean).zip(&self.std) {
             *v = (*v - m) / s;
         }

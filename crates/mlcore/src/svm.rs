@@ -236,13 +236,8 @@ impl SvmOvr {
     }
 
     /// Raw per-class decision values.
-    pub fn decision_values(&self, x: &[f64]) -> Vec<f64> {
+    fn decision_values(&self, x: &[f64]) -> Vec<f64> {
         self.machines.iter().map(|m| m.decision(x)).collect()
-    }
-
-    /// Total number of support vectors across machines.
-    pub fn n_support(&self) -> usize {
-        self.machines.iter().map(|m| m.support_x.len()).sum()
     }
 }
 
@@ -381,8 +376,9 @@ mod tests {
             },
         );
         // Well-separated blobs need few support vectors.
-        assert!(svm.n_support() < d.len(), "{} SVs", svm.n_support());
-        assert!(svm.n_support() > 0);
+        let n_support: usize = svm.machines.iter().map(|m| m.support_x.len()).sum();
+        assert!(n_support < d.len(), "{n_support} SVs");
+        assert!(n_support > 0);
     }
 
     #[test]

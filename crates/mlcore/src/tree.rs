@@ -2,7 +2,7 @@
 //!
 //! Binary trees grown greedily: at each node the best `(feature, threshold)`
 //! split is searched over a (possibly random, for forests) subset of
-//! features and up to [`MAX_THRESHOLDS`] quantile thresholds per feature.
+//! features and up to `MAX_THRESHOLDS` = 24 quantile thresholds per feature.
 //! Leaves store class-count distributions so probability prediction is
 //! available.
 
@@ -15,7 +15,7 @@ use crate::Classifier;
 
 /// Maximum candidate thresholds examined per feature per node (quantile
 /// midpoints); bounds training cost on large nodes.
-pub const MAX_THRESHOLDS: usize = 24;
+const MAX_THRESHOLDS: usize = 24;
 
 /// Tree growth parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -131,17 +131,6 @@ impl DecisionTree {
             return vec![0.0; self.importances.len()];
         }
         self.importances.iter().map(|v| v / total).collect()
-    }
-
-    /// Number of leaves.
-    pub fn n_leaves(&self) -> usize {
-        fn c(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => c(left) + c(right),
-            }
-        }
-        c(&self.root)
     }
 
     /// Expected feature-vector width.
@@ -319,7 +308,7 @@ mod tests {
         let d = Dataset::new(vec![vec![1.0], vec![2.0], vec![3.0]], vec![1, 1, 1]);
         let t = DecisionTree::fit(&d, &TreeConfig::default(), &mut rng());
         assert_eq!(t.depth(), 0);
-        assert_eq!(t.n_leaves(), 1);
+        assert!(matches!(t.root, Node::Leaf { .. }));
         assert_eq!(t.predict(&[9.0]), 1);
     }
 

@@ -169,11 +169,6 @@ impl VirtualClock {
         self.now.fetch_max(t, Ordering::SeqCst);
     }
 
-    /// Advances the clock by `delta` µs.
-    pub fn advance_by(&self, delta: Micros) {
-        self.now.fetch_add(delta, Ordering::SeqCst);
-    }
-
     /// A shared handle to this clock (clones stay in sync with it).
     pub fn shared(&self) -> SharedClock {
         Arc::new(self.clone())
@@ -233,8 +228,6 @@ mod tests {
         assert_eq!(c.now(), 1_000_000);
         c.advance_to(500); // backwards: ignored
         assert_eq!(c.now(), 1_000_000);
-        c.advance_by(10);
-        assert_eq!(c.now(), 1_000_010);
     }
 
     #[test]

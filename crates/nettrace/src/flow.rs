@@ -79,11 +79,6 @@ impl FlowStats {
             self.down_pkts as f64 / (d as f64 / 1e6)
         }
     }
-
-    /// Total packets in both directions.
-    pub fn total_pkts(&self) -> u64 {
-        self.down_pkts + self.up_pkts
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! * [`LossModel`] — iid and two-state Gilbert–Elliott burst loss, with the
 //!   stationary closed form exposed as
 //!   [`expected_loss_rate`](LossModel::expected_loss_rate).
-//! * [`JitterModel`] / [`JitterProcess`] — uniform (legacy), AR(1)
+//! * [`JitterModel`] — uniform (legacy), AR(1)
 //!   (autocorrelated Gaussian) and two-state calm/spike jitter.
 //! * [`Bottleneck`] + [`CapacitySchedule`] — a FIFO bottleneck link with a
 //!   deep buffer: rate shortfall becomes growing queueing delay first and
@@ -138,22 +138,8 @@ pub enum JitterModel {
 }
 
 /// Stateful sampler for a [`JitterModel`].
-///
-/// Kept public so tests and simulators can drive the process directly:
-///
-/// ```
-/// use nettrace::impair::{JitterModel, JitterProcess};
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// let mut rng = StdRng::seed_from_u64(7);
-/// let mut jp = JitterProcess::new(JitterModel::Ar1 { sigma: 5_000, rho: 0.9 });
-/// let (a, b) = (jp.next_jitter(&mut rng), jp.next_jitter(&mut rng));
-/// // Samples are non-negative delays near the 2σ = 10 ms center.
-/// assert!(a < 50_000 && b < 50_000);
-/// ```
 #[derive(Debug, Clone)]
-pub struct JitterProcess {
+struct JitterProcess {
     model: JitterModel,
     /// AR(1) latent state, microseconds.
     ar1_state: f64,
@@ -166,7 +152,7 @@ pub struct JitterProcess {
 impl JitterProcess {
     /// Builds a sampler in its stationary start state (AR(1) at 0, two-state
     /// in calm).
-    pub fn new(model: JitterModel) -> Self {
+    fn new(model: JitterModel) -> Self {
         JitterProcess {
             model,
             ar1_state: 0.0,
@@ -194,7 +180,7 @@ impl JitterProcess {
     }
 
     /// Draws the next per-packet jitter, microseconds.
-    pub fn next_jitter<R: Rng>(&mut self, rng: &mut R) -> Micros {
+    fn next_jitter<R: Rng>(&mut self, rng: &mut R) -> Micros {
         match self.model {
             JitterModel::None => 0,
             JitterModel::Uniform { max } => {
@@ -245,20 +231,6 @@ impl JitterProcess {
 ///
 /// Segment starts are microsecond-exact: a segment's rate applies from its
 /// start timestamp (inclusive) until the next segment's start.
-///
-/// ```
-/// use nettrace::impair::CapacitySchedule;
-///
-/// // 2 MB/s for the first second, then a mid-session drop to 500 kB/s.
-/// let sched = CapacitySchedule::steps(vec![(0, 2_000_000), (1_000_000, 500_000)]);
-/// assert_eq!(sched.rate_at(999_999), 2_000_000);
-/// assert_eq!(sched.rate_at(1_000_000), 500_000);
-///
-/// // Builders cover the common shapes.
-/// let ramp = CapacitySchedule::ramp(1_000_000, 250_000, 0, 4_000_000, 4);
-/// assert_eq!(ramp.rate_at(0), 1_000_000);
-/// assert!(ramp.rate_at(3_999_999) < ramp.rate_at(0));
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CapacitySchedule {
     /// `(start_us, bytes_per_sec)`, sorted by start, first entry at 0.
@@ -309,7 +281,7 @@ impl CapacitySchedule {
 
     /// Mid-session degradation: `before` bytes/sec until `onset`, `after`
     /// from then on (a handover to a congested cell, say).
-    pub fn degrade_at(before: u64, after: u64, onset: Micros) -> Self {
+    fn degrade_at(before: u64, after: u64, onset: Micros) -> Self {
         Self::steps(vec![(0, before), (onset, after)])
     }
 
@@ -319,29 +291,8 @@ impl CapacitySchedule {
         Self::steps(vec![(0, base), (onset, floor), (onset + dip_len, base)])
     }
 
-    /// Diurnal-style schedule from 24 hourly weights (higher weight = more
-    /// competing traffic = less residual capacity). Hour `h`'s capacity is
-    /// `base · min_weight / weight[h]`, with `hour_len` microseconds per
-    /// hour — compressible so a simulated day fits in a short session.
-    pub fn from_hourly_weights(base: u64, weights: &[f64; 24], hour_len: Micros) -> Self {
-        let min_w = weights
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min)
-            .max(1e-9);
-        let segs = weights
-            .iter()
-            .enumerate()
-            .map(|(h, &w)| {
-                let rate = base as f64 * (min_w / w.max(1e-9));
-                (h as u64 * hour_len, rate as u64)
-            })
-            .collect();
-        Self::steps(segs)
-    }
-
     /// Capacity in effect at `ts` (microseconds from session start).
-    pub fn rate_at(&self, ts: Micros) -> u64 {
+    fn rate_at(&self, ts: Micros) -> u64 {
         match self.segments.binary_search_by_key(&ts, |&(t, _)| t) {
             Ok(i) => self.segments[i].1,
             Err(0) => self.segments[0].1,
@@ -361,11 +312,6 @@ impl CapacitySchedule {
                 .map(|&(t, r)| (t, (r as f64 * f) as u64))
                 .collect(),
         }
-    }
-
-    /// The underlying `(start_us, bytes_per_sec)` segments.
-    pub fn segments(&self) -> &[(Micros, u64)] {
-        &self.segments
     }
 }
 
@@ -451,7 +397,7 @@ impl ImpairmentConfig {
 
     /// The jitter model actually in effect: `jitter_model` if set, else the
     /// legacy uniform `jitter` field.
-    pub fn effective_jitter_model(&self) -> JitterModel {
+    fn effective_jitter_model(&self) -> JitterModel {
         match self.jitter_model {
             JitterModel::None if self.jitter > 0 => JitterModel::Uniform { max: self.jitter },
             m => m,
@@ -1144,9 +1090,9 @@ mod tests {
         assert_eq!(dip.rate_at(1_499_999), 100_000);
         assert_eq!(dip.rate_at(1_500_000), 800_000);
 
-        let hourly = CapacitySchedule::from_hourly_weights(1_000_000, &[1.0; 24], MICROS_PER_SEC);
-        assert_eq!(hourly.segments().len(), 24);
-        assert_eq!(hourly.rate_at(0), 1_000_000);
+        let ramp = CapacitySchedule::ramp(1_000_000, 250_000, 0, 4_000_000, 4);
+        assert_eq!(ramp.rate_at(0), 1_000_000);
+        assert!(ramp.rate_at(3_999_999) < ramp.rate_at(0));
 
         let scaled = sched.scaled(0.5);
         assert_eq!(scaled.rate_at(0), 500_000);

@@ -46,7 +46,7 @@ pub use clock::{
 pub use flow::FlowStats;
 pub use impair::{
     Bottleneck, CapacitySchedule, Impairment, ImpairmentConfig, ImpairmentPlan, ImpairmentProfile,
-    JitterModel, JitterProcess, LossModel,
+    JitterModel, LossModel,
 };
 pub use packet::{Direction, FiveTuple, Packet, Protocol};
 pub use slots::{SlotSeries, SlotView};

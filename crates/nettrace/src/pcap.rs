@@ -100,7 +100,7 @@ impl<W: Write> PcapWriter<W> {
     ///
     /// `down_tuple` is the session five-tuple in downstream orientation; the
     /// packet's [`Direction`] selects which orientation goes on the wire.
-    pub fn write_packet(&mut self, down_tuple: &FiveTuple, pkt: &Packet) -> io::Result<()> {
+    fn write_packet(&mut self, down_tuple: &FiveTuple, pkt: &Packet) -> io::Result<()> {
         let tuple = match pkt.dir {
             Direction::Downstream => *down_tuple,
             Direction::Upstream => down_tuple.reversed(),

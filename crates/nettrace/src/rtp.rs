@@ -13,14 +13,14 @@ use bytes::{Buf, BufMut};
 pub const RTP_HEADER_LEN: usize = 12;
 
 /// RTP protocol version carried in the two high bits of the first octet.
-pub const RTP_VERSION: u8 = 2;
+const RTP_VERSION: u8 = 2;
 
 /// Dynamic payload type used by GeForce NOW style video streams (96..127
 /// range is dynamic; 96 is the conventional H.264/HEVC mapping).
 pub const PT_GAME_VIDEO: u8 = 96;
 
 /// Dynamic payload type for the upstream input/control stream.
-pub const PT_GAME_INPUT: u8 = 97;
+const PT_GAME_INPUT: u8 = 97;
 
 /// A decoded RTP fixed header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,11 +88,6 @@ impl RtpHeader {
             payload_type: PT_GAME_INPUT,
             ..RtpHeader::video(sequence, timestamp, ssrc, false)
         }
-    }
-
-    /// Serialized length including CSRC entries.
-    pub fn encoded_len(&self) -> usize {
-        RTP_HEADER_LEN + 4 * self.csrc_count as usize
     }
 
     /// Writes the header into `buf` (network byte order).
@@ -244,7 +239,7 @@ mod prop_tests {
             };
             let mut buf = Vec::new();
             h.encode(&mut buf);
-            prop_assert_eq!(buf.len(), h.encoded_len());
+            prop_assert_eq!(buf.len(), RTP_HEADER_LEN + 4 * usize::from(csrc_count));
             let (d, used) = RtpHeader::decode(&buf).unwrap();
             prop_assert_eq!(used, buf.len());
             prop_assert_eq!(d, h);

@@ -30,15 +30,6 @@ impl<'a> SlotView<'a> {
             Some(d) => self.packets.iter().filter(|p| p.dir == d).count(),
         }
     }
-
-    /// Sum of wire bytes in this slot for a direction.
-    pub fn wire_bytes(&self, dir: Direction) -> u64 {
-        self.packets
-            .iter()
-            .filter(|p| p.dir == dir)
-            .map(|p| u64::from(p.wire_len()))
-            .sum()
-    }
 }
 
 /// Packets partitioned into fixed-width slots.
@@ -228,21 +219,6 @@ mod tests {
         assert_eq!(s.origin(), 7_300_000);
         assert_eq!(s.len(), 1);
         assert_eq!(s.slot(0).unwrap().count(None), 2);
-    }
-
-    #[test]
-    fn wire_bytes_per_direction() {
-        let s = SlotSeries::new(
-            vec![
-                pkt(0, Direction::Downstream, 100),
-                pkt(1, Direction::Upstream, 10),
-            ],
-            0,
-            MICROS_PER_SEC,
-        );
-        let v = s.slot(0).unwrap();
-        assert_eq!(v.wire_bytes(Direction::Downstream), 154);
-        assert_eq!(v.wire_bytes(Direction::Upstream), 64);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub fn secs_to_micros(secs: f64) -> Micros {
 }
 
 /// Converts microseconds to fractional seconds.
-pub fn micros_to_secs(us: Micros) -> f64 {
+fn micros_to_secs(us: Micros) -> f64 {
     us as f64 / MICROS_PER_SEC as f64
 }
 
@@ -40,13 +40,6 @@ pub fn bytes_to_mbps(bytes: u64, window_us: Micros) -> f64 {
         return 0.0;
     }
     (bytes * BITS_PER_BYTE) as f64 / micros_to_secs(window_us) / 1e6
-}
-
-/// Converts a target bitrate in megabits per second to the number of bytes
-/// carried in `window_us` microseconds.
-pub fn mbps_to_bytes(mbps: f64, window_us: Micros) -> u64 {
-    let bits = mbps * 1e6 * micros_to_secs(window_us);
-    (bits / BITS_PER_BYTE as f64).max(0.0) as u64
 }
 
 #[cfg(test)]
@@ -73,8 +66,5 @@ mod tests {
         assert!((bytes_to_mbps(1_000_000, MICROS_PER_SEC) - 8.0).abs() < 1e-9);
         // Empty window yields zero instead of dividing by zero.
         assert_eq!(bytes_to_mbps(1234, 0), 0.0);
-        // Inverse direction.
-        assert_eq!(mbps_to_bytes(8.0, MICROS_PER_SEC), 1_000_000);
-        assert_eq!(mbps_to_bytes(-1.0, MICROS_PER_SEC), 0);
     }
 }

@@ -15,13 +15,13 @@ use crate::registry::Registry;
 
 /// Git revision baked in at compile time via the `CGC_GIT_REV`
 /// environment variable, or `"unknown"` outside a tagged build.
-pub const GIT_REV: &str = match option_env!("CGC_GIT_REV") {
+const GIT_REV: &str = match option_env!("CGC_GIT_REV") {
     Some(rev) => rev,
     None => "unknown",
 };
 
 /// Crate version baked in at compile time.
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");
+const VERSION: &str = env!("CARGO_PKG_VERSION");
 
 /// Registers and keeps the build-identity gauges fresh.
 pub struct BuildInfo {
@@ -58,7 +58,7 @@ impl BuildInfo {
     }
 
     /// Seconds since [`register`](Self::register).
-    pub fn uptime_seconds(&self) -> u64 {
+    fn uptime_seconds(&self) -> u64 {
         self.started.elapsed().as_secs()
     }
 

@@ -17,11 +17,11 @@ const SUB_BUCKETS: usize = 8;
 /// Most significant bit of the first log-linear octave (values 16..=31).
 const FIRST_OCTAVE_MSB: u32 = 4;
 /// Total bucket count covering all of `u64`.
-pub const N_BUCKETS: usize = LINEAR_BUCKETS + (64 - FIRST_OCTAVE_MSB as usize) * SUB_BUCKETS;
+const N_BUCKETS: usize = LINEAR_BUCKETS + (64 - FIRST_OCTAVE_MSB as usize) * SUB_BUCKETS;
 
 /// Map a sample to its bucket index.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v < LINEAR_BUCKETS as u64 {
         v as usize
     } else {
@@ -33,7 +33,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Inclusive lower bound of bucket `i`.
 #[inline]
-pub fn bucket_lo(i: usize) -> u64 {
+fn bucket_lo(i: usize) -> u64 {
     if i < LINEAR_BUCKETS {
         i as u64
     } else {
@@ -46,7 +46,7 @@ pub fn bucket_lo(i: usize) -> u64 {
 
 /// Exclusive upper bound of bucket `i` (saturating at `u64::MAX`).
 #[inline]
-pub fn bucket_hi(i: usize) -> u64 {
+fn bucket_hi(i: usize) -> u64 {
     if i < LINEAR_BUCKETS {
         i as u64 + 1
     } else if i + 1 >= N_BUCKETS {
@@ -58,11 +58,10 @@ pub fn bucket_hi(i: usize) -> u64 {
 
 /// Concurrent log-linear histogram.
 ///
-/// All mutation paths (`record`, `merge_from`) use relaxed atomics, so a
-/// histogram handle can be shared freely across shard threads. Reads
-/// taken while writers are active are approximate (counts and sum may be
-/// from slightly different instants), which is the standard trade-off
-/// for lock-free telemetry.
+/// Every mutation path uses relaxed atomics, so a histogram handle can
+/// be shared freely across shard threads. Reads taken while writers are
+/// active are approximate (counts and sum may be from slightly different
+/// instants), which is the standard trade-off for lock-free telemetry.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Box<[AtomicU64]>,
@@ -174,27 +173,6 @@ impl Histogram {
     /// Sum of recorded samples.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Fold another histogram's contents into this one.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        if let Some(e) = other.exemplar() {
-            self.write_exemplar(e.value, e.flow, e.trace);
-        }
     }
 
     /// Capture the current contents as an immutable snapshot, keeping
@@ -316,25 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_recording_into_one() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let combined = Histogram::new();
-        for _ in 0..2000 {
-            let v = rng.gen_range(0..1_000_000u64);
-            if rng.gen_bool(0.5) {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            combined.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.snapshot(), combined.snapshot());
-    }
-
-    #[test]
     fn quantiles_track_exact_values_on_random_data() {
         let mut rng = StdRng::seed_from_u64(42);
         let h = Histogram::new();
@@ -378,18 +337,6 @@ mod tests {
         assert_eq!(s.count, 2);
         assert_eq!(s.sum, 570);
         assert_eq!(s.exemplar, Some(e));
-    }
-
-    #[test]
-    fn merge_carries_the_exemplar_without_touching_counts() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        b.record_with_exemplar(99, 5, 6);
-        a.merge_from(&b);
-        let e = a.exemplar().expect("merged exemplar");
-        assert_eq!((e.value, e.flow, e.trace), (99, 5, 6));
-        assert_eq!(a.count(), 1, "only the real sample was merged");
-        assert_eq!(a.sum(), 99);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl ModelKind {
     }
 
     /// Stable label value of class `i` (`class=` on per-class gauges).
-    pub fn class_name(self, i: usize) -> String {
+    fn class_name(self, i: usize) -> String {
         match self {
             ModelKind::Title => GameTitle::from_index(i)
                 .map(|t| slug(t.name()))

@@ -101,12 +101,7 @@ impl Registry {
     ///
     /// # Panics
     /// If `name`+`labels` is already registered as a different kind.
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-    ) -> Arc<Histogram> {
+    fn histogram_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         match self.get_or_insert(name, help, labels, || {
             Metric::Histogram(Arc::new(Histogram::new()))
         }) {

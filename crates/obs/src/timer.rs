@@ -24,7 +24,7 @@ impl<'a> Span<'a> {
     }
 
     /// Nanoseconds elapsed so far.
-    pub fn elapsed_ns(&self) -> u64 {
+    fn elapsed_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
 

@@ -268,7 +268,7 @@ impl TraceTimeline {
     }
 
     /// True when at least one span was recorded at `stage`.
-    pub fn has_stage(&self, stage: TraceStage) -> bool {
+    fn has_stage(&self, stage: TraceStage) -> bool {
         self.spans.iter().any(|s| s.stage == stage)
     }
 
@@ -309,7 +309,7 @@ impl Serialize for TraceTimeline {
 /// assert_eq!(traces.drain(), 2);
 /// let tl = traces.timeline(7).expect("flow 7 recorded");
 /// assert_eq!(tl.spans.len(), 2);
-/// assert!(tl.has_stage(TraceStage::Router));
+/// assert_eq!(tl.stages(), [TraceStage::Queue, TraceStage::Router]);
 /// ```
 pub struct TraceCollector {
     channel: Arc<Channel<SpanRecord>>,

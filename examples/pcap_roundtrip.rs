@@ -55,7 +55,9 @@ fn main() {
     // Classify from the re-read capture.
     let mut analyzer =
         SessionAnalyzer::new(&bundle, AnalyzerConfig::default(), QoeInputs::default());
-    analyzer.analyze_packets(&packets);
+    for p in &packets {
+        analyzer.push_packet(p);
+    }
     let report = analyzer.finish();
     println!(
         "classified title from the capture: {} (truth: {})",

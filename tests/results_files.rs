@@ -2,6 +2,9 @@
 //! tree. Every `results/<name>.json` path mentioned in `README.md`,
 //! `EXPERIMENTS.md` or `docs/*.md` has to exist (glob mentions such as
 //! `results/*.json` are descriptions, not files, and are skipped).
+//! And the reverse: every experiment `run_all` runs writes
+//! `results/<name minus exp_>.json`, and that file has to be in the tree
+//! too, whether or not a document happens to spell its path.
 
 use std::path::Path;
 
@@ -17,6 +20,32 @@ fn named_results(text: &str) -> Vec<&str> {
             (!path.contains('*')).then_some(path)
         })
         .collect()
+}
+
+/// The `"exp_…"` string literals in `source`, in order.
+fn experiment_names(source: &str) -> Vec<&str> {
+    source
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .filter(|lit| lit.starts_with("exp_"))
+        .collect()
+}
+
+#[test]
+fn every_experiment_run_all_runs_has_its_result_in_the_tree() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let run_all = std::fs::read_to_string(root.join("crates/bench/src/bin/run_all.rs"))
+        .expect("readable run_all.rs");
+    let names = experiment_names(&run_all);
+    assert!(!names.is_empty(), "the scan found no experiment at all");
+    for name in names {
+        let result = format!("results/{}.json", &name["exp_".len()..]);
+        assert!(
+            root.join(&result).is_file(),
+            "run_all runs {name}, whose {result} is not in the tree"
+        );
+    }
 }
 
 #[test]
@@ -52,4 +81,7 @@ fn the_scan_reads_paths_out_of_prose() {
         ["results/a_b.json", "results/fig-1.json"]
     );
     assert!(named_results("results/ is a directory").is_empty());
+
+    let source = r#"const E: &[&str] = &["exp_fig1", "exp_table2"]; // "other" "#;
+    assert_eq!(experiment_names(source), ["exp_fig1", "exp_table2"]);
 }
