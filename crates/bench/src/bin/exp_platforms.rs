@@ -10,7 +10,7 @@
 //! ```
 
 use cgc_bench::cached_bundle;
-use cgc_core::filter::{stats_of, CloudGamingFilter};
+use cgc_core::filter::{accept, stats_of};
 use cgc_core::pipeline::{AnalyzerConfig, QoeInputs, SessionAnalyzer};
 use cgc_deploy::report::{pct, table, write_json};
 use cgc_domain::{GameTitle, Platform, StreamSettings};
@@ -32,7 +32,6 @@ struct Row {
 fn main() {
     println!("== platform generalizability: filter detection and stage accuracy ==\n");
     let bundle = cached_bundle();
-    let filter = CloudGamingFilter::default();
     let mut generator = SessionGenerator::new();
     let mut rng = StdRng::seed_from_u64(99);
 
@@ -54,7 +53,7 @@ fn main() {
                 fidelity: Fidelity::FullPackets,
                 seed: 9_000 + (pi * 100 + i) as u64,
             });
-            if filter.accept(&s.tuple, &stats_of(&s.packets)) == Some(*platform) {
+            if accept(&s.tuple, &stats_of(&s.packets)) == Some(*platform) {
                 detected += 1;
             }
             let mut analyzer =

@@ -19,72 +19,43 @@
 //! (`nettrace::pcap` parses the header) and not re-checked here.
 
 use nettrace::flow::FlowStats;
-use nettrace::metrics::TraceMetrics;
 use nettrace::packet::{FiveTuple, Packet, Protocol};
-use serde::{Deserialize, Serialize};
 
 pub use cgc_domain::Platform;
 
-/// Volumetric confirmation thresholds for a candidate streaming flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FilterConfig {
-    /// Minimum sustained downstream packet rate (pps). Launch animations
-    /// stream at hundreds of pps; platform chatter stays far below.
-    pub min_down_pps: f64,
-    /// Minimum mean downstream payload (bytes) — video runs near the MTU.
-    pub min_mean_down_payload: f64,
-    /// Require at least this many upstream packets (input channel).
-    pub min_up_pkts: u64,
+/// Minimum sustained downstream packet rate (pps). Launch animations
+/// stream at hundreds of pps; platform chatter stays far below.
+const MIN_DOWN_PPS: f64 = 50.0;
+/// Minimum mean downstream payload (bytes) — video runs near the MTU.
+const MIN_MEAN_DOWN_PAYLOAD: f64 = 300.0;
+/// Upstream packets required (the input channel).
+const MIN_UP_PKTS: u64 = 3;
+
+/// Cheap per-packet pre-check: UDP + known platform port.
+pub fn pre_check(tuple: &FiveTuple) -> Option<Platform> {
+    if tuple.proto != Protocol::Udp {
+        return None;
+    }
+    Platform::from_port(tuple.src_port).or_else(|| Platform::from_port(tuple.dst_port))
 }
 
-impl Default for FilterConfig {
-    fn default() -> Self {
-        FilterConfig {
-            min_down_pps: 50.0,
-            min_mean_down_payload: 300.0,
-            min_up_pkts: 3,
-        }
+/// Volumetric confirmation over an observed window of flow statistics.
+pub fn confirm(stats: &FlowStats) -> bool {
+    if stats.down_pkts == 0 || stats.duration() == 0 {
+        return false;
     }
+    let mean_payload = stats.down_bytes as f64 / stats.down_pkts as f64
+        - f64::from(nettrace::packet::WIRE_OVERHEAD);
+    stats.down_pps() >= MIN_DOWN_PPS
+        && mean_payload >= MIN_MEAN_DOWN_PAYLOAD
+        && stats.up_pkts >= MIN_UP_PKTS
 }
 
-/// The cloud gaming packet filter.
-#[derive(Debug, Clone, Default)]
-pub struct CloudGamingFilter {
-    config: FilterConfig,
-}
-
-impl CloudGamingFilter {
-    /// A filter with the given thresholds.
-    pub fn new(config: FilterConfig) -> Self {
-        CloudGamingFilter { config }
-    }
-
-    /// Cheap per-packet pre-check: UDP + known platform port.
-    pub fn pre_check(&self, tuple: &FiveTuple) -> Option<Platform> {
-        if tuple.proto != Protocol::Udp {
-            return None;
-        }
-        Platform::from_port(tuple.src_port).or_else(|| Platform::from_port(tuple.dst_port))
-    }
-
-    /// Volumetric confirmation over an observed window of flow statistics.
-    pub fn confirm(&self, stats: &FlowStats) -> bool {
-        if stats.down_pkts == 0 || stats.duration() == 0 {
-            return false;
-        }
-        let mean_payload = stats.down_bytes as f64 / stats.down_pkts as f64
-            - f64::from(nettrace::packet::WIRE_OVERHEAD);
-        stats.down_pps() >= self.config.min_down_pps
-            && mean_payload >= self.config.min_mean_down_payload
-            && stats.up_pkts >= self.config.min_up_pkts
-    }
-
-    /// Full decision for a candidate flow: platform signature + volumetric
-    /// confirmation. Returns the detected platform when accepted.
-    pub fn accept(&self, tuple: &FiveTuple, stats: &FlowStats) -> Option<Platform> {
-        let platform = self.pre_check(tuple)?;
-        self.confirm(stats).then_some(platform)
-    }
+/// Full decision for a candidate flow: platform signature + volumetric
+/// confirmation. Returns the detected platform when accepted.
+pub fn accept(tuple: &FiveTuple, stats: &FlowStats) -> Option<Platform> {
+    let platform = pre_check(tuple)?;
+    confirm(stats).then_some(platform)
 }
 
 /// Builds [`FlowStats`] from a packet slice (orientation: packets carry
@@ -94,7 +65,6 @@ pub fn stats_of(packets: &[Packet]) -> FlowStats {
     for p in packets {
         s.update(p);
     }
-    TraceMetrics::global().packets.add(packets.len() as u64);
     s
 }
 
@@ -130,54 +100,48 @@ mod tests {
 
     #[test]
     fn accepts_genuine_streaming_flow() {
-        let f = CloudGamingFilter::default();
         assert_eq!(
-            f.accept(&gfn_tuple(), &streaming_stats()),
+            accept(&gfn_tuple(), &streaming_stats()),
             Some(Platform::GeForceNow)
         );
     }
 
     #[test]
     fn rejects_tcp_and_unknown_ports() {
-        let f = CloudGamingFilter::default();
         let mut t = gfn_tuple();
         t.proto = Protocol::Tcp;
-        assert_eq!(f.accept(&t, &streaming_stats()), None);
+        assert_eq!(accept(&t, &streaming_stats()), None);
         let web = FiveTuple::udp_v4([10, 0, 0, 1], 443, [192, 168, 0, 2], 51000);
-        assert_eq!(f.accept(&web, &streaming_stats()), None);
+        assert_eq!(accept(&web, &streaming_stats()), None);
     }
 
     #[test]
     fn rejects_low_rate_chatter() {
-        let f = CloudGamingFilter::default();
         // 10 small packets over 10 s: platform keep-alive, not streaming.
         let mut pkts: Vec<Packet> = (0..10u64)
             .map(|i| Packet::new(i * 1_000_000, Direction::Downstream, 100))
             .collect();
         pkts.push(Packet::new(0, Direction::Upstream, 60));
-        assert_eq!(f.accept(&gfn_tuple(), &stats_of(&pkts)), None);
+        assert_eq!(accept(&gfn_tuple(), &stats_of(&pkts)), None);
     }
 
     #[test]
     fn rejects_unidirectional_flows() {
-        let f = CloudGamingFilter::default();
         let pkts: Vec<Packet> = (0..1000u64)
             .map(|i| Packet::new(i * 2_000, Direction::Downstream, 1432))
             .collect();
-        assert_eq!(f.accept(&gfn_tuple(), &stats_of(&pkts)), None);
+        assert_eq!(accept(&gfn_tuple(), &stats_of(&pkts)), None);
     }
 
     #[test]
     fn empty_stats_are_rejected() {
-        let f = CloudGamingFilter::default();
-        assert!(!f.confirm(&FlowStats::default()));
+        assert!(!confirm(&FlowStats::default()));
     }
 
     #[test]
     fn reverse_orientation_also_matches() {
-        let f = CloudGamingFilter::default();
         assert_eq!(
-            f.pre_check(&gfn_tuple().reversed()),
+            pre_check(&gfn_tuple().reversed()),
             Some(Platform::GeForceNow)
         );
     }

@@ -47,7 +47,7 @@ mod wordhash;
 
 pub use bundle::{ModelBundle, ModelSource};
 pub use expiry::ExpiryWheel;
-pub use filter::{CloudGamingFilter, FilterConfig, Platform};
+pub use filter::Platform;
 pub use metrics::{MonitorMetrics, Obs, PipelineMetrics};
 pub use monitor::{MonitorConfig, MonitoredSession, ShardStats, TapMonitor};
 pub use pattern::{PatternInferrer, PatternInferrerConfig, PatternPrediction, PatternTracker};

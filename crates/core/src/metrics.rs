@@ -134,7 +134,7 @@ impl MonitorMetrics {
             ),
             batches: registry.counter(
                 "cgc_monitor_batches_total",
-                "Record batches processed by the sharded front end",
+                "Record batches processed by a tap monitor",
             ),
             batch_ns: registry.histogram(
                 "cgc_monitor_batch_ns",

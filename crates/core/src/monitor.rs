@@ -25,15 +25,13 @@ use cgc_obs::event::{CloseCause, EventKind};
 use cgc_obs::journal::EventSink;
 use cgc_obs::TraceStage;
 use nettrace::flow::FlowStats;
-use nettrace::metrics::TraceMetrics;
 use nettrace::packet::{Direction, FiveTuple, Packet};
-use nettrace::pcap::PcapRecord;
 use nettrace::units::Micros;
 use serde::{Deserialize, Serialize};
 
 use crate::bundle::ModelSource;
 use crate::expiry::ExpiryWheel;
-use crate::filter::{CloudGamingFilter, FilterConfig, Platform};
+use crate::filter::{self, Platform};
 use crate::metrics::Obs;
 use crate::pipeline::{AnalyzerConfig, QoeInputs, SessionAnalyzer, SessionReport};
 use crate::wordhash::WordHashBuilder;
@@ -43,33 +41,26 @@ use crate::wordhash::WordHashBuilder;
 pub struct MonitorConfig {
     /// Per-flow analyzer configuration.
     pub analyzer: AnalyzerConfig,
-    /// Flow filter thresholds.
-    pub filter: FilterConfig,
     /// A flow idle for this long is finalized (microseconds).
     pub idle_timeout: Micros,
-    /// Default QoS context for QoE labeling (override per flow with
-    /// [`TapMonitor::set_qoe`]).
-    pub qoe: QoeInputs,
     /// Hard cap on concurrently tracked flows; when a new flow arrives at
     /// the cap, the least-recently-seen flow is finalized early (its report
     /// surfaces on the next `finish_idle`/`finish_all`).
     pub max_flows: usize,
-    /// Bucket width of the idle-expiry wheel (microseconds).
-    pub expiry_bucket: Micros,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
             analyzer: AnalyzerConfig::default(),
-            filter: FilterConfig::default(),
             idle_timeout: 60_000_000, // 60 s
-            qoe: QoeInputs::default(),
             max_flows: 250_000,
-            expiry_bucket: 1_000_000, // 1 s
         }
     }
 }
+
+/// Bucket width of the idle-expiry wheel: one 1-s slot.
+const EXPIRY_BUCKET: Micros = 1_000_000;
 
 /// A finalized session observed at the tap.
 #[derive(Debug, Clone)]
@@ -110,8 +101,8 @@ pub struct ShardStats {
     /// Expiry-wheel entries examined while finding idle/evictable flows —
     /// proportional to due flows, not table size.
     pub expiry_entries_scanned: u64,
-    /// Record batches received (only the sharded front end batches; the
-    /// serial monitor leaves this 0).
+    /// [`TapMonitor::ingest_batch`] calls (on a shard worker, one per
+    /// batch the router dispatched to it).
     pub batches: u64,
 }
 
@@ -164,7 +155,6 @@ pub struct TapMonitor<'b> {
     /// [`LiveModel`]: cgc_lifecycle::LiveModel
     models: ModelSource<'b>,
     config: MonitorConfig,
-    filter: CloudGamingFilter,
     /// Normalized tuple → arena slot.
     flows: HashMap<FiveTuple, u32, WordHashBuilder>,
     /// Slot-indexed entries; `None` marks a slot on the free list.
@@ -200,11 +190,10 @@ impl<'b> TapMonitor<'b> {
         TapMonitor {
             models: models.into(),
             config,
-            filter: CloudGamingFilter::new(config.filter),
             flows: HashMap::with_hasher(WordHashBuilder::new()),
             arena: Vec::new(),
             free: Vec::new(),
-            expiry: ExpiryWheel::new(config.expiry_bucket),
+            expiry: ExpiryWheel::new(EXPIRY_BUCKET),
             evicted: Vec::new(),
             ingested_packets: 0,
             ignored_packets: 0,
@@ -254,7 +243,7 @@ impl<'b> TapMonitor<'b> {
             self.ignored_packets += 1;
             return;
         };
-        if self.filter.pre_check(&down_tuple).is_none() {
+        if filter::pre_check(&down_tuple).is_none() {
             self.ignored_packets += 1;
             return;
         }
@@ -274,7 +263,7 @@ impl<'b> TapMonitor<'b> {
                 let analyzer = SessionAnalyzer::with_obs(
                     bundle,
                     self.config.analyzer,
-                    self.config.qoe,
+                    QoeInputs::default(),
                     Arc::clone(&self.obs),
                     flow_id,
                     ts,
@@ -332,11 +321,6 @@ impl<'b> TapMonitor<'b> {
         entry.analyzer.push_packet(&pkt);
     }
 
-    /// Ingests a decoded capture record (the pcap reader's output).
-    pub fn ingest_record(&mut self, record: &PcapRecord) {
-        self.ingest(record.ts, &record.tuple, record.payload_len);
-    }
-
     /// Ingests a batch of records (the sharded front end's unit of work),
     /// counting it in [`ShardStats::batches`].
     pub fn ingest_batch(&mut self, records: &[(Micros, FiveTuple, u32)]) {
@@ -354,38 +338,15 @@ impl<'b> TapMonitor<'b> {
 
     /// Adds what the monitor counted since `before` — its
     /// `(ingested, ignored)` packet counts then — to the registry counters.
-    /// Every ingested packet was folded into its flow's `FlowStats`, so the
-    /// trace layer's packet counter moves by the same amount here.
     fn publish_packet_counts(&self, before: (u64, u64)) {
         let ingested = self.ingested_packets - before.0;
         if ingested > 0 {
             self.obs.monitor.ingested.add(ingested);
-            TraceMetrics::global().packets.add(ingested);
         }
         let ignored = self.ignored_packets - before.1;
         if ignored > 0 {
             self.obs.monitor.ignored.add(ignored);
         }
-    }
-
-    /// Overrides the QoS context of one flow (e.g. when the gray-box QoE
-    /// estimators have produced latency/loss measurements for it). Applies
-    /// to QoE labels of slots closed after the call.
-    pub fn set_qoe(&mut self, tuple: &FiveTuple, qoe: QoeInputs) {
-        if let Some(&slot) = self.flows.get(&tuple.normalized()) {
-            let e = self.arena[slot as usize].as_mut().expect("live slot");
-            e.analyzer.set_qoe(qoe);
-        }
-    }
-
-    /// Number of flows currently tracked.
-    pub fn active_flows(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Packets dropped for lacking a platform signature.
-    pub fn ignored_packets(&self) -> u64 {
-        self.ignored_packets
     }
 
     /// Snapshot of the monitor's observability counters.
@@ -489,7 +450,7 @@ impl<'b> TapMonitor<'b> {
         self.finalized_flows += 1;
         self.obs.monitor.finalized.inc();
         self.obs.monitor.active_flows.dec();
-        let confirmed = self.filter.confirm(&entry.stats);
+        let confirmed = filter::confirm(&entry.stats);
         let session = MonitoredSession {
             tuple: entry.down_tuple,
             platform: entry.platform,
@@ -566,10 +527,9 @@ mod tests {
         for (ts, tuple, len) in &feed {
             monitor.ingest(*ts, tuple, *len);
         }
-        assert_eq!(monitor.active_flows(), 2);
-        // The non-gaming flow was counted and dropped, nothing else.
-        assert_eq!(monitor.ignored_packets(), 250);
         let stats = monitor.stats();
+        assert_eq!(stats.active_flows, 2);
+        // The non-gaming flow was counted and dropped, nothing else.
         assert_eq!(stats.ignored_packets, 250);
         assert_eq!(
             stats.ingested_packets as usize,
@@ -597,8 +557,9 @@ mod tests {
         for i in 0..100u64 {
             monitor.ingest(i * 1000, &web, 1200);
         }
-        assert_eq!(monitor.active_flows(), 0);
-        assert_eq!(monitor.ignored_packets(), 100);
+        let stats = monitor.stats();
+        assert_eq!(stats.active_flows, 0);
+        assert_eq!(stats.ignored_packets, 100);
     }
 
     #[test]
@@ -612,11 +573,11 @@ mod tests {
         let last = s.packets.last().unwrap().ts;
         // Not yet idle long enough.
         assert!(monitor.finish_idle(last + 10_000_000).is_empty());
-        assert_eq!(monitor.active_flows(), 1);
+        assert_eq!(monitor.stats().active_flows, 1);
         // Past the 60 s timeout.
         let out = monitor.finish_idle(last + 61_000_000);
         assert_eq!(out.len(), 1);
-        assert_eq!(monitor.active_flows(), 0);
+        assert_eq!(monitor.stats().active_flows, 0);
         assert!(out[0].confirmed);
     }
 
@@ -631,7 +592,7 @@ mod tests {
         for i in 1..400u16 {
             monitor.ingest(200_000_000 + u64::from(i), &mk(i), 1200);
         }
-        assert_eq!(monitor.active_flows(), 400);
+        assert_eq!(monitor.stats().active_flows, 400);
         let before = monitor.stats().expiry_entries_scanned;
         let out = monitor.finish_idle(100_000_000);
         assert_eq!(out.len(), 1);
@@ -640,7 +601,7 @@ mod tests {
             examined < 10,
             "examined {examined} wheel entries to expire 1 of 400 flows"
         );
-        assert_eq!(monitor.active_flows(), 399);
+        assert_eq!(monitor.stats().active_flows, 399);
     }
 
     #[test]
@@ -655,12 +616,12 @@ mod tests {
         monitor.ingest(1_000, &mk(0), 1200);
         monitor.ingest(2_000, &mk(1), 1200);
         monitor.ingest(3_000, &mk(0), 1200); // flow 0 seen again: flow 1 is now LRS
-        assert_eq!(monitor.active_flows(), 2);
+        assert_eq!(monitor.stats().active_flows, 2);
         assert_eq!(monitor.stats().evicted_flows, 0);
 
         // A third flow at the cap evicts the least-recently-seen (flow 1).
         monitor.ingest(4_000, &mk(2), 1200);
-        assert_eq!(monitor.active_flows(), 2);
+        assert_eq!(monitor.stats().active_flows, 2);
         let stats = monitor.stats();
         assert_eq!(stats.evicted_flows, 1);
         assert_eq!(stats.finalized_flows, 1);
@@ -775,31 +736,5 @@ mod tests {
             registry.snapshot().counter("cgc_trace_spans_total"),
             Some(0)
         );
-    }
-
-    #[test]
-    fn set_qoe_overrides_labels() {
-        let b = bundle();
-        let s = session(5, GameTitle::R6Siege);
-        let mut monitor = TapMonitor::with_obs(&b, MonitorConfig::default(), Obs::global());
-        // Feed the first half, then report degraded QoS, then the rest.
-        let mid = s.packets.len() / 2;
-        for p in &s.packets[..mid] {
-            monitor.ingest(p.ts, &wire(&s, p), p.payload_len);
-        }
-        monitor.set_qoe(
-            &s.tuple,
-            QoeInputs {
-                latency_ms: 150.0,
-                loss_rate: 0.05,
-                ..QoeInputs::default()
-            },
-        );
-        for p in &s.packets[mid..] {
-            monitor.ingest(p.ts, &wire(&s, p), p.payload_len);
-        }
-        let out = monitor.finish_all();
-        // Later slots carry bad labels, so the session skews bad.
-        assert_eq!(out[0].report.objective_qoe, cgc_domain::QoeLevel::Bad);
     }
 }

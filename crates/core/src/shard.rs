@@ -12,9 +12,9 @@
 //! serial one (proven by the equivalence tests below).
 //!
 //! Records travel in batches to amortize channel overhead; control
-//! messages (`set_qoe`, `finish_idle`, stats snapshots) are interleaved
-//! into the same per-shard queues, so they apply at a well-defined point
-//! in each shard's packet stream. Each of those queues is bounded: a
+//! messages (`finish_idle`, stats snapshots) are interleaved into the same
+//! per-shard queues, so they apply at a well-defined point in each shard's
+//! packet stream. Each of those queues is bounded: a
 //! caller that has run a few batches ahead of a shard's worker waits for
 //! it, so the batches in flight — and the buffers that carry them, which
 //! the workers hand back for reuse — stay a fixed, small set.
@@ -24,7 +24,6 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{self, Receiver, Sender, SyncSender};
 use nettrace::packet::FiveTuple;
-use nettrace::pcap::PcapRecord;
 use nettrace::units::Micros;
 use serde::{Deserialize, Serialize};
 
@@ -36,7 +35,6 @@ use cgc_lifecycle::LiveModel;
 use crate::bundle::{ModelBundle, ModelSource};
 use crate::metrics::{MonitorMetrics, Obs};
 use crate::monitor::{MonitorConfig, MonitoredSession, ShardStats, TapMonitor};
-use crate::pipeline::QoeInputs;
 
 /// The models every worker shard serves from: the owned, thread-shareable
 /// dual of [`ModelSource`]. `Fixed` is the pre-lifecycle deployment shape
@@ -84,8 +82,6 @@ pub struct ShardedMonitorConfig {
     pub monitor: MonitorConfig,
     /// Number of worker shards (clamped to ≥ 1).
     pub shards: usize,
-    /// Records buffered per shard before a batch is sent (clamped to ≥ 1).
-    pub batch_size: usize,
 }
 
 impl Default for ShardedMonitorConfig {
@@ -95,7 +91,6 @@ impl Default for ShardedMonitorConfig {
             shards: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            batch_size: 256,
         }
     }
 }
@@ -144,7 +139,6 @@ const IN_FLIGHT: usize = 8;
 
 enum ShardMsg {
     Batch(Vec<TapRecord>),
-    SetQoe(FiveTuple, QoeInputs),
     FinishIdle(Micros, Sender<(Vec<MonitoredSession>, ShardStats)>),
     Stats(Sender<ShardStats>),
 }
@@ -173,7 +167,6 @@ fn shard_worker(
                 records.clear();
                 let _ = recycle.send(records);
             }
-            ShardMsg::SetQoe(tuple, qoe) => monitor.set_qoe(&tuple, qoe),
             ShardMsg::FinishIdle(now, reply) => {
                 let done = monitor.finish_idle(now);
                 let _ = reply.send((done, monitor.stats()));
@@ -193,16 +186,17 @@ fn shard_worker(
 ///
 /// The ingest path is the hot path: per record one routing hash (three
 /// multiply-xorshift rounds, see [`FiveTuple::route_hash`]) and one copy
-/// into the shard's pending buffer; per `batch_size` records (or per
-/// [`ingest_batch`](Self::ingest_batch) call) one channel send per shard.
-/// All heavyweight per-packet work (filtering, flow lookup, analyzer
-/// updates) happens on the worker threads.
+/// into the shard's pending buffer; per
+/// [`ingest_batch`](Self::ingest_batch) call one channel send per shard
+/// the batch touches. All heavyweight per-packet work (filtering, flow
+/// lookup, analyzer updates) happens on the worker threads.
 pub struct ShardedTapMonitor {
     senders: Vec<SyncSender<ShardMsg>>,
     handles: Vec<JoinHandle<(Vec<MonitoredSession>, ShardStats)>>,
+    /// Per-shard partition of the batch being dispatched; empty between
+    /// [`ingest_batch`](Self::ingest_batch) calls.
     pending: Vec<Vec<TapRecord>>,
     depth_gauges: Vec<Arc<Gauge>>,
-    batch_size: usize,
     /// Emptied batch buffers coming back from the workers, reused for the
     /// next dispatch instead of allocating fresh `Vec`s per batch.
     recycle_rx: Receiver<Vec<TapRecord>>,
@@ -242,7 +236,6 @@ impl ShardedTapMonitor {
         let obs = obs.into();
         let models = models.into();
         let shards = config.shards.max(1);
-        let batch_size = config.batch_size.max(1);
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         let mut depth_gauges = Vec::with_capacity(shards);
@@ -269,7 +262,6 @@ impl ShardedTapMonitor {
             handles,
             pending: vec![Vec::new(); shards],
             depth_gauges,
-            batch_size,
             recycle_rx,
         }
     }
@@ -285,33 +277,15 @@ impl ShardedTapMonitor {
         self.senders.len()
     }
 
-    /// Routes one observed datagram to its shard (batched).
-    pub fn ingest(&mut self, ts: Micros, wire_tuple: &FiveTuple, payload_len: u32) {
-        let shard = wire_tuple.shard(self.senders.len());
-        let batch = &mut self.pending[shard];
-        batch.push((ts, *wire_tuple, payload_len));
-        if batch.len() >= self.batch_size {
-            self.flush_shard(shard);
-        }
-    }
-
-    /// Routes a decoded capture record to its shard.
-    pub fn ingest_record(&mut self, record: &PcapRecord) {
-        self.ingest(record.ts, &record.tuple, record.payload_len);
-    }
-
-    /// Hands one already-drained batch to the workers in a single
-    /// dispatch per shard: the batch is partitioned by routing hash into
-    /// the per-shard buffers this front end keeps (preserving batch order,
-    /// hence per-flow order), behind anything the record-at-a-time
-    /// [`ingest`](Self::ingest) path left there, and every non-empty
-    /// buffer is sent as one channel message.
+    /// Hands one batch to the workers in a single dispatch per shard: the
+    /// batch is partitioned by routing hash into the per-shard buffers
+    /// this front end keeps (preserving batch order, hence per-flow
+    /// order), and every non-empty buffer is sent as one channel message.
     ///
     /// This is the live-ingestion hand-off: the ingest router's drain
     /// batch — sized by its batch policy — becomes the unit of delivery
     /// to the shard workers. A small batch (shallow queues) reaches the
-    /// workers immediately instead of lingering in a partially filled
-    /// `batch_size` buffer; a large batch (deep queues) amortizes the
+    /// workers immediately; a large batch (deep queues) amortizes the
     /// per-dispatch send cost across thousands of records. Per record the
     /// router pays one [`FiveTuple::route_hash`] and one copy.
     pub fn ingest_batch(&mut self, records: &[TapRecord]) {
@@ -324,22 +298,7 @@ impl ShardedTapMonitor {
                 self.pending[record.1.shard(shards)].push(*record);
             }
         }
-        self.flush();
-    }
-
-    /// Overrides the QoS context of one flow on its shard. The shard's
-    /// pending batch is flushed first, so the override lands between the
-    /// packets sent before and after this call — same semantics as the
-    /// serial monitor.
-    pub fn set_qoe(&mut self, tuple: &FiveTuple, qoe: QoeInputs) {
-        let shard = tuple.shard(self.senders.len());
-        self.flush_shard(shard);
-        let _ = self.senders[shard].send(ShardMsg::SetQoe(*tuple, qoe));
-    }
-
-    /// Flushes all pending batches to the workers without waiting.
-    pub fn flush(&mut self) {
-        for shard in 0..self.senders.len() {
+        for shard in 0..shards {
             self.flush_shard(shard);
         }
     }
@@ -348,7 +307,6 @@ impl ShardedTapMonitor {
     /// shard, returning their reports (shard order, then each shard's
     /// finalization order).
     pub fn finish_idle(&mut self, now: Micros) -> Vec<MonitoredSession> {
-        self.flush();
         let replies: Vec<Receiver<(Vec<MonitoredSession>, ShardStats)>> = self
             .senders
             .iter()
@@ -366,10 +324,9 @@ impl ShardedTapMonitor {
         out
     }
 
-    /// Synchronized snapshot of every shard's counters (pending batches
-    /// are flushed and counted first).
+    /// Synchronized snapshot of every shard's counters: each shard answers
+    /// after the batches sent to it before this call.
     pub fn stats(&mut self) -> MonitorStats {
-        self.flush();
         let replies: Vec<Receiver<ShardStats>> = self
             .senders
             .iter()
@@ -387,11 +344,9 @@ impl ShardedTapMonitor {
         }
     }
 
-    /// Flushes pending work, drains every shard and joins the workers,
-    /// returning all remaining session reports plus the final stats
-    /// snapshot.
+    /// Drains every shard and joins the workers, returning all remaining
+    /// session reports plus the final stats snapshot.
     pub fn finish_all(mut self) -> (Vec<MonitoredSession>, MonitorStats) {
-        self.flush();
         // Dropping the senders closes the channels; each worker finalizes
         // its remaining flows and returns them through its join handle.
         self.senders.clear();
@@ -419,7 +374,6 @@ impl ShardedTapMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::Platform;
     use cgc_domain::{GameTitle, StreamSettings};
     use gamesim::{Fidelity, Session, SessionConfig, SessionGenerator, TitleKind};
     use nettrace::packet::Direction;
@@ -513,16 +467,14 @@ mod tests {
 
         // Serial reference.
         let mut serial = TapMonitor::with_obs(&b, MonitorConfig::default(), Obs::global());
-        for (ts, tuple, len) in &feed {
-            serial.ingest(*ts, tuple, *len);
-        }
+        serial.ingest_batch(&feed);
         let reference = render(serial.finish_all());
         assert_eq!(reference.len(), 8);
 
         for shards in [1usize, 4] {
             let mut sharded = sharded_monitor(&b, shards);
-            for (ts, tuple, len) in &feed {
-                sharded.ingest(*ts, tuple, *len);
+            for batch in feed.chunks(256) {
+                sharded.ingest_batch(batch);
             }
             let (sessions, stats) = sharded.finish_all();
             assert_eq!(
@@ -587,9 +539,9 @@ mod tests {
         // Session ends are staggered over ~20 s, so the first cutoff
         // expires a strict subset of the flows and the second expires the
         // rest — both passes must agree with the serial monitor.
-        for (ts, tuple, len) in &feed {
-            serial.ingest(*ts, tuple, *len);
-            sharded.ingest(*ts, tuple, *len);
+        serial.ingest_batch(&feed);
+        for batch in feed.chunks(256) {
+            sharded.ingest_batch(batch);
         }
         for now in [last + 45_000_000, last + 61_000_000] {
             let a = render(serial.finish_idle(now));
@@ -603,52 +555,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_set_qoe_lands_on_right_shard() {
-        let b = Arc::new(bundle());
-        let mut generator = SessionGenerator::new();
-        let s = generator.generate(&SessionConfig {
-            kind: TitleKind::Known(GameTitle::R6Siege),
-            settings: StreamSettings::default_pc(),
-            gameplay_secs: 60.0,
-            fidelity: Fidelity::FullPackets,
-            seed: 5,
-        });
-        let mut sharded = sharded_monitor(&b, 4);
-        let mid = s.packets.len() / 2;
-        let wire = |p: &nettrace::packet::Packet| match p.dir {
-            Direction::Downstream => s.tuple,
-            Direction::Upstream => s.tuple.reversed(),
-        };
-        for p in &s.packets[..mid] {
-            sharded.ingest(p.ts, &wire(p), p.payload_len);
-        }
-        sharded.set_qoe(
-            &s.tuple,
-            QoeInputs {
-                latency_ms: 150.0,
-                loss_rate: 0.05,
-                ..QoeInputs::default()
-            },
-        );
-        for p in &s.packets[mid..] {
-            sharded.ingest(p.ts, &wire(p), p.payload_len);
-        }
-        let (out, _) = sharded.finish_all();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].report.objective_qoe, cgc_domain::QoeLevel::Bad);
-        assert_eq!(out[0].platform, Platform::GeForceNow);
-    }
-
-    #[test]
     fn stats_snapshot_counts_everything_once() {
         let b = Arc::new(bundle());
         let mut sharded = sharded_monitor(&b, 3);
         let gaming = FiveTuple::udp_v4([10, 0, 0, 1], 49003, [100, 64, 1, 1], 50_000);
         let web = FiveTuple::udp_v4([1, 1, 1, 1], 443, [10, 0, 0, 2], 55_000);
-        for i in 0..500u64 {
-            sharded.ingest(i * 1_000, &gaming, 1200);
-            sharded.ingest(i * 1_000 + 1, &web, 900);
-        }
+        let feed: Vec<TapRecord> = (0..500u64)
+            .flat_map(|i| [(i * 1_000, gaming, 1200), (i * 1_000 + 1, web, 900)])
+            .collect();
+        sharded.ingest_batch(&feed);
         let stats = sharded.stats();
         let total = stats.total();
         assert_eq!(total.ingested_packets, 500);

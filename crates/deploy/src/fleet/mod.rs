@@ -17,8 +17,8 @@
 //! * `tap` — the tap driver, [`run_tap_feed_replay`] over
 //!   [`drive_tap_feed`]: sessions from [`build_tap_feed`] (or captures)
 //!   interleaved on one link, through merge → replay → ingest engine →
-//!   sharded monitor. [`run_tap_fleet`] is its queue-less byte-identity
-//!   oracle.
+//!   sharded monitor. [`run_tap_fleet`] — one serial monitor, no queues,
+//!   no threads — is its byte-identity oracle.
 //! * `heartbeat` — [`run_fleet`]'s telemetry reporter.
 //!
 //! Which feature is wired to which driver — and why the two cannot yet be

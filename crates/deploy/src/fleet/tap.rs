@@ -7,15 +7,17 @@
 //! in whose registry and sinks the run records into:
 //! [`run_tap_feed_replay`] makes them private to the run and hands the
 //! timelines back, `gamescope fleet --replay` passes the global registry
-//! and the sinks its flags built. [`run_tap_fleet`] feeds the monitor in
-//! a plain loop with no queues and stays as their byte-identity oracle.
+//! and the sinks its flags built. [`run_tap_fleet`] hands the feed to one
+//! serial [`TapMonitor`] — no queues, no threads — and stays as their
+//! byte-identity oracle.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use cgc_core::shard::TapRecord;
 use cgc_core::{
-    ModelBundle, MonitoredSession, Obs, ShardedMonitorConfig, ShardedTapMonitor, SharedModels,
+    ModelBundle, MonitorConfig, MonitoredSession, Obs, ShardedMonitorConfig, ShardedTapMonitor,
+    SharedModels, TapMonitor,
 };
 use cgc_ingest::{
     IngestConfig, IngestEngine, KWayMerge, MergeConfig, MergeSource, MergeStats, MonitorSink,
@@ -34,7 +36,7 @@ use rand::SeedableRng;
 use super::population::{self, TitleMix};
 
 /// Tap-fleet configuration: many subscribers' sessions interleaved on one
-/// simulated ISP link, demultiplexed by the sharded tap front end.
+/// simulated ISP link.
 #[derive(Debug, Clone, Copy)]
 pub struct TapFleetConfig {
     /// Number of concurrent subscriber sessions on the tap.
@@ -45,8 +47,6 @@ pub struct TapFleetConfig {
     pub gameplay_secs: f64,
     /// Session starts are staggered by this many microseconds.
     pub stagger: u64,
-    /// Worker shards of the front end.
-    pub shards: usize,
 }
 
 impl Default for TapFleetConfig {
@@ -56,7 +56,6 @@ impl Default for TapFleetConfig {
             seed: 20241201,
             gameplay_secs: 30.0,
             stagger: 2_000_000,
-            shards: 4,
         }
     }
 }
@@ -69,8 +68,8 @@ pub struct TapFleetRun {
     /// Per-session reports, sorted by flow start.
     pub sessions: Vec<MonitoredSession>,
     /// Final metrics snapshot of the run's private registry
-    /// (`cgc_monitor_*`, `cgc_shard_*`, `cgc_pipeline_*`, `cgc_qoe_*`,
-    /// `cgc_journal_*` series).
+    /// (`cgc_monitor_*`, `cgc_pipeline_*`, `cgc_qoe_*`, `cgc_journal_*`
+    /// series, plus `cgc_shard_*` and `cgc_ingest_*` from the live path).
     pub snapshot: Snapshot,
     /// Per-flow decision timelines from the run's journal.
     pub timelines: Vec<FlowTimeline>,
@@ -119,12 +118,13 @@ fn private_obs(registry: &Registry) -> (Obs, Journal) {
     (obs, journal)
 }
 
-/// Interleaves `n_sessions` popularity-sampled sessions on one tap and runs
-/// the feed through a [`ShardedTapMonitor`] in a plain loop — no merge, no
-/// queues, no pacing — returning a [`TapFleetRun`]: per-session reports
-/// (sorted by flow start), a metrics snapshot, and per-flow decision
-/// timelines, all from a registry + journal private to this run. The
-/// byte-identity oracle of the live path ([`run_tap_feed_replay`]).
+/// Interleaves `n_sessions` popularity-sampled sessions on one tap and
+/// hands the whole feed to one serial [`TapMonitor`] — no merge, no
+/// queues, no pacing, no threads — returning a [`TapFleetRun`]:
+/// per-session reports (sorted by flow start), a metrics snapshot, and
+/// per-flow decision timelines, all from a registry + journal private to
+/// this run. The byte-identity oracle of the live path
+/// ([`run_tap_feed_replay`]).
 pub fn run_tap_fleet(bundle: &Arc<ModelBundle>, cfg: &TapFleetConfig) -> TapFleetRun {
     let feed = build_tap_feed(cfg);
 
@@ -132,16 +132,9 @@ pub fn run_tap_fleet(bundle: &Arc<ModelBundle>, cfg: &TapFleetConfig) -> TapFlee
     // can make exact assertions against their own counters and timelines.
     let registry = Registry::new();
     let (obs, journal) = private_obs(&registry);
-    let mut monitor = ShardedTapMonitor::with_obs(
-        Arc::clone(bundle),
-        ShardedMonitorConfig::with_shards(cfg.shards),
-        &registry,
-        obs,
-    );
-    for (ts, tuple, len) in &feed {
-        monitor.ingest(*ts, tuple, *len);
-    }
-    let (mut sessions, _stats) = monitor.finish_all();
+    let mut monitor = TapMonitor::with_obs(bundle, MonitorConfig::default(), obs);
+    monitor.ingest_batch(&feed);
+    let mut sessions = monitor.finish_all();
     sessions.sort_by_key(|m| m.started_at);
     TapFleetRun {
         sessions,
@@ -375,7 +368,7 @@ mod tests {
     fn replay_whole_feed(cfg: &TapFleetConfig, opts: TapReplayOptions) -> TapReplayRun {
         run_tap_feed_replay(
             &quick_bundle(),
-            cfg.shards,
+            2,
             vec![MergeSource::new("feed", build_tap_feed(cfg))],
             VirtualClock::new().shared(),
             opts,
@@ -387,7 +380,6 @@ mod tests {
         let cfg = TapFleetConfig {
             n_sessions: 6,
             gameplay_secs: 15.0,
-            shards: 3,
             ..Default::default()
         };
         let run = run_tap_fleet(&quick_bundle(), &cfg);
@@ -406,13 +398,6 @@ mod tests {
             .counter("cgc_monitor_ingested_packets_total")
             .unwrap();
         assert!(ingested > 0);
-        // One queue-depth gauge per worker shard.
-        let depth_series = snapshot
-            .metrics
-            .iter()
-            .filter(|m| m.name == "cgc_shard_queue_depth")
-            .count();
-        assert_eq!(depth_series, 3);
         // The packet path drove the full pipeline: inference counters and
         // latency histograms populated alongside the monitor's.
         assert!(snapshot.counter("cgc_pipeline_slots_total").unwrap() > 0);
@@ -444,7 +429,6 @@ mod tests {
         let cfg = TapFleetConfig {
             n_sessions: 3,
             gameplay_secs: 12.0,
-            shards: 2,
             ..Default::default()
         };
         let opts = TapReplayOptions {
@@ -510,7 +494,6 @@ mod tests {
             n_sessions: 2,
             gameplay_secs: 6.0,
             stagger: 90_000_000,
-            shards: 2,
             ..Default::default()
         };
         let run = |idle_check: Option<u64>| {

@@ -18,7 +18,8 @@
 //!   private-registry wrapper [`run_tap_feed_replay`], `fleet/tap.rs`)
 //!   interleaves sessions on one link and runs the live path: k-way
 //!   merge → paced replay → bounded queues → sharded monitor, with
-//!   [`run_tap_fleet`] as its queue-less byte-identity oracle.
+//!   [`run_tap_fleet`] (one serial monitor, no queues, no threads) as its
+//!   byte-identity oracle.
 //!   `fleet/population.rs` is the sampler both share,
 //!   `fleet/heartbeat.rs` the slot driver's telemetry reporter.
 //! * [`aggregate`] — the §5 analyses over those records: per-title player

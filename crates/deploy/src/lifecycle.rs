@@ -340,22 +340,6 @@ impl LifecyclePilot {
     }
 }
 
-/// The process-wide pilot slot: the CLI installs its pilot here so the
-/// telemetry server's `/models` route (whose closure is built before
-/// any subcommand runs) can find it.
-static GLOBAL: std::sync::OnceLock<Arc<LifecyclePilot>> = std::sync::OnceLock::new();
-
-/// Installs the process-wide pilot (first install wins) and returns the
-/// one now installed.
-pub fn install_global(pilot: Arc<LifecyclePilot>) -> Arc<LifecyclePilot> {
-    Arc::clone(GLOBAL.get_or_init(|| pilot))
-}
-
-/// The process-wide pilot, if one was installed.
-pub fn global() -> Option<Arc<LifecyclePilot>> {
-    GLOBAL.get().cloned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -32,8 +32,7 @@ pub struct FlowStats {
 }
 
 impl FlowStats {
-    /// Folds one packet into the counters. `cgc_trace_packets_total` is
-    /// the caller's to add to, once per batch of packets folded.
+    /// Folds one packet into the counters.
     pub fn update(&mut self, pkt: &Packet) {
         match pkt.dir {
             Direction::Downstream => {

@@ -1,11 +1,11 @@
-//! Trace-layer telemetry: packets observed, RTP parse outcomes, pcap
-//! record decode results.
+//! Trace-layer telemetry: RTP parse outcomes and pcap record decode
+//! results.
 //!
 //! Handles live in `cgc-obs`; this module registers the nettrace series
 //! once and caches the process-wide set, so pcap frame decode pays a
-//! single relaxed atomic increment. `packets` is added to once per batch
-//! by whoever folds the batch into `FlowStats` (the tap monitor, the
-//! flow filter), never per packet: every shard worker shares its line.
+//! single relaxed atomic increment. Packets reaching the tap are counted
+//! by the monitor (`cgc_monitor_ingested_packets_total`), on the registry
+//! its run records into.
 
 use cgc_obs::{Counter, Registry};
 use std::sync::{Arc, OnceLock};
@@ -13,8 +13,6 @@ use std::sync::{Arc, OnceLock};
 /// Counters for the packet/RTP parse layer.
 #[derive(Debug, Clone)]
 pub struct TraceMetrics {
-    /// Packets folded into flow statistics (`cgc_trace_packets_total`).
-    pub packets: Arc<Counter>,
     /// UDP payloads that parsed as RTP (`cgc_trace_rtp_parsed_total`).
     pub rtp_parsed: Arc<Counter>,
     /// UDP payloads that failed RTP decode
@@ -32,10 +30,6 @@ impl TraceMetrics {
     /// Register (or look up) the trace-layer series in `registry`.
     pub fn register(registry: &Registry) -> Self {
         Self {
-            packets: registry.counter(
-                "cgc_trace_packets_total",
-                "Packets folded into per-flow statistics",
-            ),
             rtp_parsed: registry.counter(
                 "cgc_trace_rtp_parsed_total",
                 "UDP payloads successfully parsed as RTP",
@@ -71,16 +65,16 @@ mod tests {
         let r = Registry::new();
         let a = TraceMetrics::register(&r);
         let b = TraceMetrics::register(&r);
-        a.packets.inc();
-        b.packets.inc();
-        assert_eq!(a.packets.get(), 2);
-        assert_eq!(r.len(), 5);
+        a.rtp_parsed.inc();
+        b.rtp_parsed.inc();
+        assert_eq!(a.rtp_parsed.get(), 2);
+        assert_eq!(r.len(), 4);
     }
 
     #[test]
     fn global_handles_are_stable() {
         let a = TraceMetrics::global();
         let b = TraceMetrics::global();
-        assert!(Arc::ptr_eq(&a.packets, &b.packets));
+        assert!(Arc::ptr_eq(&a.rtp_parsed, &b.rtp_parsed));
     }
 }

@@ -41,7 +41,7 @@
 //! use cgc_obs::{export, Registry};
 //!
 //! let registry = Registry::new(); // or Registry::global()
-//! let packets = registry.counter("cgc_trace_packets_total", "Packets seen");
+//! let packets = registry.counter("cgc_monitor_ingested_packets_total", "Packets ingested");
 //! let latency = registry.histogram("cgc_pipeline_feature_ns", "Feature extraction time");
 //!
 //! packets.inc();
@@ -49,8 +49,8 @@
 //!     let _span = latency.span(); // records elapsed ns on drop
 //! }
 //! let snap = registry.snapshot();
-//! assert_eq!(snap.counter("cgc_trace_packets_total"), Some(1));
-//! assert!(export::prometheus(&snap).contains("# TYPE cgc_trace_packets_total counter"));
+//! assert_eq!(snap.counter("cgc_monitor_ingested_packets_total"), Some(1));
+//! assert!(export::prometheus(&snap).contains("# TYPE cgc_monitor_ingested_packets_total counter"));
 //! ```
 
 #![warn(missing_docs)]

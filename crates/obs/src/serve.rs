@@ -7,15 +7,15 @@
 //!   (histograms carry OpenMetrics exemplars when traced call sites
 //!   attached them)
 //! - `GET /healthz` — `ok` / `degraded: …` / `critical: …`; critical
-//!   answers HTTP 503 so external probes work unmodified. With an
-//!   [`SloHub`] the verdict is the multi-window burn-rate evaluation;
-//!   without one it falls back to cumulative drop/saturation counters.
+//!   answers HTTP 503 so external probes work unmodified. The verdict is
+//!   the [`SloHub`]'s multi-window burn-rate evaluation (a real-time hub
+//!   on default objectives unless [`ServeOptions::slo`] brings one).
 //! - `GET /journal` — flight-recorder timelines as JSONL (one flow per
 //!   line); `?flow=<hex id>` narrows to one timeline, `?tail=N` returns
 //!   the N most recent events (one event per line) instead
 //! - `GET /trace` — span timelines as JSONL (one flow per line);
 //!   `?flow=<hex id>` narrows to one flow, `?slot=N` to one slot's spans
-//! - `GET /slo` — the full burn-rate report as JSON (404 without a hub)
+//! - `GET /slo` — the full burn-rate report as JSON
 //! - `GET /quality` — streaming confusion-telemetry report as JSON
 //!   (rolling accuracy/precision/recall per model; 404 without a hub)
 //! - `GET /drift` — label-free drift report as JSON (PSI/KS/novelty per
@@ -41,7 +41,7 @@ use crate::drift::DriftEngine;
 use crate::export;
 use crate::journal::Journal;
 use crate::quality::QualityHub;
-use crate::slo::{Health, SloHub};
+use crate::slo::{Health, SloConfig, SloHub};
 use crate::snapshot::Snapshot;
 use crate::trace::TraceCollector;
 
@@ -52,7 +52,8 @@ pub struct ServeOptions {
     pub journal: Option<Arc<Mutex<Journal>>>,
     /// Backs `/trace`; the route answers 404 when absent.
     pub trace: Option<Arc<Mutex<TraceCollector>>>,
-    /// Backs `/slo` and upgrades `/healthz` to burn-rate evaluation.
+    /// Backs `/slo` and `/healthz`; `None` serves a
+    /// [`SloHub::real_time`] hub on [`SloConfig::default`].
     pub slo: Option<Arc<SloHub>>,
     /// Backs `/quality`; the route answers 404 when absent. Drained and
     /// re-synced before every response so scraped gauges are current.
@@ -120,11 +121,15 @@ impl TelemetryServer {
     pub fn spawn_with<F>(
         addr: &str,
         snapshot: F,
-        options: ServeOptions,
+        mut options: ServeOptions,
     ) -> std::io::Result<TelemetryServer>
     where
         F: Fn() -> Snapshot + Send + 'static,
     {
+        let slo = options
+            .slo
+            .take()
+            .unwrap_or_else(|| Arc::new(SloHub::real_time(SloConfig::default())));
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -140,7 +145,7 @@ impl TelemetryServer {
                     // A stalled client must not wedge the single thread.
                     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
                     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-                    handle_conn(&mut stream, &snapshot, &options);
+                    handle_conn(&mut stream, &snapshot, &slo, &options);
                 }
             })?;
         Ok(TelemetryServer {
@@ -175,7 +180,12 @@ impl std::fmt::Debug for TelemetryServer {
     }
 }
 
-fn handle_conn<F: Fn() -> Snapshot>(stream: &mut TcpStream, snapshot: &F, options: &ServeOptions) {
+fn handle_conn<F: Fn() -> Snapshot>(
+    stream: &mut TcpStream,
+    snapshot: &F,
+    slo: &SloHub,
+    options: &ServeOptions,
+) {
     let Some(target) = read_request_target(stream) else {
         return;
     };
@@ -202,23 +212,24 @@ fn handle_conn<F: Fn() -> Snapshot>(stream: &mut TcpStream, snapshot: &F, option
             export::prometheus(&snapshot()),
         ),
         "/healthz" => {
-            let (health, body) = healthz(snapshot, options);
-            let status = if health == Health::Critical {
+            let report = slo.observe_and_evaluate(&snapshot());
+            let mut body = report.healthz_body();
+            if let Some(build) = &options.build {
+                body.push_str(&build.healthz_line());
+            }
+            let status = if report.health == Health::Critical {
                 "503 Service Unavailable"
             } else {
                 "200 OK"
             };
             (status, "text/plain", body)
         }
-        "/slo" => match &options.slo {
-            Some(hub) => (
-                "200 OK",
-                "application/json",
-                serde_json::to_string(&hub.observe_and_evaluate(&snapshot()))
-                    .expect("slo report serialization is infallible"),
-            ),
-            None => not_found("no slo engine installed"),
-        },
+        "/slo" => (
+            "200 OK",
+            "application/json",
+            serde_json::to_string(&slo.observe_and_evaluate(&snapshot()))
+                .expect("slo report serialization is infallible"),
+        ),
         "/quality" => match &options.quality {
             Some(hub) => (
                 "200 OK",
@@ -289,76 +300,6 @@ fn read_request_target(stream: &mut TcpStream) -> Option<String> {
         return None;
     }
     Some(target.to_string())
-}
-
-/// Cumulative-counter fallback thresholds for `/healthz` without an SLO
-/// hub: crude by design (lifetime ratios, no windows) but enough to turn
-/// real drop storms and saturated queues into non-ok probes.
-const FALLBACK_DROP_DEGRADED: f64 = 0.001;
-const FALLBACK_DROP_CRITICAL: f64 = 0.05;
-const FALLBACK_SATURATION_DEGRADED: f64 = 0.9;
-
-fn healthz<F: Fn() -> Snapshot>(snapshot: &F, options: &ServeOptions) -> (Health, String) {
-    let (health, mut body) = healthz_verdict(snapshot, options);
-    if let Some(build) = &options.build {
-        body.push_str(&build.healthz_line());
-    }
-    (health, body)
-}
-
-fn healthz_verdict<F: Fn() -> Snapshot>(snapshot: &F, options: &ServeOptions) -> (Health, String) {
-    if let Some(hub) = &options.slo {
-        let report = hub.observe_and_evaluate(&snapshot());
-        return (report.health, report.healthz_body());
-    }
-    let snap = snapshot();
-    let mut health = Health::Ok;
-    let mut reasons: Vec<String> = Vec::new();
-    let dropped: u64 = crate::slo::DROP_COUNTERS
-        .iter()
-        .filter_map(|n| snap.counter(n))
-        .sum();
-    let accepted: u64 = crate::slo::ACCEPT_COUNTERS
-        .iter()
-        .filter_map(|n| snap.counter(n))
-        .sum();
-    let total = dropped + accepted;
-    if total > 0 && dropped > 0 {
-        let ratio = dropped as f64 / total as f64;
-        if ratio >= FALLBACK_DROP_CRITICAL {
-            health = health.max(Health::Critical);
-            reasons.push(format!("drop ratio {:.1}% (cumulative)", ratio * 100.0));
-        } else if ratio >= FALLBACK_DROP_DEGRADED {
-            health = health.max(Health::Degraded);
-            reasons.push(format!("drop ratio {:.2}% (cumulative)", ratio * 100.0));
-        }
-    }
-    let capacity = snap.gauge("cgc_ingest_queue_capacity").unwrap_or(0);
-    if capacity > 0 {
-        let deepest = snap
-            .metrics
-            .iter()
-            .filter(|m| m.name == "cgc_ingest_queue_depth")
-            .filter_map(|m| match m.value {
-                crate::snapshot::MetricValue::Gauge(v) => Some(v),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        let saturation = deepest.max(0) as f64 / capacity as f64;
-        if saturation >= 1.0 {
-            health = health.max(Health::Critical);
-            reasons.push(format!("queue saturated ({deepest}/{capacity})"));
-        } else if saturation >= FALLBACK_SATURATION_DEGRADED {
-            health = health.max(Health::Degraded);
-            reasons.push(format!("queue near capacity ({deepest}/{capacity})"));
-        }
-    }
-    let body = match health {
-        Health::Ok => "ok\n".to_string(),
-        h => format!("{}: {}\n", h.name(), reasons.join("; ")),
-    };
-    (health, body)
 }
 
 fn trace_body(trace: &Mutex<TraceCollector>, query: &str) -> String {
@@ -515,58 +456,68 @@ mod tests {
         assert!(raw_request(addr, ok.as_bytes()).starts_with("HTTP/1.1 200"));
     }
 
-    #[test]
-    fn healthz_fallback_wires_drop_and_saturation_counters() {
-        use crate::slo::{SloConfig, SloHub};
-        // Degraded: a visible but sub-critical cumulative drop ratio.
+    /// `/healthz` from a server whose hub runs on a manual clock: a first
+    /// scrape at 0 sets the baseline, `feed` moves the registry, and the
+    /// second scrape five minutes later — one full fast window — answers.
+    fn healthz_after_one_fast_window(feed: impl FnOnce(&Registry)) -> (String, String) {
+        use std::sync::atomic::AtomicU64;
         let registry = Arc::new(Registry::new());
-        registry.counter("cgc_ingest_enqueued_total", "t").add(999);
-        registry.counter("cgc_ingest_dropped_total", "t").add(5);
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), None).unwrap();
-        let (head, body) = get(server.local_addr(), "/healthz");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        assert!(body.starts_with("degraded: drop ratio"), "{body}");
-        drop(server);
-
-        // Critical: a drop storm answers 503 so external probes trip.
-        let registry = Arc::new(Registry::new());
-        registry.counter("cgc_ingest_enqueued_total", "t").add(100);
-        registry.counter("cgc_ingest_dropped_total", "t").add(50);
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), None).unwrap();
-        let (head, body) = get(server.local_addr(), "/healthz");
-        assert!(head.starts_with("HTTP/1.1 503"), "{head}");
-        assert!(body.starts_with("critical:"), "{body}");
-        drop(server);
-
-        // Saturated queue gauges trip it too, independent of drops.
-        let registry = Arc::new(Registry::new());
+        // Registered at start-up, as the ingest engine does, so the
+        // saturation objective's clock starts with the baseline.
         registry.gauge("cgc_ingest_queue_capacity", "c").set(100);
-        registry
-            .gauge_with("cgc_ingest_queue_depth", "d", &[("shard", "0")])
-            .set(95);
+        let clock = Arc::new(AtomicU64::new(0));
+        let tick = Arc::clone(&clock);
+        let hub = SloHub::new(SloConfig::default(), move || tick.load(Ordering::Relaxed));
         let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), None).unwrap();
-        let (head, body) = get(server.local_addr(), "/healthz");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        assert!(body.starts_with("degraded: queue near capacity"), "{body}");
-        drop(server);
-
-        // An SLO hub takes over: windowed evaluation, not lifetime ratios.
-        let registry = Arc::new(Registry::new());
-        registry.counter("cgc_ingest_enqueued_total", "t").add(100);
-        let reg = Arc::clone(&registry);
-        let hub = Arc::new(SloHub::real_time(SloConfig::default()));
         let server = TelemetryServer::spawn_with(
             "127.0.0.1:0",
             move || reg.snapshot(),
             ServeOptions {
-                slo: Some(hub),
+                slo: Some(Arc::new(hub)),
                 ..ServeOptions::default()
             },
         )
         .unwrap();
+        assert_eq!(get(server.local_addr(), "/healthz").1, "ok\n");
+        feed(&registry);
+        clock.store(300_000_000, Ordering::Relaxed);
+        get(server.local_addr(), "/healthz")
+    }
+
+    #[test]
+    fn healthz_wires_drop_and_saturation_counters_through_the_hub() {
+        // Degraded: a visible but sub-critical drop ratio (1.5 % against
+        // the 1 % target, for one fast window).
+        let (head, body) = healthz_after_one_fast_window(|r| {
+            r.counter("cgc_ingest_enqueued_total", "t").add(985);
+            r.counter("cgc_ingest_dropped_total", "t").add(15);
+        });
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(body.starts_with("degraded: drop_ratio"), "{body}");
+
+        // Critical: a drop storm answers 503 so external probes trip.
+        let (head, body) = healthz_after_one_fast_window(|r| {
+            r.counter("cgc_ingest_enqueued_total", "t").add(100);
+            r.counter("cgc_ingest_dropped_total", "t").add(50);
+        });
+        assert!(head.starts_with("HTTP/1.1 503"), "{head}");
+        assert!(body.starts_with("critical: drop_ratio"), "{body}");
+
+        // Saturated queue gauges trip it too, independent of drops.
+        let (head, body) = healthz_after_one_fast_window(|r| {
+            r.gauge_with("cgc_ingest_queue_depth", "d", &[("shard", "0")])
+                .set(95);
+        });
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(body.starts_with("degraded: queue_saturation"), "{body}");
+    }
+
+    #[test]
+    fn slo_route_serves_a_default_hub() {
+        let registry = Arc::new(Registry::new());
+        registry.counter("cgc_ingest_enqueued_total", "t").add(100);
+        let reg = Arc::clone(&registry);
+        let server = TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), None).unwrap();
         let (head, body) = get(server.local_addr(), "/healthz");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert_eq!(body, "ok\n");
@@ -734,8 +685,6 @@ mod tests {
         let reg = Arc::clone(&registry);
         let server = TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), None).unwrap();
         let (head, _) = get(server.local_addr(), "/trace");
-        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
-        let (head, _) = get(server.local_addr(), "/slo");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
     }
 

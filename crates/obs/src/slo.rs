@@ -398,14 +398,14 @@ pub struct SnapshotBridge {
 }
 
 /// Counter families whose increments mean "a record/event was lost".
-pub(crate) const DROP_COUNTERS: [&str; 3] = [
+const DROP_COUNTERS: [&str; 3] = [
     "cgc_ingest_dropped_total",
     "cgc_journal_dropped_events_total",
     "cgc_trace_dropped_spans_total",
 ];
 
 /// Counter families whose increments mean "a record/event was accepted".
-pub(crate) const ACCEPT_COUNTERS: [&str; 3] = [
+const ACCEPT_COUNTERS: [&str; 3] = [
     "cgc_ingest_enqueued_total",
     "cgc_journal_events_total",
     "cgc_trace_spans_total",

@@ -19,7 +19,8 @@ use gamescope::obs::{Journal, JournalConfig, Registry, TelemetryServer};
 use gamescope::pipeline::shard::{ShardedMonitorConfig, ShardedTapMonitor};
 use gamescope::pipeline::Obs;
 use gamescope::sim::{Fidelity, Session, SessionConfig, SessionGenerator, TitleKind};
-use gamescope::trace::packet::Direction;
+use gamescope::trace::packet::{Direction, FiveTuple};
+use gamescope::trace::units::Micros;
 
 fn main() {
     // A private registry and journal: the monitor below gets the sink,
@@ -54,15 +55,17 @@ fn main() {
             ..Obs::on(&registry)
         },
     );
+    let mut feed: Vec<(Micros, FiveTuple, u32)> = Vec::new();
     for (offset, s) in &sessions {
         for p in &s.packets {
             let tuple = match p.dir {
                 Direction::Downstream => s.tuple,
                 Direction::Upstream => s.tuple.reversed(),
             };
-            monitor.ingest(p.ts + offset, &tuple, p.payload_len);
+            feed.push((p.ts + offset, tuple, p.payload_len));
         }
     }
+    monitor.ingest_batch(&feed);
     let (out, _stats) = monitor.finish_all();
     println!(
         "monitored {} sessions; journal has their timelines:\n",

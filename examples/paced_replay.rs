@@ -27,7 +27,6 @@ fn main() {
     let cfg = TapFleetConfig {
         n_sessions: 4,
         gameplay_secs: 15.0,
-        shards: 2,
         ..TapFleetConfig::default()
     };
     let feed = build_tap_feed(&cfg);
@@ -52,7 +51,7 @@ fn main() {
     let clock = VirtualClock::new();
     let live = run_tap_feed_replay(
         &bundle,
-        cfg.shards,
+        2,
         vec![MergeSource::new("feed", feed)],
         clock.shared(),
         TapReplayOptions {

@@ -9,7 +9,7 @@
 
 use gamescope::deploy::train::{train_bundle, TrainConfig};
 use gamescope::domain::{GameTitle, StreamSettings};
-use gamescope::pipeline::filter::{stats_of, CloudGamingFilter};
+use gamescope::pipeline::filter;
 use gamescope::pipeline::{AnalyzerConfig, QoeInputs, SessionAnalyzer};
 use gamescope::sim::{Fidelity, SessionConfig, SessionGenerator, TitleKind};
 use gamescope::trace::pcap;
@@ -46,8 +46,7 @@ fn main() {
     assert_eq!(packets.len(), session.packets.len());
 
     // The cloud-gaming filter should accept this flow.
-    let filter = CloudGamingFilter::default();
-    match filter.accept(&session.tuple, &stats_of(&packets)) {
+    match filter::accept(&session.tuple, &filter::stats_of(&packets)) {
         Some(platform) => println!("filter: accepted as {platform} streaming flow"),
         None => println!("filter: REJECTED (unexpected)"),
     }

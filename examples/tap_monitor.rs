@@ -65,8 +65,10 @@ fn main() {
         Registry::global(),
         Obs::global(),
     );
-    for (ts, tuple, len) in &feed {
-        monitor.ingest(*ts, tuple, *len);
+    // One batch per 256 records, the unit the live path's router hands
+    // to the shards.
+    for batch in feed.chunks(256) {
+        monitor.ingest_batch(batch);
     }
     let live = monitor.stats().total();
     println!(

@@ -36,13 +36,13 @@
 //! gets its final session verdict.
 
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use gamescope::deploy::fleet::{
     build_tap_feed, drive_tap_feed, run_fleet, FleetConfig, FleetModels, TapFleetConfig,
     TapReplayOptions,
 };
-use gamescope::deploy::lifecycle::{self, LifecyclePilot, PromotePolicy};
+use gamescope::deploy::lifecycle::{LifecyclePilot, PromotePolicy};
 use gamescope::deploy::report::{journal_table, metrics_table, quality_table, trace_table};
 use gamescope::deploy::train::{train_bundle, TrainConfig};
 use gamescope::domain::{GameTitle, QoeLevel, StreamSettings};
@@ -375,6 +375,9 @@ struct Telemetry {
     /// Truth-join sink of the per-session fleet.
     quality: obs::QualitySink,
     drift: Option<Arc<Mutex<obs::DriftEngine>>>,
+    /// The lifecycle pilot `fleet --registry` opens, once it has: the
+    /// `/models` route, built before any subcommand runs, reads it here.
+    pilot: Arc<OnceLock<Arc<LifecyclePilot>>>,
 }
 
 fn cmd_analyze(mut args: Vec<String>, telemetry: &Telemetry) -> Result<(), String> {
@@ -401,9 +404,7 @@ fn cmd_analyze(mut args: Vec<String>, telemetry: &Telemetry) -> Result<(), Strin
     // ones with background chatter) work the same as single-session files.
     let mut monitor =
         TapMonitor::with_obs(&bundle, MonitorConfig::default(), telemetry.obs.clone());
-    for r in &records {
-        monitor.ingest_record(r);
-    }
+    monitor.ingest_batch(&pcap_feed(&records));
     let mut sessions = monitor.finish_all();
     sessions.sort_by_key(|m| m.started_at);
     if sessions.is_empty() {
@@ -484,10 +485,7 @@ fn cmd_fleet_replay(
         }
         sources
     } else if source == "sim" {
-        let mut tap_cfg = TapFleetConfig {
-            shards,
-            ..Default::default()
-        };
+        let mut tap_cfg = TapFleetConfig::default();
         if let Some(v) = take_parsed(&mut args, "--sessions")? {
             tap_cfg.n_sessions = v;
         }
@@ -641,8 +639,8 @@ fn cmd_fleet(mut args: Vec<String>, telemetry: &Telemetry) -> Result<(), String>
     }
 
     // With a registry, the fleet serves from a hot-swappable slot under a
-    // lifecycle pilot (installed process-wide so /models can see it);
-    // without one, the classic fixed-bundle path.
+    // lifecycle pilot (published to `telemetry.pilot` so /models can see
+    // it); without one, the classic fixed-bundle path.
     let pilot: Option<Arc<LifecyclePilot>> = match &registry_dir {
         Some(dir) => {
             let pilot = LifecyclePilot::open(
@@ -653,7 +651,7 @@ fn cmd_fleet(mut args: Vec<String>, telemetry: &Telemetry) -> Result<(), String>
                 promote_policy,
             )
             .map_err(|e| format!("opening model registry {dir}: {e}"))?;
-            let pilot = lifecycle::install_global(Arc::new(pilot));
+            let pilot = Arc::clone(telemetry.pilot.get_or_init(|| Arc::new(pilot)));
             eprintln!(
                 "lifecycle: serving model v{} from registry {dir} (promote: {})",
                 pilot.live().version(),
@@ -812,6 +810,7 @@ fn run() -> Result<(), String> {
         obs: Obs::on(registry),
         quality: obs::QualitySink::disabled(),
         drift: None,
+        pilot: Arc::default(),
     };
     // Any flight-recorder option builds the journal before the command
     // runs; every monitor/analyzer the command builds records into it.
@@ -914,21 +913,18 @@ fn run() -> Result<(), String> {
     // when `run` returns.
     let _server = match &serve_addr {
         Some(addr) => {
+            let pilot = Arc::clone(&telemetry.pilot);
             let options = obs::ServeOptions {
                 journal: journal.clone(),
                 trace: trace.clone(),
-                // Burn-rate evaluation on the wall clock backs /slo and
-                // upgrades /healthz from the cumulative-counter fallback.
-                slo: Some(Arc::new(obs::SloHub::real_time(obs::SloConfig::default()))),
                 quality: quality.clone(),
                 drift: telemetry.drift.clone(),
                 build: Some(Arc::new(obs::BuildInfo::register(registry))),
-                // Resolved per request: the lifecycle pilot installs
-                // itself after the server is already up (fleet
-                // --registry), and /models goes live the moment it does.
-                models: Some(Arc::new(|| {
-                    lifecycle::global().map(|pilot| pilot.models_json())
-                })),
+                // Resolved per request: the lifecycle pilot is opened
+                // after the server is already up (fleet --registry), and
+                // /models goes live the moment it is.
+                models: Some(Arc::new(move || pilot.get().map(|p| p.models_json()))),
+                ..obs::ServeOptions::default()
             };
             let server = obs::TelemetryServer::spawn_with(addr, || registry.snapshot(), options)
                 .map_err(|e| format!("binding --serve {addr}: {e}"))?;

@@ -75,7 +75,7 @@ fn library_replay(
     let offered: usize = sources.iter().map(|s| s.records.len()).sum();
     let run = run_tap_feed_replay(
         bundle,
-        cfg.shards,
+        2,
         sources,
         VirtualClock::new().shared(),
         TapReplayOptions {
@@ -101,7 +101,6 @@ fn cli_replay_prints_what_the_library_replay_concludes() {
     let cfg = TapFleetConfig {
         n_sessions: 3,
         gameplay_secs: 6.0,
-        shards: 2,
         ..TapFleetConfig::default()
     };
     let feed = build_tap_feed(&cfg);

@@ -1,15 +1,17 @@
 //! What the tap-path byte-identity suites (`e2e_ingest`, `e2e_merge`)
-//! share: the fleet they replay and the comparison against the offline
-//! oracle (`run_tap_fleet`).
+//! share: the fleet they replay, the live path's shard count, and the
+//! comparison against the offline oracle (`run_tap_fleet`).
 
 use gamescope::deploy::{TapFleetConfig, TapFleetRun, TapReplayRun};
 use gamescope::obs::journal::render_line;
+
+/// Worker shards of the live path under test.
+pub const SHARDS: usize = 2;
 
 pub fn fleet_config() -> TapFleetConfig {
     TapFleetConfig {
         n_sessions: 4,
         gameplay_secs: 12.0,
-        shards: 2,
         ..TapFleetConfig::default()
     }
 }

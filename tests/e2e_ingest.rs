@@ -28,7 +28,7 @@ fn replay_whole_feed(
 ) -> TapReplayRun {
     run_tap_feed_replay(
         bundle,
-        cfg.shards,
+        common::SHARDS,
         vec![MergeSource::new("feed", build_tap_feed(cfg))],
         VirtualClock::new().shared(),
         opts,

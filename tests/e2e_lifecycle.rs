@@ -343,16 +343,16 @@ fn hot_swap_under_tap_load_keeps_timelines_continuous() {
         },
     );
 
-    for (ts, tuple, len) in &feed[..split] {
-        monitor.ingest(*ts, tuple, *len);
+    for batch in feed[..split].chunks(256) {
+        monitor.ingest_batch(batch);
     }
     // stats() round-trips every shard, so all pre-cutover admissions have
     // happened before the publish — the version split is deterministic.
     let pre = monitor.stats();
     assert_eq!(pre.total().active_flows, 4);
     assert_eq!(live.publish(bundle), 2);
-    for (ts, tuple, len) in &feed[split..] {
-        monitor.ingest(*ts, tuple, *len);
+    for batch in feed[split..].chunks(256) {
+        monitor.ingest_batch(batch);
     }
     let (out, stats) = monitor.finish_all();
 

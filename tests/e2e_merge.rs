@@ -32,7 +32,7 @@ fn split_feeds_merge_back_byte_identical_to_offline_batch() {
             .collect();
         let live = run_tap_feed_replay(
             &bundle,
-            cfg.shards,
+            common::SHARDS,
             sources,
             VirtualClock::new().shared(),
             TapReplayOptions {
@@ -61,7 +61,7 @@ fn split_feeds_merge_back_byte_identical_to_offline_batch() {
     tight.ingest.policy = BackpressurePolicy::Block;
     let squeezed = run_tap_feed_replay(
         &bundle,
-        cfg.shards,
+        common::SHARDS,
         sources,
         VirtualClock::new().shared(),
         tight,
@@ -97,7 +97,7 @@ fn skewed_source_clocks_are_corrected_by_offsets() {
         .collect();
     let live = run_tap_feed_replay(
         &bundle,
-        cfg.shards,
+        common::SHARDS,
         sources,
         VirtualClock::new().shared(),
         TapReplayOptions::default(),
@@ -123,7 +123,7 @@ fn merge_metric_families_render_with_source_labels() {
         .collect();
     let live = run_tap_feed_replay(
         &bundle,
-        cfg.shards,
+        common::SHARDS,
         sources,
         VirtualClock::new().shared(),
         TapReplayOptions {

@@ -90,7 +90,6 @@ fn trace_endpoint_reconstructs_causal_chains_with_exemplars() {
     let cfg = TapFleetConfig {
         n_sessions: 2,
         gameplay_secs: 12.0,
-        shards: 2,
         ..Default::default()
     };
     // The tap driver `run_tap_feed_replay` wraps, called directly so the
@@ -110,7 +109,7 @@ fn trace_endpoint_reconstructs_causal_chains_with_exemplars() {
     let (journal_sink, journal) = Journal::new(JournalConfig::default(), &registry);
     let sessions = drive_tap_feed(
         Arc::clone(&bundle),
-        cfg.shards,
+        2,
         vec![MergeSource::new("feed", build_tap_feed(&cfg))],
         gamescope::trace::VirtualClock::new().shared(),
         &TapReplayOptions::default(),

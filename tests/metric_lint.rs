@@ -63,12 +63,11 @@ fn every_registered_family_is_lint_clean() {
     let cfg = TapFleetConfig {
         n_sessions: 2,
         gameplay_secs: 8.0,
-        shards: 2,
         ..Default::default()
     };
     let run = run_tap_feed_replay(
         &bundle,
-        cfg.shards,
+        2,
         vec![gamescope::ingest::MergeSource::new(
             "feed",
             build_tap_feed(&cfg),
