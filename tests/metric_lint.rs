@@ -148,4 +148,37 @@ fn every_registered_family_is_lint_clean() {
         "metric lint violations:\n  {}",
         violations.join("\n  ")
     );
+
+    // The registered set is pinned: one `family label,keys` line per
+    // family in tests/fixtures/metric_families.txt. A family that
+    // disappears, appears or changes its label keys fails here.
+    let seen: Vec<String> = families
+        .iter()
+        .flat_map(|(name, label_sets)| {
+            label_sets
+                .keys()
+                .map(move |keys| format!("{name} {}", keys.join(",")))
+        })
+        .map(|line| line.trim_end().to_string())
+        .collect();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/metric_families.txt"
+    );
+    let pinned = std::fs::read_to_string(path).expect("metric family list");
+    let pinned: Vec<&str> = pinned.lines().collect();
+    let lost: Vec<&str> = pinned
+        .iter()
+        .copied()
+        .filter(|p| !seen.iter().any(|s| s == p))
+        .collect();
+    let added: Vec<&str> = seen
+        .iter()
+        .map(String::as_str)
+        .filter(|s| !pinned.contains(s))
+        .collect();
+    assert!(
+        lost.is_empty() && added.is_empty(),
+        "metric families moved against {path}\n  lost or relabelled: {lost:?}\n  added: {added:?}"
+    );
 }
