@@ -794,7 +794,7 @@ pub(crate) mod tests {
 
         // One title observation, one per classified (non-seed) slot, and
         // at most one pattern observation reached the engine.
-        engine.drain();
+        engine.drain_and_sync();
         let snap = registry.snapshot();
         let total = snap.counter("cgc_drift_observations_total").unwrap();
         let classified = r_drift.stage_slots.len() as u64 - 10; // seed slots emit nothing

@@ -91,9 +91,7 @@ mod tests {
         // Virtual SLO clock stepped manually so burn windows are exact.
         let now = std::sync::Arc::new(AtomicUsize::new(1));
         let now_for_hub = std::sync::Arc::clone(&now);
-        let hub = SloHub::new(cgc_obs::SloConfig::default(), move || {
-            now_for_hub.load(Ordering::Relaxed) as u64
-        });
+        let hub = SloHub::new(move || now_for_hub.load(Ordering::Relaxed) as u64);
         let dropped = registry.counter("cgc_ingest_dropped_total", "");
         let accepted = registry.counter("cgc_ingest_enqueued_total", "");
         let reports: Mutex<Vec<(usize, Option<SloReport>)>> = Mutex::new(Vec::new());

@@ -103,7 +103,7 @@ pub(crate) fn session_config(
 /// the evening (the "peak hours" §5.2 worries about) and bottoms out
 /// overnight. Public so impairment scheduling (and the diurnal experiment)
 /// compose with the same arrival model.
-pub const DIURNAL_WEIGHTS: [f64; 24] = [
+const DIURNAL_WEIGHTS: [f64; 24] = [
     3.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0, // 00-07
     4.0, 5.0, 5.0, 6.0, 7.0, 7.0, 8.0, 9.0, // 08-15
     10.0, 12.0, 14.0, 16.0, 15.0, 12.0, 8.0, 5.0, // 16-23
@@ -166,7 +166,7 @@ fn impair_session(s: &mut Session, rng: &mut StdRng) -> QoeInputs {
 /// arrivals see half the profile's nominal capacity; overnight arrivals a
 /// modest surplus. Reuses the diurnal arrival weights so `--impair`
 /// composes with the same schedule windows as `exp_diurnal`.
-pub fn diurnal_congestion_factor(hour: usize) -> f64 {
+fn diurnal_congestion_factor(hour: usize) -> f64 {
     let max_w = DIURNAL_WEIGHTS
         .iter()
         .cloned()

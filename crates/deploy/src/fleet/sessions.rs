@@ -392,7 +392,7 @@ pub fn run_fleet<'a>(models: impl Into<FleetModels<'a>>, cfg: &FleetConfig) -> V
             // the scope still joins promptly. Burn rates run on the wall
             // clock — the same axis the heartbeat intervals live on.
             scope.spawn(|| {
-                let slo = cgc_obs::SloHub::real_time(cgc_obs::SloConfig::default());
+                let slo = cgc_obs::SloHub::real_time();
                 telemetry_reporter(
                     cgc_obs::Registry::global(),
                     baseline,

@@ -50,5 +50,5 @@ pub use impair::{
 };
 pub use packet::{Direction, FiveTuple, Packet, Protocol};
 pub use slots::{SlotSeries, SlotView};
-pub use units::{Micros, BITS_PER_BYTE, MICROS_PER_SEC};
+pub use units::{Micros, MICROS_PER_SEC};
 pub use vol::{VolSample, VolSeries};

@@ -158,7 +158,7 @@ impl<W: Write> PcapWriter<W> {
     }
 
     /// Writes an entire session and flushes.
-    pub fn write_session(&mut self, down_tuple: &FiveTuple, packets: &[Packet]) -> io::Result<()> {
+    fn write_session(&mut self, down_tuple: &FiveTuple, packets: &[Packet]) -> io::Result<()> {
         for p in packets {
             self.write_packet(down_tuple, p)?;
         }

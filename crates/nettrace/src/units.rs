@@ -12,7 +12,7 @@ pub type Micros = u64;
 pub const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// Bits per byte, named to keep throughput conversions legible.
-pub const BITS_PER_BYTE: u64 = 8;
+const BITS_PER_BYTE: u64 = 8;
 
 /// Converts seconds (possibly fractional) to microseconds, saturating at
 /// `u64::MAX`. Negative inputs clamp to zero.

@@ -57,18 +57,13 @@ impl BuildInfo {
         self.uptime.set(self.started.elapsed().as_secs() as i64);
     }
 
-    /// Seconds since [`register`](Self::register).
-    fn uptime_seconds(&self) -> u64 {
-        self.started.elapsed().as_secs()
-    }
-
     /// The one-line build summary appended to `/healthz` bodies.
     pub fn healthz_line(&self) -> String {
         format!(
             "build {} git {} up {}s\n",
             VERSION,
             GIT_REV,
-            self.uptime_seconds()
+            self.started.elapsed().as_secs()
         )
     }
 }

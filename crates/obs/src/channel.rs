@@ -1,6 +1,6 @@
 //! The one path a telemetry record takes from a hot-path producer to its
-//! consumer: a bounded lock-free ring, counted-never-silent shedding, a
-//! drain, and an off-thread pump.
+//! consumer: a bounded lock-free ring, counted-never-silent shedding, and
+//! a drain.
 //!
 //! Journal events, trace spans, quality samples and drift observations
 //! all travel this way. A producer holds a cloneable [`Sink<T>`]; pushing
@@ -9,10 +9,9 @@
 //! and counted*, so a stalled consumer costs visibility, not tap
 //! throughput. A disabled sink is one branch. The consumer owns the
 //! [`Channel<T>`] and calls [`Channel::drain`] whenever it wants the
-//! queued records (scrape time, exit, or a [`Pump`] tick).
+//! queued records (scrape time, exit, or a [`Pump`](crate::Pump) tick).
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::EventRing;
 use crate::metric::Counter;
@@ -25,8 +24,8 @@ pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// `(family name, help string)` of a counter a channel or pump registers.
-pub type Family = (&'static str, &'static str);
+/// `(family name, help string)` of a metric a channel or recorder registers.
+pub(crate) type Family = (&'static str, &'static str);
 
 /// Consumer side of one telemetry stream: the ring plus its accepted and
 /// shed counters.
@@ -40,7 +39,7 @@ impl<T> Channel<T> {
     /// A channel of `capacity` records (rounded up to a power of two)
     /// counting accepted records in `recorded` and shed ones in `dropped`
     /// on `registry`, both labeled `profile=` when one is given.
-    pub fn new(
+    pub(crate) fn new(
         capacity: usize,
         registry: &Registry,
         recorded: Family,
@@ -133,114 +132,12 @@ impl<T> std::fmt::Debug for Sink<T> {
     }
 }
 
-// ------------------------------------------------------------ pump
-
-/// A consumer a [`Pump`] can keep drained.
-pub trait Drain: Send + 'static {
-    /// The pump thread's name.
-    const THREAD: &'static str;
-    /// Counter of drain passes the pump performed.
-    const PASSES: Family;
-    /// Counter of records the pump moved.
-    const MOVED: Family;
-
-    /// Moves every queued record into the consumer's state; returns how
-    /// many.
-    fn drain(&mut self) -> usize;
-}
-
-/// Off-thread consumer: drains a shared [`Drain`] target every `interval`
-/// so its state stays fresh in long-lived deployments — scrapes read
-/// drained state instead of triggering a drain themselves, and producers
-/// get ring space back at a steady cadence rather than at the next scrape.
-///
-/// Stopping (or dropping) the pump makes the thread run one last pass, so
-/// nothing queued at shutdown is lost.
-pub struct Pump {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Pump {
-    /// Spawns the thread draining `target` every `interval`, counting its
-    /// work in `D::PASSES` / `D::MOVED` on `registry`.
-    pub fn start<D: Drain>(target: Arc<Mutex<D>>, interval: Duration, registry: &Registry) -> Pump {
-        let passes = registry.counter(D::PASSES.0, D::PASSES.1);
-        let moved = registry.counter(D::MOVED.0, D::MOVED.1);
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name(D::THREAD.into())
-            .spawn(move || loop {
-                let stopping = {
-                    let (stopped, wake) = &*flag;
-                    let guard = lock(stopped);
-                    *guard
-                        || *wake
-                            .wait_timeout(guard, interval)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0
-                };
-                // Also the final drain: the pass after the stop flag was
-                // seen picks up everything pushed before `stop` was called.
-                let n = lock(&target).drain();
-                passes.inc();
-                if n > 0 {
-                    moved.add(n as u64);
-                }
-                if stopping {
-                    break;
-                }
-            })
-            .expect("spawn pump thread");
-        Pump {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stops the thread after its final drain (also what `Drop` does; call
-    /// explicitly when you want the join to be visible).
-    pub fn stop(self) {}
-}
-
-impl Drop for Pump {
-    fn drop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            let (stopped, wake) = &*self.stop;
-            *lock(stopped) = true;
-            wake.notify_all();
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const RECORDED: Family = ("test_records_total", "accepted");
     const DROPPED: Family = ("test_shed_total", "shed");
-
-    /// A consumer that just collects what it drains.
-    struct Collected(Arc<Channel<u64>>, Vec<u64>);
-
-    impl Drain for Collected {
-        const THREAD: &'static str = "test-pump";
-        const PASSES: Family = ("test_pump_drains_total", "passes");
-        const MOVED: Family = ("test_pump_records_total", "moved");
-
-        fn drain(&mut self) -> usize {
-            let Collected(channel, got) = self;
-            channel.drain(|v| got.push(v))
-        }
-    }
-
-    fn collected(registry: &Registry) -> (Sink<u64>, Arc<Mutex<Collected>>) {
-        let channel = Channel::new(64, registry, RECORDED, DROPPED, None);
-        let sink = channel.sink();
-        (sink, Arc::new(Mutex::new(Collected(channel, Vec::new()))))
-    }
 
     #[test]
     fn disabled_sink_is_a_noop() {
@@ -269,38 +166,5 @@ mod tests {
         assert_eq!(got, (0..recorded).collect::<Vec<_>>(), "queue order kept");
         assert!(dropped > 0, "an 8-slot ring cannot hold 20 records");
         assert_eq!((channel.dropped(), sink.dropped()), (dropped, dropped));
-    }
-
-    #[test]
-    fn pump_drains_continuously_without_scrapes() {
-        let registry = Registry::new();
-        let (sink, target) = collected(&registry);
-        let pump = Pump::start(Arc::clone(&target), Duration::from_millis(1), &registry);
-        for i in 0..50u64 {
-            sink.push(i);
-        }
-        // The consumer runs off-thread: records reach the target without
-        // anyone calling drain() on this thread.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while lock(&target).1.len() < 50 {
-            assert!(std::time::Instant::now() < deadline, "pump never drained");
-            std::thread::yield_now();
-        }
-        pump.stop();
-        let snap = registry.snapshot();
-        assert!(snap.counter("test_pump_drains_total").unwrap() > 0);
-        assert_eq!(snap.counter("test_pump_records_total"), Some(50));
-    }
-
-    #[test]
-    fn pump_final_drain_flushes_shutdown_tail() {
-        let registry = Registry::new();
-        let (sink, target) = collected(&registry);
-        // A pump on a long interval: nothing drains until shutdown.
-        let pump = Pump::start(Arc::clone(&target), Duration::from_secs(3600), &registry);
-        sink.push(1);
-        sink.push(2);
-        drop(pump); // final drain on drop
-        assert_eq!(lock(&target).1, [1, 2]);
     }
 }

@@ -11,7 +11,8 @@
 //! The [`DriftEngine`] holds, per model, a **reference** histogram of
 //! confidence and margin scores frozen after a warmup
 //! ([`DriftConfig::reference_size`] observations) and a **current**
-//! rolling window ([`DriftConfig::window`]). Each sync compares the two
+//! rolling window ([`DriftConfig::window`]) — the per-model core it shares
+//! with the [`QualityHub`](crate::QualityHub). Each sync compares the two
 //! with the Population Stability Index and a Kolmogorov–Smirnov-style
 //! max-CDF-distance statistic, plus an unknown-title novelty signal (the
 //! fraction of launch windows scored below the unknown-gating threshold,
@@ -23,7 +24,7 @@
 //! - `cgc_drift_score_milli{model=}` — the alarmed scalar (PSI units ×1000)
 //!
 //! By the usual PSI reading, < 0.1 is stationary, 0.1–0.25 is a moderate
-//! shift, and ≥ 0.25 ([`DriftConfig::alarm_threshold`]) demands action —
+//! shift, and ≥ 0.25 ([`ALARM_THRESHOLD`]) demands action —
 //! the `drift_score` SLO objective burns against exactly that ceiling.
 //!
 //! Observations arrive through a lock-free [`DriftSink`] — one
@@ -31,35 +32,39 @@
 //! counted-never-silent shedding as the journal and quality rings; the
 //! pipeline emits them zero-allocation, one branch when disabled.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use serde::Serialize;
 
-use crate::channel::{Channel, Sink};
+use crate::channel::Sink;
 use crate::metric::Gauge;
 use crate::quality::ModelKind;
 use crate::registry::Registry;
+use crate::window::{Gauges, ModelWindows, Score};
 
-/// One score observation: which model inferred, how confident it was,
-/// and by how much the top class beat the runner-up.
-#[derive(Debug, Clone, Copy)]
-pub struct DriftObservation {
-    /// Which classifier produced the scores.
-    pub model: ModelKind,
-    /// Top-1 confidence, 0..=1.
-    pub confidence: f32,
-    /// Top-1 minus top-2 probability, 0..=1.
-    pub margin: f32,
-}
+/// Histogram bins over the [0, 1] score range.
+const BINS: usize = 10;
+/// Confidence below this counts as an unknown-title novelty event (the
+/// title classifier's unknown-gating threshold).
+const NOVELTY_THRESHOLD: f64 = 0.65;
+/// Drift score at or past this raises the model's alarm (PSI units; 0.25
+/// is the conventional "major shift" boundary).
+pub const ALARM_THRESHOLD: f64 = 0.25;
+/// Window multiplier for the per-slot stage signal. Stage scores once per
+/// pipeline slot while title and pattern score about once per session, so
+/// at equal observation counts a stage window spans a sliver of
+/// wall-clock (often less than one session) and its score mix is
+/// dominated by whichever handful of sessions happen to fall in it — a
+/// spurious "drift" under any stationary workload. Multiplying the stage
+/// reference/window/min-window keeps the *time* span of the comparison
+/// comparable across models.
+const STAGE_SCALE: usize = 16;
 
-/// Sizing and thresholds of the drift detector.
+/// Sizing of the drift detector.
 #[derive(Debug, Clone, Copy)]
 pub struct DriftConfig {
     /// Sink ring capacity (observations), rounded up to a power of two.
     pub ring_capacity: usize,
-    /// Histogram bins over the [0, 1] score range.
-    pub bins: usize,
     /// Observations per model accumulated before the reference freezes
     /// (the warmup; scores stay 0 until frozen).
     pub reference_size: usize,
@@ -68,24 +73,11 @@ pub struct DriftConfig {
     /// Minimum current-window fill before scores are computed (avoids
     /// alarming on a handful of samples).
     pub min_window: usize,
-    /// Confidence below this counts as an unknown-title novelty event
-    /// (matches the title classifier's unknown-gating threshold).
-    pub novelty_threshold: f64,
-    /// Drift score at or past this raises the model's alarm (PSI units;
-    /// 0.25 is the conventional "major shift" boundary).
-    pub alarm_threshold: f64,
-    /// Window multiplier for the per-slot stage signal. Stage scores
-    /// once per pipeline slot while title and pattern score about once
-    /// per session, so at equal observation counts a stage window spans
-    /// a sliver of wall-clock (often less than one session) and its
-    /// score mix is dominated by whichever handful of sessions happen to
-    /// fall in it — a spurious "drift" under any stationary workload.
-    /// Multiplying the stage reference/window/min-window keeps the
-    /// *time* span of the comparison comparable across models.
-    pub stage_scale: usize,
     /// Optional impairment-profile label added to every drift family
-    /// (`profile=`). `None` (the default) keeps the legacy label set; as
-    /// with quality, a process must pick one convention per registry.
+    /// (`profile=`). `None` (the default) keeps the legacy label set; a
+    /// process must pick one convention per registry — mixing labeled and
+    /// unlabeled engines on one registry would violate the
+    /// one-label-set-per-family metrics contract.
     pub profile: Option<&'static str>,
 }
 
@@ -93,49 +85,25 @@ impl Default for DriftConfig {
     fn default() -> Self {
         DriftConfig {
             ring_capacity: 1 << 15,
-            bins: 10,
             reference_size: 512,
             window: 256,
             min_window: 32,
-            novelty_threshold: 0.65,
-            alarm_threshold: 0.25,
-            stage_scale: 16,
             profile: None,
         }
     }
 }
 
-impl DriftConfig {
-    /// Effective (reference, window, min-window) sizing for `kind`, with
-    /// the per-slot stage multiplier applied.
-    fn sizing(&self, kind: ModelKind) -> (usize, usize, usize) {
-        let scale = match kind {
-            ModelKind::Stage => self.stage_scale.max(1),
-            _ => 1,
-        };
-        (
-            self.reference_size.saturating_mul(scale),
-            self.window.saturating_mul(scale),
-            self.min_window.saturating_mul(scale),
-        )
-    }
-}
-
 /// Lock-free producer handle for score observations: a [`Sink`] of
-/// [`DriftObservation`]s. Cheap to clone, one branch per call when
-/// disabled; a full ring sheds the observation and counts it
+/// `(model, (confidence, margin))`. Cheap to clone, one branch per call
+/// when disabled; a full ring sheds the observation and counts it
 /// (`cgc_drift_shed_total`) instead of blocking.
-pub type DriftSink = Sink<DriftObservation>;
+pub type DriftSink = Sink<(ModelKind, (f32, f32))>;
 
-impl Sink<DriftObservation> {
+impl DriftSink {
     /// Feeds one (confidence, margin) score pair for `model`.
     #[inline]
     pub fn observe(&self, model: ModelKind, confidence: f64, margin: f64) {
-        self.push(DriftObservation {
-            model,
-            confidence: confidence as f32,
-            margin: margin as f32,
-        });
+        self.push((model, (confidence as f32, margin as f32)));
     }
 }
 
@@ -186,168 +154,156 @@ fn ks(reference: &[u64], current: &[u64]) -> f64 {
 
 /// Per-signal windowed scores of one model.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SignalScores {
+struct SignalScores {
     /// Population Stability Index, reference vs current.
-    pub psi: f64,
+    psi: f64,
     /// Max CDF distance, reference vs current.
-    pub ks: f64,
+    ks: f64,
 }
 
-/// Reference + current windows and derived scores of one model.
-struct ModelDrift {
-    kind: ModelKind,
-    ref_conf: Vec<u64>,
-    ref_margin: Vec<u64>,
-    ref_total: u64,
-    ref_low_conf: u64,
+impl SignalScores {
+    fn of(reference: &[u64], current: &[u64]) -> SignalScores {
+        SignalScores {
+            psi: psi(reference, current),
+            ks: ks(reference, current),
+        }
+    }
+}
+
+/// `(family, help, signal)` of the per-model drift gauges, in the order
+/// [`Drift::sync`] sets them.
+const GAUGES: [(&str, &str, Option<&str>); 8] = [
+    (
+        "cgc_drift_psi_milli",
+        "Population Stability Index vs frozen reference, x1000",
+        Some("confidence"),
+    ),
+    (
+        "cgc_drift_psi_milli",
+        "Population Stability Index vs frozen reference, x1000",
+        Some("margin"),
+    ),
+    (
+        "cgc_drift_ks_milli",
+        "Max CDF distance vs frozen reference, x1000",
+        Some("confidence"),
+    ),
+    (
+        "cgc_drift_ks_milli",
+        "Max CDF distance vs frozen reference, x1000",
+        Some("margin"),
+    ),
+    (
+        "cgc_drift_novelty_milli",
+        "Low-confidence (novel-title) fraction of the current window, x1000",
+        None,
+    ),
+    (
+        "cgc_drift_score_milli",
+        "Worst drift statistic of the model (PSI units x1000)",
+        None,
+    ),
+    (
+        "cgc_drift_window_len",
+        "Observations currently in the drift window",
+        None,
+    ),
+    (
+        "cgc_drift_reference_frozen",
+        "1 once the model's reference distribution is frozen",
+        None,
+    ),
+];
+
+/// Confidence and margin histograms over a set of observations.
+#[derive(Debug, Default)]
+struct Histograms {
+    confidence: [u64; BINS],
+    margin: [u64; BINS],
+    total: u64,
+    /// Observations below [`NOVELTY_THRESHOLD`] confidence.
+    low_confidence: u64,
+}
+
+impl Histograms {
+    /// Adds one observation, or with `add` false removes one.
+    fn count(&mut self, (confidence, margin): (f32, f32), add: bool) {
+        let bin = |v: f32| ((v.clamp(0.0, 1.0) as f64 * BINS as f64) as usize).min(BINS - 1);
+        let step = |n: &mut u64| if add { *n += 1 } else { *n -= 1 };
+        step(&mut self.confidence[bin(confidence)]);
+        step(&mut self.margin[bin(margin)]);
+        step(&mut self.total);
+        if f64::from(confidence) < NOVELTY_THRESHOLD {
+            step(&mut self.low_confidence);
+        }
+    }
+}
+
+/// Reference and current histograms of one model, and the scores derived
+/// from them on sync.
+struct Drift {
+    reference_size: u64,
+    min_window: usize,
+    reference: Histograms,
     frozen: bool,
-    current: VecDeque<(f32, f32)>,
-    cur_conf: Vec<u64>,
-    cur_margin: Vec<u64>,
-    cur_low_conf: u64,
-    // Derived on sync:
+    current: Histograms,
     confidence: SignalScores,
     margin: SignalScores,
     novelty: f64,
     score: f64,
-    // Gauges:
-    g_psi_conf: Arc<Gauge>,
-    g_psi_margin: Arc<Gauge>,
-    g_ks_conf: Arc<Gauge>,
-    g_ks_margin: Arc<Gauge>,
-    g_novelty: Arc<Gauge>,
-    g_score: Arc<Gauge>,
-    g_window_len: Arc<Gauge>,
-    g_frozen: Arc<Gauge>,
+    gauges: Vec<Arc<Gauge>>,
 }
 
-impl ModelDrift {
-    fn new(
-        kind: ModelKind,
-        bins: usize,
-        registry: &Registry,
-        profile: Option<&'static str>,
-    ) -> ModelDrift {
-        let model = kind.name();
-        let gauge = |family: &str, help: &str, signal: Option<&str>| {
-            let mut labels = vec![("model", model)];
-            labels.extend(signal.map(|s| ("signal", s)));
-            labels.extend(profile.map(|p| ("profile", p)));
-            registry.gauge_with(family, help, &labels)
-        };
-        let signal = |family: &str, help: &str, s: &str| gauge(family, help, Some(s));
-        let plain = |family: &str, help: &str| gauge(family, help, None);
-        ModelDrift {
-            kind,
-            ref_conf: vec![0; bins],
-            ref_margin: vec![0; bins],
-            ref_total: 0,
-            ref_low_conf: 0,
+impl Drift {
+    fn new(reference_size: usize, min_window: usize, gauges: &Gauges<'_>) -> Drift {
+        Drift {
+            reference_size: reference_size as u64,
+            min_window: min_window.max(1),
+            reference: Histograms::default(),
             frozen: false,
-            current: VecDeque::new(),
-            cur_conf: vec![0; bins],
-            cur_margin: vec![0; bins],
-            cur_low_conf: 0,
+            current: Histograms::default(),
             confidence: SignalScores::default(),
             margin: SignalScores::default(),
             novelty: 0.0,
             score: 0.0,
-            g_psi_conf: signal(
-                "cgc_drift_psi_milli",
-                "Population Stability Index vs frozen reference, x1000",
-                "confidence",
-            ),
-            g_psi_margin: signal(
-                "cgc_drift_psi_milli",
-                "Population Stability Index vs frozen reference, x1000",
-                "margin",
-            ),
-            g_ks_conf: signal(
-                "cgc_drift_ks_milli",
-                "Max CDF distance vs frozen reference, x1000",
-                "confidence",
-            ),
-            g_ks_margin: signal(
-                "cgc_drift_ks_milli",
-                "Max CDF distance vs frozen reference, x1000",
-                "margin",
-            ),
-            g_novelty: plain(
-                "cgc_drift_novelty_milli",
-                "Low-confidence (novel-title) fraction of the current window, x1000",
-            ),
-            g_score: plain(
-                "cgc_drift_score_milli",
-                "Worst drift statistic of the model (PSI units x1000)",
-            ),
-            g_window_len: plain(
-                "cgc_drift_window_len",
-                "Observations currently in the drift window",
-            ),
-            g_frozen: plain(
-                "cgc_drift_reference_frozen",
-                "1 once the model's reference distribution is frozen",
-            ),
+            gauges: GAUGES
+                .iter()
+                .map(|&(family, help, signal)| {
+                    gauges.gauge(family, help, signal.map(|s| ("signal", s)))
+                })
+                .collect(),
         }
     }
+}
 
-    fn bin(&self, v: f32) -> usize {
-        let bins = self.ref_conf.len();
-        ((v.clamp(0.0, 1.0) as f64 * bins as f64) as usize).min(bins - 1)
+impl Score for Drift {
+    type Value = (f32, f32);
+
+    /// Warmup observations build the reference and stay out of the window.
+    fn enter(&mut self, observation: (f32, f32)) -> bool {
+        if self.frozen {
+            self.current.count(observation, true);
+            return true;
+        }
+        self.reference.count(observation, true);
+        self.frozen = self.reference.total >= self.reference_size;
+        false
     }
 
-    fn push(&mut self, conf: f32, margin: f32, config: &DriftConfig) {
-        let (reference_size, window, _) = config.sizing(self.kind);
-        let low = (conf as f64) < config.novelty_threshold;
-        if !self.frozen {
-            let (bc, bm) = (self.bin(conf), self.bin(margin));
-            self.ref_conf[bc] += 1;
-            self.ref_margin[bm] += 1;
-            self.ref_total += 1;
-            if low {
-                self.ref_low_conf += 1;
-            }
-            if self.ref_total >= reference_size as u64 {
-                self.frozen = true;
-            }
-            return;
-        }
-        self.current.push_back((conf, margin));
-        let (bc, bm) = (self.bin(conf), self.bin(margin));
-        self.cur_conf[bc] += 1;
-        self.cur_margin[bm] += 1;
-        if low {
-            self.cur_low_conf += 1;
-        }
-        while self.current.len() > window.max(1) {
-            let (c, m) = self.current.pop_front().expect("non-empty window");
-            let (bc, bm) = (self.bin(c), self.bin(m));
-            self.cur_conf[bc] -= 1;
-            self.cur_margin[bm] -= 1;
-            if (c as f64) < config.novelty_threshold {
-                self.cur_low_conf -= 1;
-            }
-        }
+    fn leave(&mut self, observation: (f32, f32)) {
+        self.current.count(observation, false);
     }
 
-    /// Recomputes scores and publishes gauges.
-    fn sync(&mut self, config: &DriftConfig) {
-        let (_, _, min_window) = config.sizing(self.kind);
-        let scored = self.frozen && self.current.len() >= min_window.max(1);
-        if scored {
-            self.confidence = SignalScores {
-                psi: psi(&self.ref_conf, &self.cur_conf),
-                ks: ks(&self.ref_conf, &self.cur_conf),
-            };
-            self.margin = SignalScores {
-                psi: psi(&self.ref_margin, &self.cur_margin),
-                ks: ks(&self.ref_margin, &self.cur_margin),
-            };
-            self.novelty = self.cur_low_conf as f64 / self.current.len() as f64;
-            let ref_novelty = if self.ref_total == 0 {
+    fn sync(&mut self, len: usize) {
+        if self.frozen && len >= self.min_window {
+            let (r, c) = (&self.reference, &self.current);
+            self.confidence = SignalScores::of(&r.confidence, &c.confidence);
+            self.margin = SignalScores::of(&r.margin, &c.margin);
+            self.novelty = c.low_confidence as f64 / len as f64;
+            let ref_novelty = if r.total == 0 {
                 0.0
             } else {
-                self.ref_low_conf as f64 / self.ref_total as f64
+                r.low_confidence as f64 / r.total as f64
             };
             let novelty_excess = (self.novelty - ref_novelty).max(0.0);
             self.score = self.confidence.psi.max(self.margin.psi).max(novelty_excess);
@@ -358,120 +314,68 @@ impl ModelDrift {
             self.score = 0.0;
         }
         let milli = |v: f64| (v * 1000.0).round() as i64;
-        self.g_psi_conf.set(milli(self.confidence.psi));
-        self.g_psi_margin.set(milli(self.margin.psi));
-        self.g_ks_conf.set(milli(self.confidence.ks));
-        self.g_ks_margin.set(milli(self.margin.ks));
-        self.g_novelty.set(milli(self.novelty));
-        self.g_score.set(milli(self.score));
-        self.g_window_len.set(self.current.len() as i64);
-        self.g_frozen.set(self.frozen as i64);
-    }
-
-    /// Drops the frozen reference and restarts warmup (deliberate model
-    /// or catalog update: the new normal becomes the next reference).
-    fn refresh(&mut self) {
-        self.ref_conf.iter_mut().for_each(|b| *b = 0);
-        self.ref_margin.iter_mut().for_each(|b| *b = 0);
-        self.ref_total = 0;
-        self.ref_low_conf = 0;
-        self.frozen = false;
-        self.cur_conf.iter_mut().for_each(|b| *b = 0);
-        self.cur_margin.iter_mut().for_each(|b| *b = 0);
-        self.cur_low_conf = 0;
-        self.current.clear();
+        let values = [
+            milli(self.confidence.psi),
+            milli(self.margin.psi),
+            milli(self.confidence.ks),
+            milli(self.margin.ks),
+            milli(self.novelty),
+            milli(self.score),
+            len as i64,
+            self.frozen as i64,
+        ];
+        for (gauge, value) in self.gauges.iter().zip(values) {
+            gauge.set(value);
+        }
     }
 }
 
 /// Consumer side: drains the observation ring into per-model reference
 /// and current windows, computes PSI/KS/novelty, publishes gauges.
 pub struct DriftEngine {
-    channel: Arc<Channel<DriftObservation>>,
-    config: DriftConfig,
-    models: Vec<ModelDrift>,
+    windows: ModelWindows<Drift>,
 }
 
 impl DriftEngine {
     /// Builds the sink/engine pair, registering every gauge/counter on
     /// `registry` up front.
     pub fn new(config: DriftConfig, registry: &Registry) -> (DriftSink, DriftEngine) {
-        let channel = Channel::new(
+        let (sink, windows) = ModelWindows::new(
             config.ring_capacity,
-            registry,
-            (
-                "cgc_drift_observations_total",
-                "Score observations accepted by the drift sink",
-            ),
-            (
-                "cgc_drift_shed_total",
-                "Score observations dropped because the drift ring was full",
-            ),
+            [
+                (
+                    "cgc_drift_observations_total",
+                    "Score observations accepted by the drift sink",
+                ),
+                (
+                    "cgc_drift_shed_total",
+                    "Score observations dropped because the drift ring was full",
+                ),
+            ],
             config.profile,
+            registry,
+            |kind, gauges| {
+                let scale = if kind == ModelKind::Stage {
+                    STAGE_SCALE
+                } else {
+                    1
+                };
+                let sized = |n: usize| n.saturating_mul(scale);
+                let drift = Drift::new(
+                    sized(config.reference_size),
+                    sized(config.min_window),
+                    gauges,
+                );
+                (sized(config.window), drift)
+            },
         );
-        let models = ModelKind::ALL
-            .iter()
-            .map(|&kind| ModelDrift::new(kind, config.bins.max(2), registry, config.profile))
-            .collect();
-        let engine = DriftEngine {
-            channel,
-            config,
-            models,
-        };
-        (engine.sink(), engine)
+        (sink, DriftEngine { windows })
     }
 
-    /// Another producer handle for this engine's ring.
-    pub fn sink(&self) -> DriftSink {
-        self.channel.sink()
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
-    }
-
-    /// Drains queued observations into the windows; returns the count.
-    pub fn drain(&mut self) -> usize {
-        let DriftEngine {
-            channel,
-            config,
-            models,
-        } = self;
-        channel.drain(|obs| models[obs.model as usize].push(obs.confidence, obs.margin, config))
-    }
-
-    /// Recomputes every model's scores and publishes the gauges.
-    pub fn sync_gauges(&mut self) {
-        let config = self.config;
-        for m in &mut self.models {
-            m.sync(&config);
-        }
-    }
-
-    /// [`drain`](Self::drain) + [`sync_gauges`](Self::sync_gauges).
+    /// Drains queued observations into the windows, recomputes every
+    /// model's scores and publishes the gauges; returns the count.
     pub fn drain_and_sync(&mut self) -> usize {
-        let n = self.drain();
-        self.sync_gauges();
-        n
-    }
-
-    /// The current drift score of one model (0 during warmup).
-    pub fn score(&self, kind: ModelKind) -> f64 {
-        self.models[kind as usize].score
-    }
-
-    /// Whether one model's reference has frozen (warmup complete).
-    pub fn reference_frozen(&self, kind: ModelKind) -> bool {
-        self.models[kind as usize].frozen
-    }
-
-    /// Models whose score is at or past the alarm threshold.
-    pub fn alarms(&self) -> Vec<ModelKind> {
-        self.models
-            .iter()
-            .filter(|m| m.score >= self.config.alarm_threshold)
-            .map(|m| m.kind)
-            .collect()
+        self.windows.drain_and_sync()
     }
 
     /// Restarts warmup on every model: the next
@@ -479,38 +383,45 @@ impl DriftEngine {
     /// model become the new reference (call after a deliberate retrain
     /// or catalog update).
     pub fn refresh_reference(&mut self) {
-        for m in &mut self.models {
-            m.refresh();
+        for w in &mut self.windows.models {
+            w.values.clear();
+            w.state.reference = Histograms::default();
+            w.state.current = Histograms::default();
+            w.state.frozen = false;
         }
-        self.sync_gauges();
+        self.drain_and_sync();
     }
 
     /// Observations shed because the ring was full.
     pub fn shed(&self) -> u64 {
-        self.channel.dropped()
+        self.windows.shed()
     }
 
     /// The current drift state as a serializable report (the `/drift`
     /// body).
     pub fn report(&self) -> DriftReport {
         DriftReport {
-            alarm_threshold: self.config.alarm_threshold,
+            alarm_threshold: ALARM_THRESHOLD,
             shed: self.shed(),
             models: self
+                .windows
                 .models
                 .iter()
-                .map(|m| ModelDriftReport {
-                    model: m.kind.name().into(),
-                    reference_frozen: m.frozen,
-                    reference_size: m.ref_total,
-                    window_len: m.current.len(),
-                    psi_confidence: m.confidence.psi,
-                    psi_margin: m.margin.psi,
-                    ks_confidence: m.confidence.ks,
-                    ks_margin: m.margin.ks,
-                    novelty: m.novelty,
-                    score: m.score,
-                    alarm: m.score >= self.config.alarm_threshold,
+                .map(|w| {
+                    let m = &w.state;
+                    ModelDriftReport {
+                        model: w.kind.name().into(),
+                        reference_frozen: m.frozen,
+                        reference_size: m.reference.total,
+                        window_len: w.values.len(),
+                        psi_confidence: m.confidence.psi,
+                        psi_margin: m.margin.psi,
+                        ks_confidence: m.confidence.ks,
+                        ks_margin: m.margin.ks,
+                        novelty: m.novelty,
+                        score: m.score,
+                        alarm: m.score >= ALARM_THRESHOLD,
+                    }
                 })
                 .collect(),
         }
@@ -519,10 +430,7 @@ impl DriftEngine {
 
 impl std::fmt::Debug for DriftEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DriftEngine")
-            .field("reference_size", &self.config.reference_size)
-            .field("window", &self.config.window)
-            .finish()
+        f.debug_struct("DriftEngine").finish_non_exhaustive()
     }
 }
 
@@ -579,6 +487,21 @@ impl DriftReport {
 mod tests {
     use super::*;
 
+    impl DriftEngine {
+        fn score(&self, kind: ModelKind) -> f64 {
+            self.windows.get(kind).state.score
+        }
+
+        fn reference_frozen(&self, kind: ModelKind) -> bool {
+            self.windows.get(kind).state.frozen
+        }
+
+        fn alarms(&self) -> Vec<ModelKind> {
+            let alarming = |&kind: &ModelKind| self.score(kind) >= ALARM_THRESHOLD;
+            ModelKind::ALL.into_iter().filter(alarming).collect()
+        }
+    }
+
     fn engine(reference: usize, window: usize) -> (DriftSink, DriftEngine, Registry) {
         let registry = Registry::new();
         let (sink, eng) = DriftEngine::new(
@@ -617,7 +540,7 @@ mod tests {
         eng.drain_and_sync();
         assert!(eng.reference_frozen(ModelKind::Title));
         assert!(
-            eng.score(ModelKind::Title) < eng.config().alarm_threshold,
+            eng.score(ModelKind::Title) < ALARM_THRESHOLD,
             "stationary score {}",
             eng.score(ModelKind::Title)
         );
@@ -640,7 +563,7 @@ mod tests {
         }
         eng.drain_and_sync();
         assert!(
-            eng.score(ModelKind::Title) >= eng.config().alarm_threshold,
+            eng.score(ModelKind::Title) >= ALARM_THRESHOLD,
             "shifted score {}",
             eng.score(ModelKind::Title)
         );
@@ -703,27 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn sink_counts_under_the_drift_families() {
-        let registry = Registry::new();
-        let (sink, mut eng) = DriftEngine::new(
-            DriftConfig {
-                ring_capacity: 2,
-                ..DriftConfig::default()
-            },
-            &registry,
-        );
-        for _ in 0..3 {
-            sink.observe(ModelKind::Title, 0.5, 0.2);
-        }
-        assert_eq!(eng.shed(), 1);
-        assert_eq!(eng.drain_and_sync(), 2);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("cgc_drift_observations_total"), Some(2));
-        assert_eq!(snap.counter("cgc_drift_shed_total"), Some(1));
-        assert_eq!(eng.report().shed, 1);
-    }
-
-    #[test]
     fn drift_body_is_byte_stable() {
         // The `/drift` body this input produced before the report types
         // were renamed and their serializers derived.
@@ -760,50 +662,5 @@ mod tests {
         // Empty sides never divide by zero.
         assert_eq!(psi(&[0, 0], &[1, 2]), 0.0);
         assert_eq!(ks(&[1, 2], &[0, 0]), 0.0);
-    }
-
-    #[test]
-    fn profile_label_is_applied_when_configured() {
-        let registry = Registry::new();
-        let (sink, mut eng) = DriftEngine::new(
-            DriftConfig {
-                profile: Some("lte-handover"),
-                reference_size: 8,
-                window: 8,
-                min_window: 4,
-                ..DriftConfig::default()
-            },
-            &registry,
-        );
-        for _ in 0..16 {
-            sink.observe(ModelKind::Title, 0.9, 0.5);
-        }
-        eng.drain_and_sync();
-        let snap = registry.snapshot();
-        assert!(snap
-            .get_with(
-                "cgc_drift_score_milli",
-                &[("model", "title"), ("profile", "lte-handover")]
-            )
-            .is_some());
-        assert!(snap
-            .get_with("cgc_drift_score_milli", &[("model", "title")])
-            .is_none());
-        for family in ["cgc_drift_observations_total", "cgc_drift_shed_total"] {
-            assert!(snap
-                .get_with(family, &[("profile", "lte-handover")])
-                .is_some());
-        }
-        assert!(snap
-            .get_with(
-                "cgc_drift_psi_milli",
-                // Snapshot labels are stored sorted by key.
-                &[
-                    ("model", "title"),
-                    ("profile", "lte-handover"),
-                    ("signal", "confidence")
-                ]
-            )
-            .is_some());
     }
 }

@@ -91,8 +91,12 @@ fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> Stri
     format!("{{{}}}", parts.join(","))
 }
 
+/// Escapes a label value for the text format: backslash, double quote
+/// and newline (a raw newline would split the sample line in two).
 fn escape(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn render_histogram(

@@ -23,19 +23,21 @@
 //!    `/journal` over plain HTTP with zero dependencies. Every such
 //!    stream — events, spans, quality samples, drift observations —
 //!    travels the one [`channel`]: lock-free bounded ring, shedding that
-//!    is counted and never silent, a drain, an optional off-thread
-//!    [`Pump`]. Sinks are injected, never process-global.
+//!    is counted and never silent, a drain. Sinks are injected, never
+//!    process-global.
 //! 5. **Causal tracing and health, linked to the metrics.** Stage
 //!    boundaries record [`trace::SpanRecord`]s through a sampled
-//!    [`TraceSink`] (`/trace`, exemplars on latency histograms), and
-//!    [`slo::SloEngine`] evaluates rolling multi-window burn rates
-//!    behind `/healthz` and `/slo`.
+//!    [`TraceSink`] (`/trace`, exemplars on latency histograms); the
+//!    journal and the trace are one flow [`Recorder`], which a [`Pump`]
+//!    can keep drained off-thread. An [`SloHub`] evaluates rolling
+//!    multi-window burn rates behind `/healthz` and `/slo`.
 //! 6. **Model quality is a metric too.** Where ground truth exists,
 //!    [`quality::QualityHub`] turns streamed (predicted, truth) pairs
 //!    into rolling per-class accuracy/precision/recall gauges; where it
 //!    doesn't, [`drift::DriftEngine`] watches the classifiers' own score
 //!    distributions for PSI/KS drift and unknown-title novelty
-//!    (`/quality`, `/drift`, and two quality SLO objectives).
+//!    (`/quality`, `/drift`, and two quality SLO objectives). Both are
+//!    one per-model sliding-window core with their own scoring.
 //!
 //! ```
 //! use cgc_obs::{export, Registry};
@@ -64,25 +66,27 @@ pub mod hist;
 pub mod journal;
 pub mod metric;
 pub mod quality;
+mod recorder;
 pub mod registry;
 pub mod serve;
 pub mod slo;
 pub mod snapshot;
-mod timeline;
 pub mod timer;
 pub mod trace;
+mod window;
 
 pub use build::BuildInfo;
-pub use channel::{lock, Channel, Drain, Pump, Sink};
+pub use channel::{lock, Channel, Sink};
 pub use drift::{DriftConfig, DriftEngine, DriftReport, DriftSink};
 pub use event::{CloseCause, Event, EventKind, EventRing, FlowAddr};
 pub use hist::Histogram;
 pub use journal::{EventSink, FlowTimeline, Journal, JournalConfig};
 pub use metric::{Counter, Gauge};
 pub use quality::{ModelKind, QualityConfig, QualityHub, QualityReport, QualitySink};
+pub use recorder::{Pump, Recorder, Timeline};
 pub use registry::Registry;
 pub use serve::{ServeOptions, TelemetryServer};
-pub use slo::{Health, Objective, ObjectiveKind, SloConfig, SloEngine, SloHub, SloReport};
+pub use slo::{Health, ObjectiveKind, SloHub, SloReport};
 pub use snapshot::{
     ExemplarSnapshot, HistBucket, HistogramSnapshot, MetricSnapshot, MetricValue, Snapshot,
 };

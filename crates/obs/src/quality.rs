@@ -11,7 +11,8 @@
 //! (`cgc_quality_shed_total`) and never stalls the pipeline.
 //!
 //! A [`QualityHub`] drains the ring into one rolling window per model
-//! (title / stage / pattern), maintains an incremental
+//! (title / stage / pattern) — the per-model core it shares with the
+//! [`DriftEngine`](crate::DriftEngine) — maintains an incremental
 //! [`ConfusionMatrix`] per window (record on entry, forget on exit), and
 //! publishes the derived scores as gauges:
 //!
@@ -22,16 +23,16 @@
 //! The `/quality` route of [`serve::TelemetryServer`](crate::serve) and
 //! the `quality_error_ratio` SLO objective read these.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use cgc_domain::{ActivityPattern, GameTitle, Stage};
 use mlcore::metrics::ConfusionMatrix;
 use serde::Serialize;
 
-use crate::channel::{Channel, Sink};
+use crate::channel::Sink;
 use crate::metric::Gauge;
 use crate::registry::Registry;
+use crate::window::{Gauges, ModelWindows, Score};
 
 /// The classifiers whose quality is tracked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,18 +132,6 @@ pub fn pattern_class(pattern: ActivityPattern) -> u16 {
     pattern.index() as u16
 }
 
-/// One labeled prediction: which model, what the truth join said, what
-/// the classifier said. Compact so a ring slot stays a few bytes.
-#[derive(Debug, Clone, Copy)]
-pub struct QualitySample {
-    /// Which classifier produced the prediction.
-    pub model: ModelKind,
-    /// Ground-truth class id.
-    pub truth: u16,
-    /// Predicted class id.
-    pub predicted: u16,
-}
-
 /// Sizing of the quality telemetry path.
 #[derive(Debug, Clone, Copy)]
 pub struct QualityConfig {
@@ -170,27 +159,23 @@ impl Default for QualityConfig {
 }
 
 /// Lock-free producer handle for labeled predictions: a [`Sink`] of
-/// [`QualitySample`]s. Cheap to clone, one branch per call when disabled;
-/// a full ring sheds the sample and counts it (`cgc_quality_shed_total`)
-/// instead of blocking.
-pub type QualitySink = Sink<QualitySample>;
+/// `(model, (truth, predicted))` class-id pairs, a few bytes per ring
+/// slot. Cheap to clone, one branch per call when disabled; a full ring
+/// sheds the sample and counts it (`cgc_quality_shed_total`) instead of
+/// blocking.
+pub type QualitySink = Sink<(ModelKind, (u16, u16))>;
 
-impl Sink<QualitySample> {
+impl QualitySink {
     /// Feeds one (truth, predicted) pair for `model` into the ring.
     #[inline]
     pub fn emit(&self, model: ModelKind, truth: u16, predicted: u16) {
-        self.push(QualitySample {
-            model,
-            truth,
-            predicted,
-        });
+        self.push((model, (truth, predicted)));
     }
 }
 
-/// Rolling confusion-matrix state and gauges of one model.
-struct ModelState {
+/// Rolling confusion matrix and gauges of one model.
+struct Confusion {
     kind: ModelKind,
-    window: VecDeque<(u16, u16)>,
     matrix: ConfusionMatrix,
     accuracy: Arc<Gauge>,
     window_len: Arc<Gauge>,
@@ -198,32 +183,22 @@ struct ModelState {
     precision: Vec<Arc<Gauge>>,
 }
 
-impl ModelState {
-    fn new(kind: ModelKind, registry: &Registry, profile: Option<&'static str>) -> ModelState {
-        let model = kind.name();
-        let n = kind.n_classes();
-        // With a profile configured, every family carries the extra label.
-        let gauge = |family: &str, help: &str, class: Option<&str>| {
-            let mut labels = vec![("model", model)];
-            labels.extend(class.map(|c| ("class", c)));
-            labels.extend(profile.map(|p| ("profile", p)));
-            registry.gauge_with(family, help, &labels)
-        };
+impl Confusion {
+    fn new(kind: ModelKind, gauges: &Gauges<'_>) -> Confusion {
         let per_class = |family: &str, help: &str| -> Vec<Arc<Gauge>> {
-            (0..n)
-                .map(|c| gauge(family, help, Some(&kind.class_name(c))))
+            (0..kind.n_classes())
+                .map(|c| gauges.gauge(family, help, Some(("class", &kind.class_name(c)))))
                 .collect()
         };
-        ModelState {
+        Confusion {
             kind,
-            window: VecDeque::new(),
-            matrix: ConfusionMatrix::new(n),
-            accuracy: gauge(
+            matrix: ConfusionMatrix::new(kind.n_classes()),
+            accuracy: gauges.gauge(
                 "cgc_quality_accuracy_pct",
                 "Rolling-window accuracy where ground truth is available, percent",
                 None,
             ),
-            window_len: gauge(
+            window_len: gauges.gauge(
                 "cgc_quality_window_len",
                 "Labeled samples currently in the rolling quality window",
                 None,
@@ -238,23 +213,27 @@ impl ModelState {
             ),
         }
     }
+}
 
-    fn push(&mut self, truth: u16, predicted: u16, window: usize) {
-        let n = self.kind.n_classes() as u16;
-        if truth >= n || predicted >= n {
-            return; // malformed sample: ignore rather than panic the drainer
+impl Score for Confusion {
+    type Value = (u16, u16);
+
+    fn enter(&mut self, (truth, predicted): (u16, u16)) -> bool {
+        let n = self.kind.n_classes();
+        if usize::from(truth) >= n || usize::from(predicted) >= n {
+            return false; // malformed sample: ignore rather than panic the drainer
         }
-        self.window.push_back((truth, predicted));
-        self.matrix.record(truth as usize, predicted as usize);
-        while self.window.len() > window.max(1) {
-            let (t, p) = self.window.pop_front().expect("non-empty window");
-            self.matrix.forget(t as usize, p as usize);
-        }
+        self.matrix.record(truth.into(), predicted.into());
+        true
     }
 
-    fn sync(&self) {
+    fn leave(&mut self, (truth, predicted): (u16, u16)) {
+        self.matrix.forget(truth.into(), predicted.into());
+    }
+
+    fn sync(&mut self, len: usize) {
         let pct = |v: f64| (v * 100.0).round() as i64;
-        self.window_len.set(self.window.len() as i64);
+        self.window_len.set(len as i64);
         self.accuracy.set(pct(self.matrix.accuracy()));
         for c in 0..self.kind.n_classes() {
             self.recall[c].set(pct(self.matrix.recall(c)));
@@ -266,9 +245,7 @@ impl ModelState {
 /// Consumer side: drains the sink ring into per-model rolling windows
 /// and publishes accuracy/recall/precision gauges.
 pub struct QualityHub {
-    channel: Arc<Channel<QualitySample>>,
-    config: QualityConfig,
-    models: Vec<ModelState>,
+    windows: ModelWindows<Confusion>,
 }
 
 impl QualityHub {
@@ -276,75 +253,39 @@ impl QualityHub {
     /// `registry` up front (so the families exist — and lint — before the
     /// first sample arrives).
     pub fn new(config: QualityConfig, registry: &Registry) -> (QualitySink, QualityHub) {
-        let channel = Channel::new(
+        let (sink, windows) = ModelWindows::new(
             config.ring_capacity,
-            registry,
-            (
-                "cgc_quality_samples_total",
-                "Labeled (predicted, truth) pairs accepted by the quality sink",
-            ),
-            (
-                "cgc_quality_shed_total",
-                "Labeled pairs dropped because the quality ring was full",
-            ),
+            [
+                (
+                    "cgc_quality_samples_total",
+                    "Labeled (predicted, truth) pairs accepted by the quality sink",
+                ),
+                (
+                    "cgc_quality_shed_total",
+                    "Labeled pairs dropped because the quality ring was full",
+                ),
+            ],
             config.profile,
+            registry,
+            |kind, gauges| (config.window, Confusion::new(kind, gauges)),
         );
-        let models = ModelKind::ALL
-            .iter()
-            .map(|&kind| ModelState::new(kind, registry, config.profile))
-            .collect();
-        let hub = QualityHub {
-            channel,
-            config,
-            models,
-        };
-        (hub.sink(), hub)
+        (sink, QualityHub { windows })
     }
 
-    /// Another producer handle for this hub's ring.
-    pub fn sink(&self) -> QualitySink {
-        self.channel.sink()
-    }
-
-    /// Drains every queued sample into the rolling windows; returns how
-    /// many samples were consumed.
-    pub fn drain(&mut self) -> usize {
-        let QualityHub {
-            channel,
-            config,
-            models,
-        } = self;
-        channel.drain(|s| models[s.model as usize].push(s.truth, s.predicted, config.window))
-    }
-
-    /// Publishes the current windowed scores to the registered gauges.
-    pub fn sync_gauges(&self) {
-        for m in &self.models {
-            m.sync();
-        }
-    }
-
-    /// [`drain`](Self::drain) + [`sync_gauges`](Self::sync_gauges): what
-    /// every scrape-shaped consumer wants.
+    /// Drains every queued sample into the rolling windows and publishes
+    /// the windowed scores; returns how many samples were consumed.
     pub fn drain_and_sync(&mut self) -> usize {
-        let n = self.drain();
-        self.sync_gauges();
-        n
+        self.windows.drain_and_sync()
     }
 
     /// Windowed accuracy of one model (0 when its window is empty).
     pub fn accuracy(&self, kind: ModelKind) -> f64 {
-        self.models[kind as usize].matrix.accuracy()
-    }
-
-    /// Samples currently in one model's window.
-    pub fn window_len(&self, kind: ModelKind) -> usize {
-        self.models[kind as usize].window.len()
+        self.windows.get(kind).state.matrix.accuracy()
     }
 
     /// Samples shed because the ring was full.
     pub fn shed(&self) -> u64 {
-        self.channel.dropped()
+        self.windows.shed()
     }
 
     /// The current windowed scores as a serializable report (the
@@ -353,27 +294,24 @@ impl QualityHub {
         QualityReport {
             shed: self.shed(),
             models: self
+                .windows
                 .models
                 .iter()
-                .map(|m| {
-                    let classes = (0..m.kind.n_classes())
-                        .map(|c| {
-                            let support = (0..m.kind.n_classes())
-                                .map(|p| m.matrix.get(c, p))
-                                .sum::<usize>();
-                            ClassQuality {
-                                class: m.kind.class_name(c),
-                                support,
-                                precision: m.matrix.precision(c),
-                                recall: m.matrix.recall(c),
-                            }
+                .map(|w| {
+                    let (kind, m) = (w.kind, &w.state.matrix);
+                    let classes = (0..kind.n_classes())
+                        .map(|c| ClassQuality {
+                            class: kind.class_name(c),
+                            support: (0..kind.n_classes()).map(|p| m.get(c, p)).sum(),
+                            precision: m.precision(c),
+                            recall: m.recall(c),
                         })
                         .collect();
                     ModelQuality {
-                        model: m.kind.name().into(),
-                        samples: m.window.len(),
-                        accuracy: m.matrix.accuracy(),
-                        macro_recall: m.matrix.macro_recall(),
+                        model: kind.name().into(),
+                        samples: w.values.len(),
+                        accuracy: m.accuracy(),
+                        macro_recall: m.macro_recall(),
                         classes,
                     }
                 })
@@ -384,9 +322,7 @@ impl QualityHub {
 
 impl std::fmt::Debug for QualityHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QualityHub")
-            .field("window", &self.config.window)
-            .finish()
+        f.debug_struct("QualityHub").finish_non_exhaustive()
     }
 }
 
@@ -464,9 +400,9 @@ mod tests {
         }
         hub.drain_and_sync();
         assert_eq!(hub.accuracy(ModelKind::Stage), 0.0);
-        assert_eq!(hub.window_len(ModelKind::Stage), 4);
+        assert_eq!(hub.windows.get(ModelKind::Stage).values.len(), 4);
         // Other models' windows were untouched.
-        assert_eq!(hub.window_len(ModelKind::Title), 0);
+        assert_eq!(hub.windows.get(ModelKind::Title).values.len(), 0);
         assert_eq!(
             registry.snapshot().counter("cgc_quality_samples_total"),
             Some(8)
@@ -576,6 +512,8 @@ mod tests {
 
     #[test]
     fn profile_label_is_applied_when_configured() {
+        // The label is the shared per-model core's, so this also holds
+        // every drift family to it.
         let registry = Registry::new();
         let (sink, mut hub) = QualityHub::new(
             QualityConfig {
@@ -603,5 +541,16 @@ mod tests {
                 .get_with(family, &[("profile", "lossy-wifi")])
                 .is_some());
         }
+        // An extra label sits beside it (snapshot labels sort by key).
+        assert!(snap
+            .get_with(
+                "cgc_quality_recall_pct",
+                &[
+                    ("class", "idle"),
+                    ("model", "stage"),
+                    ("profile", "lossy-wifi")
+                ]
+            )
+            .is_some());
     }
 }

@@ -9,7 +9,7 @@
 //! - `GET /healthz` — `ok` / `degraded: …` / `critical: …`; critical
 //!   answers HTTP 503 so external probes work unmodified. The verdict is
 //!   the [`SloHub`]'s multi-window burn-rate evaluation (a real-time hub
-//!   on default objectives unless [`ServeOptions::slo`] brings one).
+//!   unless [`ServeOptions::slo`] brings one).
 //! - `GET /journal` — flight-recorder timelines as JSONL (one flow per
 //!   line); `?flow=<hex id>` narrows to one timeline, `?tail=N` returns
 //!   the N most recent events (one event per line) instead
@@ -41,7 +41,7 @@ use crate::drift::DriftEngine;
 use crate::export;
 use crate::journal::Journal;
 use crate::quality::QualityHub;
-use crate::slo::{Health, SloConfig, SloHub};
+use crate::slo::{Health, SloHub};
 use crate::snapshot::Snapshot;
 use crate::trace::TraceCollector;
 
@@ -52,8 +52,8 @@ pub struct ServeOptions {
     pub journal: Option<Arc<Mutex<Journal>>>,
     /// Backs `/trace`; the route answers 404 when absent.
     pub trace: Option<Arc<Mutex<TraceCollector>>>,
-    /// Backs `/slo` and `/healthz`; `None` serves a
-    /// [`SloHub::real_time`] hub on [`SloConfig::default`].
+    /// Backs `/slo` and `/healthz`; `None` serves a [`SloHub::real_time`]
+    /// hub.
     pub slo: Option<Arc<SloHub>>,
     /// Backs `/quality`; the route answers 404 when absent. Drained and
     /// re-synced before every response so scraped gauges are current.
@@ -97,28 +97,8 @@ pub struct TelemetryServer {
 impl TelemetryServer {
     /// Binds `addr` (e.g. `127.0.0.1:9184`, port 0 for ephemeral) and
     /// serves until dropped. `snapshot` is called per `/metrics` request;
-    /// `journal`, when given, backs `/journal` (404 otherwise).
+    /// `options` brings the backends of the other routes.
     pub fn spawn<F>(
-        addr: &str,
-        snapshot: F,
-        journal: Option<Arc<Mutex<Journal>>>,
-    ) -> std::io::Result<TelemetryServer>
-    where
-        F: Fn() -> Snapshot + Send + 'static,
-    {
-        Self::spawn_with(
-            addr,
-            snapshot,
-            ServeOptions {
-                journal,
-                ..ServeOptions::default()
-            },
-        )
-    }
-
-    /// [`TelemetryServer::spawn`] with the full backend set: journal,
-    /// trace collector, and SLO hub.
-    pub fn spawn_with<F>(
         addr: &str,
         snapshot: F,
         mut options: ServeOptions,
@@ -129,7 +109,7 @@ impl TelemetryServer {
         let slo = options
             .slo
             .take()
-            .unwrap_or_else(|| Arc::new(SloHub::real_time(SloConfig::default())));
+            .unwrap_or_else(|| Arc::new(SloHub::real_time()));
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -302,46 +282,38 @@ fn read_request_target(stream: &mut TcpStream) -> Option<String> {
     Some(target.to_string())
 }
 
+/// The value of `key` in a `k=v&k=v` query string.
+fn param<'q>(query: &'q str, key: &str) -> Option<&'q str> {
+    query
+        .split('&')
+        .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+}
+
+/// A `flow=` id: hex (optionally `0x`-prefixed), else decimal.
+fn parse_flow(id: &str) -> Option<u64> {
+    u64::from_str_radix(id.trim_start_matches("0x"), 16)
+        .or_else(|_| id.parse())
+        .ok()
+}
+
 fn trace_body(trace: &Mutex<TraceCollector>, query: &str) -> String {
     let mut collector = lock(trace);
     collector.drain();
-    let mut flow = None;
-    let mut slot = None;
-    for kv in query.split('&') {
-        if let Some(id) = kv.strip_prefix("flow=") {
-            flow = u64::from_str_radix(id.trim_start_matches("0x"), 16)
-                .or_else(|_| id.parse::<u64>())
-                .ok();
-        }
-        if let Some(s) = kv.strip_prefix("slot=") {
-            slot = s.parse::<u32>().ok();
-        }
-    }
+    let flow = param(query, "flow").and_then(parse_flow);
+    let slot = param(query, "slot").and_then(|s| s.parse().ok());
     collector.to_jsonl_filtered(flow, slot)
 }
 
 fn journal_body(journal: &Mutex<Journal>, query: &str) -> String {
-    let mut j = lock(journal);
-    j.drain();
-    for kv in query.split('&') {
-        if let Some(n) = kv.strip_prefix("tail=") {
-            let n = n.parse::<usize>().unwrap_or(100);
-            return j.tail_jsonl(n);
-        }
-        if let Some(id) = kv.strip_prefix("flow=") {
-            let flow =
-                u64::from_str_radix(id.trim_start_matches("0x"), 16).or_else(|_| id.parse::<u64>());
-            return match flow.ok().and_then(|f| j.timeline(f)) {
-                Some(tl) => {
-                    let mut line = crate::journal::render_line(tl);
-                    line.push('\n');
-                    line
-                }
-                None => String::new(),
-            };
-        }
+    let mut journal = lock(journal);
+    journal.drain();
+    if let Some(n) = param(query, "tail") {
+        return journal.tail_jsonl(n.parse().unwrap_or(100));
     }
-    j.to_jsonl()
+    match param(query, "flow").map(parse_flow) {
+        Some(None) => String::new(), // an id that does not parse names no flow
+        flow => journal.to_jsonl(flow.flatten()),
+    }
 }
 
 #[cfg(test)]
@@ -358,6 +330,12 @@ mod tests {
         stream.read_to_string(&mut response).unwrap();
         let (head, body) = response.split_once("\r\n\r\n").unwrap();
         (head.to_string(), body.to_string())
+    }
+
+    /// A server on `registry` with `options`, on an ephemeral port.
+    fn serve(registry: &Arc<Registry>, options: ServeOptions) -> TelemetryServer {
+        let registry = Arc::clone(registry);
+        TelemetryServer::spawn("127.0.0.1:0", move || registry.snapshot(), options).unwrap()
     }
 
     #[test]
@@ -378,10 +356,11 @@ mod tests {
                 effective: cgc_domain::QoeLevel::Good,
             },
         );
-        let journal = Arc::new(Mutex::new(journal));
-        let reg = Arc::clone(&registry);
-        let server =
-            TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), Some(journal)).unwrap();
+        let options = ServeOptions {
+            journal: Some(Arc::new(Mutex::new(journal))),
+            ..ServeOptions::default()
+        };
+        let server = serve(&registry, options);
         let addr = server.local_addr();
 
         let (head, body) = get(addr, "/healthz");
@@ -425,8 +404,7 @@ mod tests {
     #[test]
     fn malformed_request_lines_get_no_response() {
         let registry = Arc::new(Registry::new());
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), None).unwrap();
+        let server = serve(&registry, ServeOptions::default());
         let addr = server.local_addr();
         // Wrong method, missing target, binary garbage: the server drops
         // the connection without answering (and without dying).
@@ -443,8 +421,7 @@ mod tests {
     #[test]
     fn oversized_query_strings_are_rejected() {
         let registry = Arc::new(Registry::new());
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), None).unwrap();
+        let server = serve(&registry, ServeOptions::default());
         let addr = server.local_addr();
         let huge = format!("GET /metrics?x={} HTTP/1.1\r\n\r\n", "y".repeat(4096));
         assert_eq!(raw_request(addr, huge.as_bytes()), "");
@@ -467,17 +444,14 @@ mod tests {
         registry.gauge("cgc_ingest_queue_capacity", "c").set(100);
         let clock = Arc::new(AtomicU64::new(0));
         let tick = Arc::clone(&clock);
-        let hub = SloHub::new(SloConfig::default(), move || tick.load(Ordering::Relaxed));
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn_with(
-            "127.0.0.1:0",
-            move || reg.snapshot(),
+        let hub = SloHub::new(move || tick.load(Ordering::Relaxed));
+        let server = serve(
+            &registry,
             ServeOptions {
                 slo: Some(Arc::new(hub)),
                 ..ServeOptions::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(get(server.local_addr(), "/healthz").1, "ok\n");
         feed(&registry);
         clock.store(300_000_000, Ordering::Relaxed);
@@ -516,8 +490,7 @@ mod tests {
     fn slo_route_serves_a_default_hub() {
         let registry = Arc::new(Registry::new());
         registry.counter("cgc_ingest_enqueued_total", "t").add(100);
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), None).unwrap();
+        let server = serve(&registry, ServeOptions::default());
         let (head, body) = get(server.local_addr(), "/healthz");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert_eq!(body, "ok\n");
@@ -543,18 +516,15 @@ mod tests {
             &registry,
         );
         let build = Arc::new(crate::build::BuildInfo::register(&registry));
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn_with(
-            "127.0.0.1:0",
-            move || reg.snapshot(),
+        let server = serve(
+            &registry,
             ServeOptions {
                 quality: Some(Arc::new(Mutex::new(qhub))),
                 drift: Some(Arc::new(Mutex::new(dengine))),
                 build: Some(build),
                 ..ServeOptions::default()
             },
-        )
-        .unwrap();
+        );
         let addr = server.local_addr();
         // Producers emit; the per-request drain makes them visible
         // without any explicit pump.
@@ -591,38 +561,28 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert!(body.starts_with("ok\n"), "{body}");
         assert!(body.contains("build "), "{body}");
-        drop(server);
-
-        // Without backends the routes 404 with a hint.
-        let registry = Arc::new(Registry::new());
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), None).unwrap();
-        let (head, body) = get(server.local_addr(), "/quality");
-        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
-        assert_eq!(body, "no quality telemetry installed\n");
-        let (head, body) = get(server.local_addr(), "/drift");
-        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
-        assert_eq!(body, "no drift engine installed\n");
     }
 
     #[test]
-    fn metrics_scrape_is_openmetrics_well_formed_with_exemplars() {
-        let registry = Arc::new(Registry::new());
-        registry.counter("cgc_demo_total", "Demo counter").add(7);
-        registry
-            .gauge_with("cgc_demo_depth", "Demo gauge", &[("shard", "0")])
-            .set(2);
-        registry
-            .histogram("cgc_demo_lat_ns", "Demo latency")
-            .record_with_exemplar(100, 0xab, 0xcd);
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), None).unwrap();
-        let (head, body) = get(server.local_addr(), "/metrics");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        // Well-formedness of the whole scrape: ends with the EOF marker,
-        // nothing after it, and every line is a comment or a sample whose
-        // value parses.
-        assert!(body.ends_with("# EOF\n"), "{body}");
+    fn routes_without_a_backend_404_with_a_hint() {
+        let server = serve(&Arc::new(Registry::new()), ServeOptions::default());
+        for (route, hint) in [
+            ("/quality", "no quality telemetry installed\n"),
+            ("/drift", "no drift engine installed\n"),
+            ("/models", "no model registry installed\n"),
+            ("/journal", "no journal installed\n"),
+            ("/trace", "no trace collector installed\n"),
+        ] {
+            let (head, body) = get(server.local_addr(), route);
+            assert!(head.starts_with("HTTP/1.1 404"), "{route}: {head}");
+            assert_eq!(body, hint);
+        }
+    }
+
+    /// Well-formedness of a whole scrape: every line is a comment or a
+    /// sample whose value parses, and an exemplar scrape ends with exactly
+    /// one EOF marker, nothing after it.
+    fn assert_well_formed(body: &str) {
         for line in body.lines() {
             if line == "# EOF" {
                 continue;
@@ -643,8 +603,52 @@ mod tests {
                 "unparseable sample value in: {line}"
             );
         }
-        // Exactly one EOF, at the very end.
-        assert_eq!(body.matches("# EOF").count(), 1, "{body}");
+        if body.contains("# EOF") {
+            assert!(body.ends_with("# EOF\n"), "{body}");
+            assert_eq!(body.matches("# EOF").count(), 1, "{body}");
+        }
+    }
+
+    fn scrape(registry: Registry) -> String {
+        let server = serve(&Arc::new(registry), ServeOptions::default());
+        let (head, body) = get(server.local_addr(), "/metrics");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        body
+    }
+
+    #[test]
+    fn metrics_scrape_is_openmetrics_well_formed_with_exemplars() {
+        let registry = Registry::new();
+        registry.counter("cgc_demo_total", "Demo counter").add(7);
+        registry
+            .gauge_with("cgc_demo_depth", "Demo gauge", &[("shard", "0")])
+            .set(2);
+        registry
+            .histogram("cgc_demo_lat_ns", "Demo latency")
+            .record_with_exemplar(100, 0xab, 0xcd);
+        let body = scrape(registry);
+        assert!(body.ends_with("# EOF\n"), "{body}");
+        assert_well_formed(&body);
+    }
+
+    #[test]
+    fn label_values_with_newlines_keep_the_scrape_well_formed() {
+        // A merge `source=` label is the replay input path as given on the
+        // command line, and a path may contain a newline.
+        let registry = Registry::new();
+        registry
+            .counter_with(
+                "cgc_ingest_merge_records_total",
+                "Records merged",
+                &[("source", "caps/evening\nrun \"2\".pcap")],
+            )
+            .add(3);
+        let body = scrape(registry);
+        assert_well_formed(&body);
+        assert!(
+            body.contains(r#"{source="caps/evening\nrun \"2\".pcap"} 3"#),
+            "{body}"
+        );
     }
 
     #[test]
@@ -655,16 +659,13 @@ mod tests {
         sink.record(0xf00, 0, TraceStage::Queue, 10, 0);
         sink.record(0xf00, 2, TraceStage::Slot, 20, 5);
         sink.record(0xba5, 0, TraceStage::Queue, 15, 0);
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn_with(
-            "127.0.0.1:0",
-            move || reg.snapshot(),
+        let server = serve(
+            &registry,
             ServeOptions {
                 trace: Some(Arc::new(Mutex::new(traces))),
                 ..ServeOptions::default()
             },
-        )
-        .unwrap();
+        );
         let addr = server.local_addr();
         let (head, body) = get(addr, "/trace");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -680,15 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_route_404s_without_a_collector() {
-        let registry = Arc::new(Registry::new());
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), None).unwrap();
-        let (head, _) = get(server.local_addr(), "/trace");
-        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
-    }
-
-    #[test]
     fn concurrent_scrapes_while_producers_drain() {
         use crate::trace::{TraceCollector, TraceConfig, TraceStage};
         const FLOWS: u64 = 40;
@@ -696,17 +688,14 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let (esink, journal) = Journal::new(JournalConfig::default(), &registry);
         let (tsink, traces) = TraceCollector::new(TraceConfig::default(), &registry);
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn_with(
-            "127.0.0.1:0",
-            move || reg.snapshot(),
+        let server = serve(
+            &registry,
             ServeOptions {
                 journal: Some(Arc::new(Mutex::new(journal))),
                 trace: Some(Arc::new(Mutex::new(traces))),
                 ..ServeOptions::default()
             },
-        )
-        .unwrap();
+        );
         let addr = server.local_addr();
         let writers: Vec<_> = [0u64, 1]
             .into_iter()
@@ -754,19 +743,9 @@ mod tests {
     }
 
     #[test]
-    fn journal_route_404s_without_a_journal() {
-        let registry = Arc::new(Registry::new());
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), None).unwrap();
-        let (head, _) = get(server.local_addr(), "/journal");
-        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
-    }
-
-    #[test]
     fn drop_shuts_the_listener_down() {
         let registry = Arc::new(Registry::new());
-        let reg = Arc::clone(&registry);
-        let server = TelemetryServer::spawn("127.0.0.1:0", move || reg.snapshot(), None).unwrap();
+        let server = serve(&registry, ServeOptions::default());
         let addr = server.local_addr();
         drop(server);
         // The port is closed (or at least no longer answering HTTP).

@@ -36,12 +36,6 @@ impl<'a> Span<'a> {
         self.armed = false;
         ns
     }
-
-    /// Drop without recording anything (e.g. on an error path that
-    /// should not pollute the latency distribution).
-    pub fn cancel(mut self) {
-        self.armed = false;
-    }
 }
 
 impl Drop for Span<'_> {
@@ -86,12 +80,5 @@ mod tests {
         let ns = s.finish();
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), ns);
-    }
-
-    #[test]
-    fn cancel_records_nothing() {
-        let h = Histogram::new();
-        h.span().cancel();
-        assert_eq!(h.count(), 0);
     }
 }

@@ -6,23 +6,28 @@
 //! [`TraceSink::record`] at stage boundaries; the sink applies head-based
 //! sampling on the flow id (`--trace-sample 1/N`) in front of one
 //! [`channel`](crate::channel) producer handle — drops are counted, never
-//! silent. A single [`TraceCollector`] owns the consumer side:
-//! [`TraceCollector::drain`] moves queued spans into [`TraceTimeline`]s
-//! keyed by flow id, bounded by [`TraceConfig`] caps with explicit
-//! truncation accounting.
+//! silent. A single [`TraceCollector`] — the flow [`Recorder`] over
+//! [`TraceTimeline`]s — owns the consumer side: [`Recorder::drain`] moves
+//! queued spans into per-flow timelines, capped with explicit truncation
+//! accounting.
 //!
 //! A disabled sink is a single branch per record; a sampled-out flow pays
 //! the branch plus one modulo. Neither path allocates — [`SpanRecord`] is
 //! `Copy` and the ring stores it inline.
 
-use std::sync::Arc;
-
 use serde::{Serialize, Value};
 
-use crate::channel::{Channel, Drain, Family, Sink};
+use crate::channel::{Family, Sink};
 use crate::event::Event;
+use crate::journal::render_line;
+use crate::recorder::{Recorder, Timeline};
 use crate::registry::Registry;
-use crate::timeline::{FlowStore, Timeline};
+
+/// Span ring capacity (a power of two). Producers drop — counted — when
+/// the consumer falls this far behind. A replay stamps four transport
+/// spans per record (merge/ingest/queue/router), and an unpaced one
+/// produces them faster than a smaller ring absorbs between pump passes.
+const RING_CAPACITY: usize = 1 << 18;
 
 /// The pipeline stage a span was recorded at, in causal order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -70,11 +75,6 @@ impl TraceStage {
             TraceStage::Classifier => "classifier",
             TraceStage::Verdict => "verdict",
         }
-    }
-
-    /// Causal rank: earlier pipeline stages sort first.
-    pub fn rank(self) -> u8 {
-        self as u8
     }
 }
 
@@ -142,31 +142,23 @@ impl std::fmt::Display for SpanRecord {
     }
 }
 
-/// Sizing and sampling knobs for the span recorder.
+/// Sampling and per-flow sizing of the span recorder.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
-    /// Ring capacity (rounded up to a power of two). Producers drop —
-    /// counted — when the consumer falls this far behind.
-    pub ring_capacity: usize,
     /// Head-based sampling: record flows whose id satisfies
     /// `flow % sample == 0` (1 = every flow). Sampling keys on the flow id
     /// so every stage of a sampled flow is kept — partial chains would be
     /// worse than none.
     pub sample: u64,
-    /// Maximum distinct flows tracked; spans for flows past the cap are
-    /// counted as truncated.
-    pub max_flows: usize,
-    /// Per-flow span cap; a timeline past the cap keeps its prefix and
-    /// marks itself truncated.
+    /// Per-flow span cap; a timeline past the cap keeps its prefix (and
+    /// each stage's first span) and marks itself truncated.
     pub max_spans_per_flow: usize,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
-            ring_capacity: 1 << 16,
             sample: 1,
-            max_flows: 4096,
             max_spans_per_flow: 1024,
         }
     }
@@ -235,6 +227,34 @@ pub struct TraceTimeline {
 
 impl Timeline for TraceTimeline {
     type Item = SpanRecord;
+    const FAMILIES: [Family; 6] = [
+        (
+            "cgc_trace_spans_total",
+            "Spans accepted into the trace ring",
+        ),
+        (
+            "cgc_trace_dropped_spans_total",
+            "Spans dropped because the trace ring was full",
+        ),
+        (
+            "cgc_trace_truncated_spans_total",
+            "Drained spans discarded by per-flow or flow-count caps",
+        ),
+        (
+            "cgc_trace_flows",
+            "Distinct flows currently held by the trace collector",
+        ),
+        (
+            "cgc_trace_pump_drains_total",
+            "Drain passes performed by the off-thread trace consumer",
+        ),
+        (
+            "cgc_trace_pump_spans_total",
+            "Spans moved into timelines by the off-thread trace consumer",
+        ),
+    ];
+    const THREAD: &'static str = "trace-pump";
+    const TAIL: usize = 0;
 
     fn new(flow: u64) -> Self {
         TraceTimeline {
@@ -242,6 +262,10 @@ impl Timeline for TraceTimeline {
             spans: Vec::new(),
             truncated: false,
         }
+    }
+
+    fn flow_of(span: &SpanRecord) -> u64 {
+        span.flow
     }
 
     /// Stage-aware truncation: the cap bounds per-flow volume, but a
@@ -263,7 +287,7 @@ impl TraceTimeline {
     /// then slot — the reconstructed end-to-end chain.
     pub fn causal_chain(&self) -> Vec<SpanRecord> {
         let mut chain = self.spans.clone();
-        chain.sort_by_key(|s| (s.stage.rank(), s.ts, s.slot));
+        chain.sort_by_key(|s| (s.stage, s.ts, s.slot));
         chain
     }
 
@@ -311,170 +335,52 @@ impl Serialize for TraceTimeline {
 /// assert_eq!(tl.spans.len(), 2);
 /// assert_eq!(tl.stages(), [TraceStage::Queue, TraceStage::Router]);
 /// ```
-pub struct TraceCollector {
-    channel: Arc<Channel<SpanRecord>>,
-    store: FlowStore<TraceTimeline>,
-    sample: u64,
-}
+///
+/// Under a [`Pump`](crate::Pump) the span ring keeps space for new spans —
+/// without one, a long run with eager stages (merge, per-record
+/// queue/router) fills the ring between scrapes and later stages count as
+/// drops.
+pub type TraceCollector = Recorder<TraceTimeline>;
 
-impl TraceCollector {
+impl Recorder<TraceTimeline> {
     /// Builds a collector plus the producer sink that feeds it,
     /// registering the drop/volume counters on `registry`.
     pub fn new(config: TraceConfig, registry: &Registry) -> (TraceSink, TraceCollector) {
-        let channel = Channel::new(
-            config.ring_capacity,
-            registry,
-            (
-                "cgc_trace_spans_total",
-                "Spans accepted into the trace ring",
-            ),
-            (
-                "cgc_trace_dropped_spans_total",
-                "Spans dropped because the trace ring was full",
-            ),
-            None,
-        );
-        let store = FlowStore::new(
-            config.max_flows,
-            config.max_spans_per_flow,
-            registry.counter(
-                "cgc_trace_truncated_spans_total",
-                "Drained spans discarded by per-flow or flow-count caps",
-            ),
-            registry.gauge(
-                "cgc_trace_flows",
-                "Distinct flows currently held by the trace collector",
-            ),
-        );
-        let collector = TraceCollector {
-            channel,
-            store,
-            sample: config.sample.max(1),
-        };
-        (collector.sink(), collector)
-    }
-
-    /// Another producer handle for this collector.
-    pub fn sink(&self) -> TraceSink {
-        TraceSink {
-            sink: self.channel.sink(),
-            sample: self.sample,
-        }
-    }
-
-    /// Moves every queued span out of the ring into timelines. Returns how
-    /// many spans were drained (including ones the caps then discarded).
-    /// Cheap when the ring is empty.
-    pub fn drain(&mut self) -> usize {
-        let store = &mut self.store;
-        let n = self.channel.drain(|span| store.absorb(span.flow, span));
-        store.sync_gauge();
-        n
-    }
-
-    /// All timelines in flow-admission order (drain first for freshness).
-    pub fn timelines(&self) -> &[TraceTimeline] {
-        self.store.timelines()
-    }
-
-    /// Consumes the collector, yielding the timelines.
-    pub fn into_timelines(mut self) -> Vec<TraceTimeline> {
-        self.drain();
-        self.store.take()
-    }
-
-    /// The timeline for one flow id, if it has been seen.
-    pub fn timeline(&self, flow: u64) -> Option<&TraceTimeline> {
-        self.store.timeline(flow)
+        let (sink, collector) =
+            Recorder::new_with(RING_CAPACITY, config.max_spans_per_flow, registry);
+        let sample = config.sample.max(1);
+        (TraceSink { sink, sample }, collector)
     }
 
     /// JSONL export: one line per flow timeline, admission order. `flow`
     /// narrows to one flow; `slot` keeps only spans of that slot (and
     /// drops flows with none).
     pub fn to_jsonl_filtered(&self, flow: Option<u64>, slot: Option<u32>) -> String {
+        let Some(slot) = slot else {
+            return self.to_jsonl(flow);
+        };
         let mut out = String::new();
         for tl in self.timelines() {
             if flow.is_some_and(|f| f != tl.flow) {
                 continue;
             }
-            match slot {
-                None => {
-                    out.push_str(&crate::journal::render_line(tl));
-                    out.push('\n');
-                }
-                Some(s) => {
-                    let narrowed = TraceTimeline {
-                        flow: tl.flow,
-                        spans: tl.spans.iter().filter(|sp| sp.slot == s).copied().collect(),
-                        truncated: tl.truncated,
-                    };
-                    if !narrowed.spans.is_empty() {
-                        out.push_str(&crate::journal::render_line(&narrowed));
-                        out.push('\n');
-                    }
-                }
+            let spans: Vec<SpanRecord> = tl
+                .spans
+                .iter()
+                .filter(|s| s.slot == slot)
+                .copied()
+                .collect();
+            if !spans.is_empty() {
+                out += &(render_line(&TraceTimeline { spans, ..*tl }) + "\n");
             }
         }
         out
-    }
-
-    /// JSONL export of every timeline.
-    pub fn to_jsonl(&self) -> String {
-        self.to_jsonl_filtered(None, None)
-    }
-}
-
-impl std::fmt::Debug for TraceCollector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceCollector")
-            .field("flows", &self.timelines().len())
-            .finish()
-    }
-}
-
-/// Under a [`Pump`](crate::Pump) the span ring keeps space for new spans
-/// — without one, a long run with eager stages (merge, per-record
-/// queue/router) fills the ring between scrapes and later stages count as
-/// drops.
-impl Drain for TraceCollector {
-    const THREAD: &'static str = "trace-pump";
-    const PASSES: Family = (
-        "cgc_trace_pump_drains_total",
-        "Drain passes performed by the off-thread trace consumer",
-    );
-    const MOVED: Family = (
-        "cgc_trace_pump_spans_total",
-        "Spans moved into timelines by the off-thread trace consumer",
-    );
-
-    fn drain(&mut self) -> usize {
-        TraceCollector::drain(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sink_and_pump_count_under_the_trace_families() {
-        let registry = Registry::new();
-        let config = TraceConfig {
-            ring_capacity: 2,
-            ..TraceConfig::default()
-        };
-        let (sink, collector) = TraceCollector::new(config, &registry);
-        for i in 0..3u64 {
-            sink.record(1, 0, TraceStage::Slot, i, 0);
-        }
-        let collector = Arc::new(std::sync::Mutex::new(collector));
-        crate::Pump::start(collector, std::time::Duration::from_secs(3600), &registry).stop();
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("cgc_trace_spans_total"), Some(2));
-        assert_eq!(snap.counter("cgc_trace_dropped_spans_total"), Some(1));
-        assert!(snap.counter("cgc_trace_pump_drains_total").unwrap() > 0);
-        assert_eq!(snap.counter("cgc_trace_pump_spans_total"), Some(2));
-    }
 
     #[test]
     fn disabled_sink_is_never_sampled() {
@@ -499,9 +405,7 @@ mod tests {
         assert_eq!(tls[1].flow, 3);
         assert_eq!(tls[0].stages(), TraceStage::ALL.to_vec());
         let chain = tls[0].causal_chain();
-        assert!(chain
-            .windows(2)
-            .all(|w| w[0].stage.rank() <= w[1].stage.rank()));
+        assert!(chain.windows(2).all(|w| w[0].stage <= w[1].stage));
         let snap = registry.snapshot();
         assert_eq!(snap.counter("cgc_trace_spans_total"), Some(16));
         assert_eq!(snap.counter("cgc_trace_dropped_spans_total"), Some(0));
@@ -544,28 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn caps_truncate_with_accounting() {
-        let registry = Registry::new();
-        let config = TraceConfig {
-            max_flows: 2,
-            max_spans_per_flow: 2,
-            ..TraceConfig::default()
-        };
-        let (sink, mut traces) = TraceCollector::new(config, &registry);
-        for flow in 1..=3u64 {
-            for i in 0..3u64 {
-                sink.record(flow, 0, TraceStage::Router, i, 0);
-            }
-        }
-        traces.drain();
-        let tls = traces.timelines();
-        assert_eq!(tls.len(), 2, "third flow rejected by max_flows");
-        assert!(tls.iter().all(|t| t.spans.len() == 2 && t.truncated));
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("cgc_trace_truncated_spans_total"), Some(5));
-    }
-
-    #[test]
     fn jsonl_filters_by_flow_and_slot() {
         let registry = Registry::new();
         let (sink, mut traces) = TraceCollector::new(TraceConfig::default(), &registry);
@@ -573,7 +455,7 @@ mod tests {
         sink.record(0xa, 2, TraceStage::Slot, 20, 3);
         sink.record(0xb, 1, TraceStage::Slot, 15, 1);
         traces.drain();
-        assert_eq!(traces.to_jsonl().lines().count(), 2);
+        assert_eq!(traces.to_jsonl(None).lines().count(), 2);
         let one = traces.to_jsonl_filtered(Some(0xa), None);
         assert_eq!(one.lines().count(), 1);
         assert!(one.contains("\"flow\":\"000000000000000a\""), "{one}");
@@ -581,26 +463,6 @@ mod tests {
         assert_eq!(slot2.lines().count(), 1, "only flow 0xa has slot 2");
         assert!(slot2.contains("\"slot\":2"), "{slot2}");
         assert!(!slot2.contains("\"slot\":1"), "{slot2}");
-    }
-
-    #[test]
-    fn span_jsonl_schema_is_flat_and_stable() {
-        let span = SpanRecord {
-            flow: 0xabcd,
-            slot: 3,
-            stage: TraceStage::Classifier,
-            ts: 5_000_000,
-            dur_us: 42,
-        };
-        let line = crate::journal::render_line(&span);
-        assert!(line.contains("\"flow\":\"000000000000abcd\""), "{line}");
-        assert!(line.contains("\"stage\":\"classifier\""), "{line}");
-        assert!(line.contains("\"ts\":5000000"), "{line}");
-        assert!(line.contains("\"dur_us\":42"), "{line}");
-        assert!(
-            line.contains(&format!("\"trace\":\"{}\"", Event::flow_hex(span.trace()))),
-            "{line}"
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use gamescope::deploy::report::journal_table;
 use gamescope::deploy::train::{train_bundle, TrainConfig};
 use gamescope::domain::{GameTitle, StreamSettings};
-use gamescope::obs::{Journal, JournalConfig, Registry, TelemetryServer};
+use gamescope::obs::{Journal, JournalConfig, Registry, ServeOptions, TelemetryServer};
 use gamescope::pipeline::shard::{ShardedMonitorConfig, ShardedTapMonitor};
 use gamescope::pipeline::Obs;
 use gamescope::sim::{Fidelity, Session, SessionConfig, SessionGenerator, TitleKind};
@@ -85,7 +85,10 @@ fn main() {
     let server = TelemetryServer::spawn(
         "127.0.0.1:0",
         move || registry.snapshot(),
-        Some(Arc::new(Mutex::new(journal))),
+        ServeOptions {
+            journal: Some(Arc::new(Mutex::new(journal))),
+            ..ServeOptions::default()
+        },
     )
     .expect("bind telemetry endpoint");
     let addr = server.local_addr();

@@ -830,14 +830,7 @@ fn run() -> Result<(), String> {
             .map(parse_sample)
             .transpose()?
             .unwrap_or(1);
-        let config = obs::TraceConfig {
-            // The CLI replay path stamps four transport spans per record
-            // (merge/ingest/queue/router); an unpaced replay produces
-            // them faster than a default-sized ring absorbs between
-            // drains, so size the ring for burst headroom here.
-            ring_capacity: 1 << 18,
-            ..obs::TraceConfig::default().with_sample(sample)
-        };
+        let config = obs::TraceConfig::default().with_sample(sample);
         let (sink, collector) = obs::TraceCollector::new(config, registry);
         telemetry.obs.trace = sink;
         Some(Arc::new(Mutex::new(collector)))
@@ -926,7 +919,7 @@ fn run() -> Result<(), String> {
                 models: Some(Arc::new(move || pilot.get().map(|p| p.models_json()))),
                 ..obs::ServeOptions::default()
             };
-            let server = obs::TelemetryServer::spawn_with(addr, || registry.snapshot(), options)
+            let server = obs::TelemetryServer::spawn(addr, || registry.snapshot(), options)
                 .map_err(|e| format!("binding --serve {addr}: {e}"))?;
             eprintln!(
                 "telemetry: serving /metrics /healthz /slo /journal /quality /drift /models{} on http://{}",
@@ -986,7 +979,7 @@ fn run() -> Result<(), String> {
             eprintln!("\n{}", journal_table(journal.timelines()));
         }
         if let Some(target) = journal_target {
-            let body = journal.to_jsonl();
+            let body = journal.to_jsonl(None);
             if target == "-" {
                 print!("{body}");
             } else {

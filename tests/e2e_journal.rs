@@ -218,7 +218,10 @@ fn telemetry_endpoint_serves_fleet_run() {
     let server = gamescope::obs::TelemetryServer::spawn(
         "127.0.0.1:0",
         move || registry.snapshot(),
-        Some(Arc::new(Mutex::new(journal))),
+        gamescope::obs::ServeOptions {
+            journal: Some(Arc::new(Mutex::new(journal))),
+            ..Default::default()
+        },
     )
     .unwrap();
     let addr = server.local_addr();

@@ -97,7 +97,7 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
     // per request.
     let models_pilot = Arc::clone(&pilot);
     let scraped = Arc::clone(&registry);
-    let server = obs::TelemetryServer::spawn_with(
+    let server = obs::TelemetryServer::spawn(
         "127.0.0.1:0",
         move || scraped.snapshot(),
         obs::ServeOptions {

@@ -71,7 +71,7 @@ fn drift_alarm_and_accuracy_drop_surface_over_http() {
         min_window: 32,
         ..Default::default()
     };
-    let alarm_threshold = drift_cfg.alarm_threshold;
+    let alarm_threshold = obs::drift::ALARM_THRESHOLD;
     // Everything on a registry private to this test, sinks injected.
     let registry = Arc::new(Registry::new());
     let (quality_sink, quality_hub) = obs::QualityHub::new(
@@ -99,12 +99,10 @@ fn drift_alarm_and_accuracy_drop_surface_over_http() {
     let clock = Arc::new(AtomicU64::new(0));
     let slo = {
         let clock = Arc::clone(&clock);
-        Arc::new(obs::SloHub::new(obs::SloConfig::default(), move || {
-            clock.load(Ordering::Relaxed)
-        }))
+        Arc::new(obs::SloHub::new(move || clock.load(Ordering::Relaxed)))
     };
     let scraped = Arc::clone(&registry);
-    let server = obs::TelemetryServer::spawn_with(
+    let server = obs::TelemetryServer::spawn(
         "127.0.0.1:0",
         move || scraped.snapshot(),
         obs::ServeOptions {

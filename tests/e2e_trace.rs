@@ -18,8 +18,8 @@ use gamescope::deploy::train::{train_bundle, TrainConfig};
 use gamescope::ingest::MergeSource;
 use gamescope::obs::snapshot::MetricValue;
 use gamescope::obs::{
-    Journal, JournalConfig, Registry, ServeOptions, SloConfig, SloHub, TelemetryServer,
-    TraceCollector, TraceConfig, TraceStage,
+    Journal, JournalConfig, Registry, ServeOptions, SloHub, TelemetryServer, TraceCollector,
+    TraceConfig, TraceStage,
 };
 use gamescope::pipeline::Obs;
 
@@ -98,9 +98,8 @@ fn trace_endpoint_reconstructs_causal_chains_with_exemplars() {
     let registry = Arc::new(Registry::new());
     let (trace_sink, collector) = TraceCollector::new(
         TraceConfig {
-            // Per-record stages hold spans in the ring until the
-            // post-run `/trace` drain; size for the whole replay.
-            ring_capacity: 1 << 20,
+            // Per-record stages hold spans until the post-run `/trace`
+            // drain; keep the whole replay of each flow.
             max_spans_per_flow: 1 << 17,
             ..Default::default()
         },
@@ -125,7 +124,7 @@ fn trace_endpoint_reconstructs_causal_chains_with_exemplars() {
 
     // Serve the finished run the way `gamescope fleet --serve` does.
     let reg = Arc::clone(&registry);
-    let server = TelemetryServer::spawn_with(
+    let server = TelemetryServer::spawn(
         "127.0.0.1:0",
         move || reg.snapshot(),
         ServeOptions {
@@ -235,11 +234,9 @@ fn healthz_degrades_on_drop_burst_and_recovers_when_burn_window_drains() {
     let dropped = registry.counter("cgc_ingest_dropped_total", "dropped");
     let now = Arc::new(AtomicU64::new(1_000_000));
     let now_for_hub = Arc::clone(&now);
-    let hub = SloHub::new(SloConfig::default(), move || {
-        now_for_hub.load(Ordering::Relaxed)
-    });
+    let hub = SloHub::new(move || now_for_hub.load(Ordering::Relaxed));
     let reg = Arc::clone(&registry);
-    let server = TelemetryServer::spawn_with(
+    let server = TelemetryServer::spawn(
         "127.0.0.1:0",
         move || reg.snapshot(),
         ServeOptions {

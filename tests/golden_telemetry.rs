@@ -11,8 +11,8 @@ use std::sync::{Arc, Mutex};
 use gamescope::domain::{GameTitle, Platform, QoeLevel, Stage};
 use gamescope::obs::event::{CloseCause, EventKind, FlowAddr};
 use gamescope::obs::{
-    Journal, JournalConfig, Registry, ServeOptions, SloConfig, SloHub, TelemetryServer,
-    TraceCollector, TraceConfig, TraceStage,
+    Journal, JournalConfig, Registry, ServeOptions, SloHub, TelemetryServer, TraceCollector,
+    TraceConfig, TraceStage,
 };
 
 fn get(addr: std::net::SocketAddr, target: &str) -> String {
@@ -50,9 +50,9 @@ fn slo_body_is_byte_stable() {
         .set(120);
     let clock = Arc::new(AtomicU64::new(0));
     let tick = Arc::clone(&clock);
-    let hub = SloHub::new(SloConfig::default(), move || tick.load(Ordering::Relaxed));
+    let hub = SloHub::new(move || tick.load(Ordering::Relaxed));
     let reg = Arc::clone(&registry);
-    let server = TelemetryServer::spawn_with(
+    let server = TelemetryServer::spawn(
         "127.0.0.1:0",
         move || reg.snapshot(),
         ServeOptions {
@@ -154,7 +154,7 @@ fn journal_and_trace_flow_lines_are_byte_stable() {
         spans.record(7, slot, stage, ts, dur);
     }
     let reg = Arc::clone(&registry);
-    let server = TelemetryServer::spawn_with(
+    let server = TelemetryServer::spawn(
         "127.0.0.1:0",
         move || reg.snapshot(),
         ServeOptions {

@@ -6,7 +6,9 @@
 //!
 //! The scan is grep-level on purpose: it reads each library file up to
 //! its first `#[cfg(test)]`, takes the identifier after `pub fn` /
-//! `pub const`, and looks for that word anywhere in any other file.
+//! `pub const`, and looks for that word anywhere in any other file —
+//! except in `pub use` statements: a crate re-exporting a name is not a
+//! caller of it.
 //! `crates/bench` (the benchmark included) is a caller, never a subject,
 //! so the surface `bench_e2e` pins cannot be flagged.
 
@@ -73,19 +75,36 @@ fn mentions(text: &str, name: &str) -> bool {
     })
 }
 
+/// `text` without its `pub use` statements, multi-line ones included.
+fn without_reexports(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut in_use = false;
+    for line in text.lines() {
+        in_use |= line.trim_start().starts_with("pub use ");
+        if in_use {
+            in_use = !line.contains(';');
+        } else {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
 /// `(file, name)` for every declared name of a subject file that no
 /// other file mentions. `files` holds `(path, contents, is_subject)`.
 fn orphans(files: &[(PathBuf, String, bool)]) -> BTreeSet<(PathBuf, String)> {
+    let callers: Vec<String> = files.iter().map(|f| without_reexports(&f.1)).collect();
     let mut found = BTreeSet::new();
     for (i, (path, source, subject)) in files.iter().enumerate() {
         if !subject {
             continue;
         }
         for name in declared(source) {
-            let reached = files
+            let reached = callers
                 .iter()
                 .enumerate()
-                .any(|(j, (_, other, _))| j != i && mentions(other, name));
+                .any(|(j, other)| j != i && mentions(other, name));
             if !reached {
                 found.insert((path.clone(), name.to_string()));
             }
@@ -168,6 +187,11 @@ fn the_scan_reads_names_and_flags_a_planted_orphan() {
     assert!(mentions("a.used(1)", "used"));
     assert!(!mentions("unused(1); used_up", "used"));
 
+    // A re-export, on one line or several, mentions nothing.
+    let reexports =
+        "pub use a::planted;\npub use b::{\n    used as _,\n    LIMIT,\n};\nfn f() {}\n";
+    assert_eq!(without_reexports(reexports), "fn f() {}\n");
+
     let files = vec![
         (PathBuf::from("crates/a/src/lib.rs"), lib.to_string(), true),
         (
@@ -175,11 +199,17 @@ fn the_scan_reads_names_and_flags_a_planted_orphan() {
             "fn t() { used(LIMIT); pub fn caller_side() {} }".to_string(),
             false,
         ),
+        (
+            PathBuf::from("crates/a/src/mod.rs"),
+            "pub use super::lib::{\n    planted,\n};\n".to_string(),
+            true,
+        ),
     ];
     let found = orphans(&files);
     assert_eq!(
         found.into_iter().collect::<Vec<_>>(),
         [(PathBuf::from("crates/a/src/lib.rs"), "planted".to_string())],
-        "only the name nothing else mentions is flagged, and only in a subject file"
+        "only the name nothing else mentions is flagged (a re-export is not a \
+         mention), and only in a subject file"
     );
 }
