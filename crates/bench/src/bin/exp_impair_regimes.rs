@@ -91,7 +91,6 @@ fn regime_row(
             window: scale.drift_window,
             min_window: scale.drift_min_window,
             profile: Some(profile.name),
-            ..DriftConfig::default()
         },
         &registry,
     );

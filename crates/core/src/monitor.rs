@@ -666,13 +666,7 @@ mod tests {
         let b = bundle();
         let s = session(9, GameTitle::Fortnite);
         let registry = Registry::new();
-        let (sink, mut collector) = TraceCollector::new(
-            TraceConfig {
-                max_spans_per_flow: 4096,
-                ..TraceConfig::default()
-            },
-            &registry,
-        );
+        let (sink, mut collector) = TraceCollector::new(TraceConfig::default(), &registry);
         let obs = Obs {
             trace: sink,
             ..Obs::on(&registry)

@@ -12,7 +12,8 @@
 //! byte-identity oracle.
 
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
 use cgc_core::shard::TapRecord;
 use cgc_core::{
@@ -24,7 +25,7 @@ use cgc_ingest::{
     ReplayConfig, ReplayStats,
 };
 use cgc_obs::{
-    FlowTimeline, Journal, JournalConfig, Registry, Snapshot, TraceCollector, TraceConfig,
+    FlowTimeline, Journal, JournalConfig, Pump, Registry, Snapshot, TraceCollector, TraceConfig,
     TraceStage, TraceTimeline,
 };
 use gamesim::{Fidelity, SessionGenerator};
@@ -309,6 +310,10 @@ pub struct TapReplayRun {
 /// decision timelines and the span timelines of a [`TapReplayRun`] — the
 /// live-path counterpart of [`run_tap_fleet`], and the call the
 /// repository's benchmark times as `live_records_per_s`.
+///
+/// A traced run drains its collector every millisecond with a [`Pump`],
+/// as `gamescope` does: the per-record stages stamp four spans a record,
+/// and a whole replay's worth would outgrow the span ring.
 pub fn run_tap_feed_replay(
     bundle: &Arc<ModelBundle>,
     shards: usize,
@@ -321,7 +326,9 @@ pub fn run_tap_feed_replay(
     let trace_collector = opts.trace.map(|config| {
         let (sink, collector) = TraceCollector::new(config, &registry);
         obs.trace = sink;
-        collector
+        let collector = Arc::new(Mutex::new(collector));
+        let pump = Pump::start(Arc::clone(&collector), Duration::from_millis(1), &registry);
+        (collector, pump)
     });
     let drive = drive_tap_feed(
         Arc::clone(bundle),
@@ -333,7 +340,14 @@ pub fn run_tap_feed_replay(
         obs,
     );
     let traces = trace_collector
-        .map(TraceCollector::into_timelines)
+        .map(|(collector, pump)| {
+            pump.stop();
+            Arc::into_inner(collector)
+                .expect("the stopped pump let go")
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .into_timelines()
+        })
         .unwrap_or_default();
     TapReplayRun {
         fleet: TapFleetRun {
@@ -424,23 +438,22 @@ mod tests {
 
     #[test]
     fn replay_traces_reconstruct_full_causal_chains() {
-        // Per-record stages (ingest/merge/queue/router) hold spans in the
-        // ring until the end-of-run drain: two sessions fit it.
         let cfg = TapFleetConfig {
-            n_sessions: 2,
+            n_sessions: 3,
             gameplay_secs: 12.0,
             ..Default::default()
         };
         let opts = TapReplayOptions {
             trace: Some(TraceConfig {
+                // Keep every span of a flow's whole replay.
                 max_spans_per_flow: 1 << 17,
                 ..Default::default()
             }),
             ..Default::default()
         };
         let run = replay_whole_feed(&cfg, opts);
-        assert_eq!(run.fleet.sessions.len(), 2);
-        assert_eq!(run.traces.len(), 2, "one timeline per sampled flow");
+        assert_eq!(run.fleet.sessions.len(), 3);
+        assert_eq!(run.traces.len(), 3, "one timeline per sampled flow");
         assert_eq!(
             run.fleet.snapshot.counter("cgc_trace_dropped_spans_total"),
             Some(0)

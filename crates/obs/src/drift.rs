@@ -42,6 +42,9 @@ use crate::quality::ModelKind;
 use crate::registry::Registry;
 use crate::window::{Gauges, ModelWindows, Score};
 
+/// Observation ring capacity (a power of two). Between two drains a full
+/// ring sheds — counted in `cgc_drift_shed_total`.
+const RING_CAPACITY: usize = 1 << 15;
 /// Histogram bins over the [0, 1] score range.
 const BINS: usize = 10;
 /// Confidence below this counts as an unknown-title novelty event (the
@@ -63,8 +66,6 @@ const STAGE_SCALE: usize = 16;
 /// Sizing of the drift detector.
 #[derive(Debug, Clone, Copy)]
 pub struct DriftConfig {
-    /// Sink ring capacity (observations), rounded up to a power of two.
-    pub ring_capacity: usize,
     /// Observations per model accumulated before the reference freezes
     /// (the warmup; scores stay 0 until frozen).
     pub reference_size: usize,
@@ -84,7 +85,6 @@ pub struct DriftConfig {
 impl Default for DriftConfig {
     fn default() -> Self {
         DriftConfig {
-            ring_capacity: 1 << 15,
             reference_size: 512,
             window: 256,
             min_window: 32,
@@ -341,7 +341,7 @@ impl DriftEngine {
     /// `registry` up front.
     pub fn new(config: DriftConfig, registry: &Registry) -> (DriftSink, DriftEngine) {
         let (sink, windows) = ModelWindows::new(
-            config.ring_capacity,
+            RING_CAPACITY,
             [
                 (
                     "cgc_drift_observations_total",

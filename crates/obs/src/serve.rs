@@ -282,10 +282,10 @@ fn read_request_target(stream: &mut TcpStream) -> Option<String> {
     Some(target.to_string())
 }
 
-/// The value of `key` in a `k=v&k=v` query string.
+/// The value of the last `key=` in a `k=v&k=v` query string.
 fn param<'q>(query: &'q str, key: &str) -> Option<&'q str> {
     query
-        .split('&')
+        .rsplit('&')
         .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
 }
 
@@ -307,13 +307,17 @@ fn trace_body(trace: &Mutex<TraceCollector>, query: &str) -> String {
 fn journal_body(journal: &Mutex<Journal>, query: &str) -> String {
     let mut journal = lock(journal);
     journal.drain();
-    if let Some(n) = param(query, "tail") {
-        return journal.tail_jsonl(n.parse().unwrap_or(100));
+    // Whichever of `tail=` and `flow=` comes first decides.
+    for kv in query.split('&') {
+        if let Some(n) = kv.strip_prefix("tail=") {
+            return journal.tail_jsonl(n.parse().unwrap_or(100));
+        }
+        if let Some(id) = kv.strip_prefix("flow=") {
+            // An id that does not parse names no flow.
+            return parse_flow(id).map_or_else(String::new, |f| journal.to_jsonl(Some(f)));
+        }
     }
-    match param(query, "flow").map(parse_flow) {
-        Some(None) => String::new(), // an id that does not parse names no flow
-        flow => journal.to_jsonl(flow.flatten()),
-    }
+    journal.to_jsonl(None)
 }
 
 #[cfg(test)]
@@ -384,6 +388,9 @@ mod tests {
         assert!(tail.contains("session_verdict"), "{tail}");
         let (_, missing) = get(addr, "/journal?flow=1234");
         assert!(missing.is_empty());
+        // The first of `flow=` / `tail=` decides.
+        assert_eq!(get(addr, "/journal?flow=beef&tail=1").1, one);
+        assert_eq!(get(addr, "/journal?tail=1&flow=beef").1, tail);
 
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
@@ -678,6 +685,9 @@ mod tests {
         assert!(!slot.contains("\"stage\":\"queue\""), "{slot}");
         let (_, missing) = get(addr, "/trace?flow=dead");
         assert!(missing.is_empty(), "{missing}");
+        // A repeated key takes its last value.
+        assert_eq!(get(addr, "/trace?flow=ba5&flow=f00").1, one);
+        assert_eq!(get(addr, "/trace?flow=f00&slot=0&slot=2").1, slot);
     }
 
     #[test]

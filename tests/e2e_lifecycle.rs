@@ -10,7 +10,6 @@
 //! across a hot-swap keep continuous journal timelines and finish on
 //! the version they pinned.
 
-use std::io::{Read as _, Write as _};
 use std::sync::{Arc, Mutex};
 
 use gamescope::deploy::fleet::{run_fleet, FleetConfig, FleetModels};
@@ -21,33 +20,8 @@ use gamescope::lifecycle::{LiveModel, Verdict};
 use gamescope::obs::{self, ModelKind, Registry};
 use gamescope::pipeline::{ModelSource, Obs, ShardedMonitorConfig, ShardedTapMonitor};
 
-fn get(addr: std::net::SocketAddr, target: &str) -> (String, String) {
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").unwrap();
-    (head.to_string(), body.to_string())
-}
-
-/// Extracts the raw JSON value of `key` inside the per-model object for
-/// `model` on the compact `/drift` report.
-fn model_field(body: &str, model: &str, key: &str) -> String {
-    let anchor = format!("\"model\":\"{model}\"");
-    let start = body
-        .find(&anchor)
-        .unwrap_or_else(|| panic!("no {model:?} object in {body}"));
-    let rest = &body[start..];
-    let pat = format!("\"{key}\":");
-    let at = rest
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key:?} after {anchor} in {body}"));
-    let val = &rest[at + pat.len()..];
-    let end = val
-        .find([',', '}', ']'])
-        .unwrap_or_else(|| panic!("unterminated {key:?} value"));
-    val[..end].trim().to_string()
-}
+mod observatory;
+use observatory::{draining, get, model_field};
 
 fn scratch_registry_dir() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("cgc-e2e-lifecycle-{}", std::process::id()))
@@ -62,7 +36,6 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
     let registry = Arc::new(Registry::new());
     let (quality_sink, quality_hub) = obs::QualityHub::new(
         obs::QualityConfig {
-            ring_capacity: 1 << 18,
             window: 64,
             ..obs::QualityConfig::default()
         },
@@ -70,7 +43,6 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
     );
     let (drift_sink, drift_engine) = obs::DriftEngine::new(
         obs::DriftConfig {
-            ring_capacity: 1 << 18,
             reference_size: 256,
             window: 128,
             min_window: 32,
@@ -78,6 +50,8 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
         },
         &registry,
     );
+    let quality_hub = Arc::new(Mutex::new(quality_hub));
+    let drift_engine = Arc::new(Mutex::new(drift_engine));
     let fleet_obs = Arc::new(Obs {
         drift: drift_sink,
         ..Obs::on(&registry)
@@ -101,8 +75,8 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
         "127.0.0.1:0",
         move || scraped.snapshot(),
         obs::ServeOptions {
-            quality: Some(Arc::new(Mutex::new(quality_hub))),
-            drift: Some(Arc::new(Mutex::new(drift_engine))),
+            quality: Some(Arc::clone(&quality_hub)),
+            drift: Some(Arc::clone(&drift_engine)),
             models: Some(Arc::new(move || Some(models_pilot.models_json()))),
             ..Default::default()
         },
@@ -141,7 +115,9 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
 
     // --- Phase A: stationary deployment on the live slot ----------------
     // Freezes the drift reference; every session is stamped v1.
-    let stationary = run_fleet(live_models, &fleet_cfg(420, 42, 0.0, 0.0));
+    let stationary = draining(&quality_hub, &drift_engine, || {
+        run_fleet(live_models, &fleet_cfg(420, 42, 0.0, 0.0))
+    });
     assert_eq!(stationary.len(), 420, "no session dropped");
     assert!(stationary.iter().all(|r| r.model_version == 1));
     let (_, drift_a) = get(addr, "/drift");
@@ -149,7 +125,9 @@ fn drift_alarm_drives_retrain_shadow_promotion_and_rollback_over_http() {
     assert!(!drift_a.contains("\"alarm\":true"), "phase A: {drift_a}");
 
     // --- Phase B: catalog churn + impairment ramp → drift alarm ---------
-    let churn = run_fleet(live_models, &fleet_cfg(160, 20250301, 0.7, 1.0));
+    let churn = draining(&quality_hub, &drift_engine, || {
+        run_fleet(live_models, &fleet_cfg(160, 20250301, 0.7, 1.0))
+    });
     assert_eq!(churn.len(), 160);
     let (_, drift_b) = get(addr, "/drift");
     assert_eq!(

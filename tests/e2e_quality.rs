@@ -8,8 +8,6 @@
 //! the telemetry server's `/quality`, `/drift` and `/healthz` routes,
 //! exactly as an operator's scraper would see it.
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -18,35 +16,8 @@ use gamescope::deploy::train::{train_bundle, TrainConfig};
 use gamescope::obs::{self, Registry};
 use gamescope::pipeline::Obs;
 
-fn get(addr: std::net::SocketAddr, target: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").unwrap();
-    (head.to_string(), body.to_string())
-}
-
-/// Extracts the raw JSON value of `key` inside the per-model object for
-/// `model` (the reports serialize each model's scalars before any nested
-/// array, so scanning forward from the `"model":"<name>"` anchor is
-/// unambiguous).
-fn model_field(body: &str, model: &str, key: &str) -> String {
-    let anchor = format!("\"model\":\"{model}\"");
-    let start = body
-        .find(&anchor)
-        .unwrap_or_else(|| panic!("no {model:?} object in {body}"));
-    let rest = &body[start..];
-    let pat = format!("\"{key}\":");
-    let at = rest
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key:?} after {anchor} in {body}"));
-    let val = &rest[at + pat.len()..];
-    let end = val
-        .find([',', '}', ']'])
-        .unwrap_or_else(|| panic!("unterminated {key:?} value"));
-    val[..end].trim().to_string()
-}
+mod observatory;
+use observatory::{draining, get, model_field};
 
 fn model_f64(body: &str, model: &str, key: &str) -> f64 {
     model_field(body, model, key)
@@ -61,11 +32,8 @@ fn drift_alarm_and_accuracy_drop_surface_over_http() {
     // 256 sessions and the shifted phase must fill a 128-session window)
     // while the stage model scores once per slot; the default
     // `stage_scale` widens stage's windows so they span a comparable
-    // number of sessions. The rings are sized for a whole phase because
-    // this test only drains at scrape time; a live deployment drains on
-    // every scrape.
+    // number of sessions.
     let drift_cfg = obs::DriftConfig {
-        ring_capacity: 1 << 18,
         reference_size: 256,
         window: 128,
         min_window: 32,
@@ -76,7 +44,6 @@ fn drift_alarm_and_accuracy_drop_surface_over_http() {
     let registry = Arc::new(Registry::new());
     let (quality_sink, quality_hub) = obs::QualityHub::new(
         obs::QualityConfig {
-            ring_capacity: 1 << 18,
             // Short rolling window so phase B's accuracy reflects phase B,
             // not a blend with the stationary phase.
             window: 64,
@@ -85,6 +52,8 @@ fn drift_alarm_and_accuracy_drop_surface_over_http() {
         &registry,
     );
     let (drift_sink, drift_engine) = obs::DriftEngine::new(drift_cfg, &registry);
+    let quality_hub = Arc::new(Mutex::new(quality_hub));
+    let drift_engine = Arc::new(Mutex::new(drift_engine));
     let observed = FleetConfig {
         quality: quality_sink,
         obs: Arc::new(Obs {
@@ -107,8 +76,8 @@ fn drift_alarm_and_accuracy_drop_surface_over_http() {
         move || scraped.snapshot(),
         obs::ServeOptions {
             slo: Some(Arc::clone(&slo)),
-            quality: Some(Arc::new(Mutex::new(quality_hub))),
-            drift: Some(Arc::new(Mutex::new(drift_engine))),
+            quality: Some(Arc::clone(&quality_hub)),
+            drift: Some(Arc::clone(&drift_engine)),
             build: Some(Arc::new(obs::BuildInfo::register(&registry))),
             ..Default::default()
         },
@@ -122,17 +91,19 @@ fn drift_alarm_and_accuracy_drop_surface_over_http() {
     // Catalog titles only, clean network paths: the drift engine builds
     // and freezes its reference here, and the truth joins fill the
     // confusion windows with in-distribution pairs.
-    let stationary = run_fleet(
-        &bundle,
-        &FleetConfig {
-            n_sessions: 420,
-            duration_scale: 0.05,
-            unknown_fraction: 0.0,
-            impaired_fraction: 0.0,
-            workers: 1, // deterministic observation order
-            ..observed.clone()
-        },
-    );
+    let stationary = draining(&quality_hub, &drift_engine, || {
+        run_fleet(
+            &bundle,
+            &FleetConfig {
+                n_sessions: 420,
+                duration_scale: 0.05,
+                unknown_fraction: 0.0,
+                impaired_fraction: 0.0,
+                workers: 1, // deterministic observation order
+                ..observed.clone()
+            },
+        )
+    });
     assert_eq!(stationary.len(), 420);
 
     clock.store(60_000_000, Ordering::Relaxed);
@@ -175,18 +146,20 @@ fn drift_alarm_and_accuracy_drop_surface_over_http() {
     // unknown-title case: low-confidence launch windows) or rides an
     // impaired path. One fleet batch bounds how many slots the detector
     // gets to see the shift.
-    let shifted = run_fleet(
-        &bundle,
-        &FleetConfig {
-            n_sessions: 160,
-            seed: 20250301,
-            duration_scale: 0.05,
-            unknown_fraction: 0.7,
-            impaired_fraction: 1.0,
-            workers: 1,
-            ..observed
-        },
-    );
+    let shifted = draining(&quality_hub, &drift_engine, || {
+        run_fleet(
+            &bundle,
+            &FleetConfig {
+                n_sessions: 160,
+                seed: 20250301,
+                duration_scale: 0.05,
+                unknown_fraction: 0.7,
+                impaired_fraction: 1.0,
+                workers: 1,
+                ..observed
+            },
+        )
+    });
     assert_eq!(shifted.len(), 160);
 
     clock.store(240_000_000, Ordering::Relaxed);

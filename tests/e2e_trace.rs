@@ -12,13 +12,14 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use gamescope::deploy::fleet::{build_tap_feed, drive_tap_feed, TapFleetConfig, TapReplayOptions};
 use gamescope::deploy::train::{train_bundle, TrainConfig};
 use gamescope::ingest::MergeSource;
 use gamescope::obs::snapshot::MetricValue;
 use gamescope::obs::{
-    Journal, JournalConfig, Registry, ServeOptions, SloHub, TelemetryServer, TraceCollector,
+    Journal, JournalConfig, Pump, Registry, ServeOptions, SloHub, TelemetryServer, TraceCollector,
     TraceConfig, TraceStage,
 };
 use gamescope::pipeline::Obs;
@@ -98,13 +99,16 @@ fn trace_endpoint_reconstructs_causal_chains_with_exemplars() {
     let registry = Arc::new(Registry::new());
     let (trace_sink, collector) = TraceCollector::new(
         TraceConfig {
-            // Per-record stages hold spans until the post-run `/trace`
-            // drain; keep the whole replay of each flow.
+            // Keep every span of a flow's whole replay.
             max_spans_per_flow: 1 << 17,
             ..Default::default()
         },
         &registry,
     );
+    // Drained while the replay runs, as `gamescope fleet` does: the
+    // per-record stages outgrow the span ring long before the run ends.
+    let collector = Arc::new(Mutex::new(collector));
+    let pump = Pump::start(Arc::clone(&collector), Duration::from_millis(1), &registry);
     let (journal_sink, journal) = Journal::new(JournalConfig::default(), &registry);
     let sessions = drive_tap_feed(
         Arc::clone(&bundle),
@@ -120,6 +124,7 @@ fn trace_endpoint_reconstructs_causal_chains_with_exemplars() {
         },
     )
     .sessions;
+    pump.stop();
     assert_eq!(sessions.len(), cfg.n_sessions);
 
     // Serve the finished run the way `gamescope fleet --serve` does.
@@ -129,7 +134,7 @@ fn trace_endpoint_reconstructs_causal_chains_with_exemplars() {
         move || reg.snapshot(),
         ServeOptions {
             journal: Some(Arc::new(Mutex::new(journal))),
-            trace: Some(Arc::new(Mutex::new(collector))),
+            trace: Some(collector),
             ..ServeOptions::default()
         },
     )
