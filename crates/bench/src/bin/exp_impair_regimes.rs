@@ -123,7 +123,7 @@ fn regime_row(
         &FleetConfig {
             n_sessions: scale.measure_sessions,
             impaired_fraction: 1.0,
-            impair_profile: Some(*profile),
+            impair_profile: *profile,
             quality: quality_sink,
             ..base
         },

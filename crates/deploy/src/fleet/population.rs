@@ -19,7 +19,7 @@ use cgc_features::vol_attrs::raw_features;
 use gamesim::dataset::sample_lab_settings;
 use gamesim::profile::TitleProfile;
 use gamesim::{Fidelity, Session, SessionConfig, TitleKind};
-use nettrace::impair::{Impairment, ImpairmentConfig, ImpairmentProfile};
+use nettrace::impair::{Impairment, ImpairmentProfile};
 use nettrace::units::MICROS_PER_SEC;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -135,32 +135,6 @@ pub(crate) fn sample_duration_secs(kind: &TitleKind, scale: f64, rng: &mut StdRn
     (mins * 60.0 * scale).max(120.0)
 }
 
-/// Degrades a fleet session in place: launch packets through the
-/// impairment channel, the volumetric series through a rate cap and loss
-/// thinning, and returns the QoS context the observability module would
-/// measure.
-fn impair_session(s: &mut Session, rng: &mut StdRng) -> QoeInputs {
-    let seed = rng.gen();
-    let mut channel = Impairment::new(ImpairmentConfig::poor_network(seed));
-    s.packets = channel.apply_all(&s.packets);
-
-    // Rate cap & loss on the volumetric series (~4.8 Mbps ceiling).
-    let cap_bytes_per_slot = (600_000.0 * (s.vol.width as f64 / 1e6)) as u64;
-    let loss: f64 = rng.gen_range(0.02..0.06);
-    for sample in &mut s.vol.samples {
-        sample.down_bytes = sample.down_bytes.min(cap_bytes_per_slot);
-        sample.down_pkts = ((sample.down_pkts as f64) * (1.0 - loss)) as u64;
-    }
-    QoeInputs {
-        nominal_fps: s.settings.fps as f64,
-        latency_ms: rng.gen_range(75.0..130.0),
-        loss_rate: loss,
-        settings_factor: s.settings.bitrate_factor(),
-        // Heavy loss halves delivered frames.
-        delivered_fps_ratio: rng.gen_range(0.35..0.55),
-    }
-}
-
 /// Residual-capacity factor for an arrival hour: shared access segments
 /// have the least headroom when the most neighbours stream. Peak-hour
 /// arrivals see half the profile's nominal capacity; overnight arrivals a
@@ -199,7 +173,7 @@ fn clean_qoe(settings: &StreamSettings, rng: &mut StdRng) -> QoeInputs {
 /// Returns the QoS context in effect from the session start and, for a
 /// profile that degrades mid-session, the onset (µs from session start)
 /// with the context from then on.
-fn impair_session_profile(
+fn degrade_session(
     profile: &ImpairmentProfile,
     s: &mut Session,
     rng: &mut StdRng,
@@ -247,54 +221,35 @@ pub(crate) struct NetworkDraw {
 }
 
 /// Draws `session`'s network path and arrival, degrading the session in
-/// place when it lands in the impaired slice. Legacy mode (no named
-/// profile) keeps the historical RNG draw order byte-for-byte so seeded
-/// fleets stay reproducible across releases; profile mode samples the
-/// arrival first so diurnal profiles can scale their capacity schedule by
-/// the hour's congestion.
+/// place when it lands in the impaired slice: the impaired draw, then the
+/// arrival (so diurnal profiles can scale their capacity schedule by the
+/// hour's congestion), then the profile's or the clean QoS context.
 pub(crate) fn draw_network(
     session: &mut Session,
     rng: &mut StdRng,
     impaired_fraction: f64,
-    profile: Option<&ImpairmentProfile>,
+    profile: &ImpairmentProfile,
     deployment_days: u32,
 ) -> NetworkDraw {
     let impaired_draw = rng.gen_bool(impaired_fraction);
-    match profile {
-        Some(profile) => {
-            let arrival = sample_arrival(deployment_days, rng);
-            let hour = ((arrival / 3_600_000_000) % 24) as usize;
-            let scale = if profile.diurnal {
-                diurnal_congestion_factor(hour)
-            } else {
-                1.0
-            };
-            let (qoe, degradation, impaired) = if impaired_draw {
-                let (qoe, degradation) = impair_session_profile(profile, session, rng, scale);
-                (qoe, degradation, profile.is_degrading())
-            } else {
-                (clean_qoe(&session.settings, rng), None, false)
-            };
-            NetworkDraw {
-                qoe,
-                degradation,
-                impaired,
-                arrival,
-            }
-        }
-        None => {
-            let qoe = if impaired_draw {
-                impair_session(session, rng)
-            } else {
-                clean_qoe(&session.settings, rng)
-            };
-            NetworkDraw {
-                qoe,
-                degradation: None,
-                impaired: impaired_draw,
-                arrival: sample_arrival(deployment_days, rng),
-            }
-        }
+    let arrival = sample_arrival(deployment_days, rng);
+    let hour = ((arrival / 3_600_000_000) % 24) as usize;
+    let scale = if profile.diurnal {
+        diurnal_congestion_factor(hour)
+    } else {
+        1.0
+    };
+    let (qoe, degradation, impaired) = if impaired_draw {
+        let (qoe, degradation) = degrade_session(profile, session, rng, scale);
+        (qoe, degradation, profile.is_degrading())
+    } else {
+        (clean_qoe(&session.settings, rng), None, false)
+    };
+    NetworkDraw {
+        qoe,
+        degradation,
+        impaired,
+        arrival,
     }
 }
 
@@ -365,7 +320,7 @@ mod tests {
         assert_eq!(fnv1a(text.as_bytes()), 0xb575_f8a2_fe08_7a28);
     }
 
-    fn fleet_digest(profile: Option<ImpairmentProfile>) -> u64 {
+    fn fleet_digest(profile: ImpairmentProfile) -> u64 {
         let records = run_fleet(
             &*quick_bundle(),
             &FleetConfig {
@@ -382,14 +337,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_fleet_records_digest_is_pinned() {
-        assert_eq!(fleet_digest(None), 0xd48b_faf4_7ce3_6fcf);
+    fn default_fleet_records_digest_is_pinned() {
+        let profile = FleetConfig::default().impair_profile;
+        // The default impaired slice is always one `--impair` away and a
+        // row of the regime matrix.
+        assert!(ImpairmentProfile::ALL.contains(&profile));
+        // Re-pinned once, when the default impaired slice moved onto the
+        // catalog's `poor-network` profile: the profile engine's draw
+        // order and bottleneck queue replaced the separate channel's.
+        assert_eq!(fleet_digest(profile), 0x15b8_131f_cff7_9e7f);
     }
 
     #[test]
     fn profile_fleet_records_digest_is_pinned() {
-        let profile = ImpairmentProfile::by_name("lte-handover");
-        assert!(profile.is_some());
+        let profile = ImpairmentProfile::by_name("lte-handover").unwrap();
         assert_eq!(fleet_digest(profile), 0x470d_c0ec_88a2_3504);
     }
 }

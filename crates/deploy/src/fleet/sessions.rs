@@ -72,12 +72,11 @@ pub struct FleetConfig {
     pub unknown_variants: u32,
     /// Fraction of sessions behind degraded network paths.
     pub impaired_fraction: f64,
-    /// Named impairment profile applied to the impaired slice. `None`
-    /// keeps the legacy `poor_network` channel; `Some(profile)` routes
-    /// impaired sessions through the adversarial network-condition engine
-    /// (correlated jitter, bufferbloat queueing, capacity schedules) with
-    /// mid-session degradation onsets where the profile defines one.
-    pub impair_profile: Option<ImpairmentProfile>,
+    /// Named impairment profile the impaired slice runs behind (the
+    /// default is `poor-network`): delay, jitter, loss and a bottleneck
+    /// queue over the profile's capacity schedule, with a mid-session
+    /// degradation onset where the profile defines one.
+    pub impair_profile: ImpairmentProfile,
     /// Quality sink for the withheld-truth join (disabled by default).
     /// Experiments sweeping several regimes in one process give each
     /// regime its own hub through this.
@@ -115,7 +114,8 @@ impl Default for FleetConfig {
             unknown_fraction: mix.unknown_fraction,
             unknown_variants: mix.unknown_variants,
             impaired_fraction: 0.08,
-            impair_profile: None,
+            impair_profile: ImpairmentProfile::by_name("poor-network")
+                .expect("the default profile is in the catalog"),
             quality: QualitySink::disabled(),
             obs: Obs::global(),
             uniform_titles: mix.uniform_titles,
@@ -148,9 +148,8 @@ pub struct SessionRecord {
     pub peak_down_mbps: f64,
     /// Whether the session ran behind a degraded network path.
     pub impaired: bool,
-    /// Name of the impairment profile applied, when the fleet ran with
-    /// [`FleetConfig::impair_profile`] and this session drew the impaired
-    /// slice (`None` on the legacy path and for unimpaired sessions).
+    /// Name of the [`FleetConfig::impair_profile`] applied, when this
+    /// session drew the impaired slice (`None` for unimpaired sessions).
     pub impair_profile: Option<String>,
     /// Degradation onset within the session, microseconds from session
     /// start, for profiles that degrade mid-session (`None` when the
@@ -202,7 +201,7 @@ fn run_one(
         &mut session,
         &mut rng,
         cfg.impaired_fraction,
-        cfg.impair_profile.as_ref(),
+        &cfg.impair_profile,
         cfg.deployment_days,
     );
     let truth = population::truth(&session);
@@ -323,7 +322,7 @@ fn run_one(
         truth_mean_down_mbps: truth.mean_down_mbps,
         peak_down_mbps: truth.peak_down_mbps,
         impaired: network.impaired,
-        impair_profile: cfg.impair_profile.as_ref().map(|p| p.name.to_string()),
+        impair_profile: Some(cfg.impair_profile.name.to_string()),
         degradation_onset_us: network.degradation.map(|(onset, _)| onset),
         arrival: network.arrival,
         model_version,
@@ -486,7 +485,7 @@ mod tests {
             duration_scale: 0.05,
             workers: 4,
             impaired_fraction: 1.0,
-            impair_profile: ImpairmentProfile::by_name("clean"),
+            impair_profile: ImpairmentProfile::by_name("clean").unwrap(),
             ..Default::default()
         };
         let records = run_fleet(&*bundle, &cfg);
@@ -494,7 +493,6 @@ mod tests {
             &*bundle,
             &FleetConfig {
                 impaired_fraction: 0.0,
-                impair_profile: None,
                 ..cfg
             },
         );
@@ -519,7 +517,7 @@ mod tests {
             duration_scale: 0.05,
             workers: 4,
             impaired_fraction: 1.0,
-            impair_profile: ImpairmentProfile::by_name("lte-handover"),
+            impair_profile: ImpairmentProfile::by_name("lte-handover").unwrap(),
             ..Default::default()
         };
         let records = run_fleet(&*quick_bundle(), &cfg);
@@ -564,7 +562,7 @@ mod tests {
             duration_scale: 0.05,
             workers: 2,
             impaired_fraction: 1.0,
-            impair_profile: ImpairmentProfile::by_name("lossy-wifi"),
+            impair_profile: ImpairmentProfile::by_name("lossy-wifi").unwrap(),
             quality: sink,
             ..Default::default()
         };

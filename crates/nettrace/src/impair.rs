@@ -14,8 +14,8 @@
 //! * [`LossModel`] — iid and two-state Gilbert–Elliott burst loss, with the
 //!   stationary closed form exposed as
 //!   [`expected_loss_rate`](LossModel::expected_loss_rate).
-//! * [`JitterModel`] — uniform (legacy), AR(1)
-//!   (autocorrelated Gaussian) and two-state calm/spike jitter.
+//! * [`JitterModel`] — iid uniform, AR(1) (autocorrelated Gaussian) and
+//!   two-state calm/spike jitter.
 //! * [`Bottleneck`] + [`CapacitySchedule`] — a FIFO bottleneck link with a
 //!   deep buffer: rate shortfall becomes growing queueing delay first and
 //!   tail drops only once the configured sojourn limit is exceeded, driven
@@ -23,12 +23,9 @@
 //!   flash-crowd dips).
 //! * [`ImpairmentProfile`] — a named, versioned catalog of end-to-end
 //!   presets (`clean`, `dsl-bloated`, `lossy-wifi`, `lte-handover`,
-//!   `congested-evening`) that the deployment simulator and the
-//!   `fleet --impair <profile>` CLI select by name.
-//!
-//! The legacy knobs (uniform jitter, token-bucket rate cap) are preserved
-//! unchanged for backward compatibility — the same fault-injection spirit as
-//! the smoltcp example harness (`--drop-chance`, `--tx-rate-limit`, …).
+//!   `congested-evening`, `poor-network`) that the deployment simulator and
+//!   the `fleet --impair <profile>` CLI select by name; `poor-network` is
+//!   the default fleet's impaired slice.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,14 +95,14 @@ impl LossModel {
 ///
 /// Real access-network jitter is correlated: a delayed packet is usually
 /// followed by another delayed packet (queue drain, radio retransmission
-/// bursts). [`JitterModel::Uniform`] reproduces the legacy iid behavior;
-/// the other two model correlation explicitly.
+/// bursts). [`JitterModel::Uniform`] is iid; the other two model
+/// correlation explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum JitterModel {
     /// No jitter.
     #[default]
     None,
-    /// Legacy iid uniform jitter in `[0, max]` microseconds.
+    /// Iid uniform jitter in `[0, max]` microseconds.
     Uniform {
         /// Maximum per-packet jitter, microseconds.
         max: Micros,
@@ -285,12 +282,6 @@ impl CapacitySchedule {
         Self::steps(vec![(0, before), (onset, after)])
     }
 
-    /// Flash-crowd dip: `base` capacity with a dip to `floor` over
-    /// `[onset, onset + dip_len)`.
-    pub fn dip(base: u64, floor: u64, onset: Micros, dip_len: Micros) -> Self {
-        Self::steps(vec![(0, base), (onset, floor), (onset + dip_len, base)])
-    }
-
     /// Capacity in effect at `ts` (microseconds from session start).
     fn rate_at(&self, ts: Micros) -> u64 {
         match self.segments.binary_search_by_key(&ts, |&(t, _)| t) {
@@ -331,23 +322,15 @@ pub struct Bottleneck {
 }
 
 /// Configuration of the impairment channel.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ImpairmentConfig {
     /// Fixed one-way delay added to every packet, microseconds.
     pub base_delay: Micros,
-    /// Maximum additional uniform jitter per packet, microseconds (legacy
-    /// knob; ignored when [`jitter_model`](Self::jitter_model) is set).
-    /// Jitter may reorder packets (consumers sort by timestamp).
-    pub jitter: Micros,
-    /// Correlated jitter model. [`JitterModel::None`] falls back to the
-    /// legacy uniform `jitter` field.
-    pub jitter_model: JitterModel,
+    /// Per-packet jitter model. Jitter may reorder packets (consumers sort
+    /// by timestamp).
+    pub jitter: JitterModel,
     /// Loss model.
     pub loss: LossModel,
-    /// Optional downstream rate cap in bytes/second enforced with a token
-    /// bucket of one second's depth; non-conforming packets are dropped
-    /// (models a policer that starves the stream without buffering).
-    pub rate_limit_bytes_per_sec: Option<u64>,
     /// Optional bufferbloat-style bottleneck: rate shortfall becomes
     /// queueing delay first, tail drops only past
     /// [`Bottleneck::queue_limit`].
@@ -356,52 +339,10 @@ pub struct ImpairmentConfig {
     pub seed: u64,
 }
 
-impl Default for ImpairmentConfig {
-    fn default() -> Self {
-        ImpairmentConfig {
-            base_delay: 0,
-            jitter: 0,
-            jitter_model: JitterModel::None,
-            loss: LossModel::None,
-            rate_limit_bytes_per_sec: None,
-            bottleneck: None,
-            seed: 0,
-        }
-    }
-}
-
 impl ImpairmentConfig {
     /// A clean channel (identity transform).
     pub fn clean() -> Self {
         Self::default()
-    }
-
-    /// A "poor network" preset used by the deployment simulator: high
-    /// delay/jitter, bursty loss, and a rate cap well below cloud-gaming
-    /// demand — the kind of session the observability platform should flag
-    /// as genuinely degraded.
-    pub fn poor_network(seed: u64) -> Self {
-        ImpairmentConfig {
-            base_delay: 70_000, // 70 ms: the paper's "large game streaming lag" marker
-            jitter: 25_000,
-            loss: LossModel::Burst {
-                p_enter: 0.02,
-                p_exit: 0.3,
-                p_bad: 0.5,
-            },
-            rate_limit_bytes_per_sec: Some(600_000), // ~4.8 Mbps, below the 8 Mbps bad-QoE bar
-            seed,
-            ..Default::default()
-        }
-    }
-
-    /// The jitter model actually in effect: `jitter_model` if set, else the
-    /// legacy uniform `jitter` field.
-    fn effective_jitter_model(&self) -> JitterModel {
-        match self.jitter_model {
-            JitterModel::None if self.jitter > 0 => JitterModel::Uniform { max: self.jitter },
-            m => m,
-        }
     }
 }
 
@@ -411,8 +352,6 @@ pub struct Impairment {
     cfg: ImpairmentConfig,
     rng: StdRng,
     in_bad_state: bool,
-    bucket_tokens: f64,
-    bucket_last_ts: Option<Micros>,
     jitter: JitterProcess,
     /// Bottleneck FIFO: timestamp at which the link finishes serving
     /// everything currently queued.
@@ -423,14 +362,11 @@ impl Impairment {
     /// Builds a channel from a configuration.
     pub fn new(cfg: ImpairmentConfig) -> Self {
         let rng = StdRng::seed_from_u64(cfg.seed);
-        let depth = cfg.rate_limit_bytes_per_sec.unwrap_or(0) as f64;
-        let jitter = JitterProcess::new(cfg.effective_jitter_model());
+        let jitter = JitterProcess::new(cfg.jitter);
         Impairment {
             cfg,
             rng,
             in_bad_state: false,
-            bucket_tokens: depth,
-            bucket_last_ts: None,
             jitter,
             busy_until: 0,
         }
@@ -438,16 +374,11 @@ impl Impairment {
 
     /// Applies the channel to one packet; `None` means dropped.
     ///
-    /// Order of effects: random loss → token-bucket policer → bottleneck
-    /// FIFO (queueing delay or tail drop) → propagation delay + jitter.
-    pub fn apply(&mut self, pkt: &Packet) -> Option<Packet> {
+    /// Order of effects: random loss → bottleneck FIFO (queueing delay or
+    /// tail drop) → propagation delay + jitter.
+    fn apply(&mut self, pkt: &Packet) -> Option<Packet> {
         if self.lost() {
             return None;
-        }
-        if let Some(rate) = self.cfg.rate_limit_bytes_per_sec {
-            if !self.conforms(pkt, rate) {
-                return None;
-            }
         }
         let mut ts = pkt.ts;
         if let Some(b) = &self.cfg.bottleneck {
@@ -479,8 +410,8 @@ impl Impairment {
     /// Degrades a volumetric series in place, starting at `from` (relative
     /// to the series origin; pass 0 to degrade the whole session).
     ///
-    /// Slot throughput is capped to the bottleneck capacity (or the policer
-    /// rate) in effect at the slot's start, and packet/byte counts are
+    /// Slot throughput is capped to the bottleneck capacity in effect at the
+    /// slot's start, and packet/byte counts are
     /// thinned by the loss model's expected rate. This is the coarse-grained
     /// twin of [`apply_all`](Self::apply_all) for pipelines that observe the
     /// 100 ms volumetric series rather than individual packets.
@@ -492,12 +423,7 @@ impl Impairment {
             if t + width <= from {
                 continue;
             }
-            let cap_rate = match (&self.cfg.bottleneck, self.cfg.rate_limit_bytes_per_sec) {
-                (Some(b), Some(r)) => Some(b.capacity.rate_at(t).min(r)),
-                (Some(b), None) => Some(b.capacity.rate_at(t)),
-                (None, Some(r)) => Some(r),
-                (None, None) => None,
-            };
+            let cap_rate = self.cfg.bottleneck.as_ref().map(|b| b.capacity.rate_at(t));
             let keep = 1.0 - loss;
             let mut bytes = s.down_bytes as f64 * keep;
             let mut pkts = s.down_pkts as f64 * keep;
@@ -533,22 +459,6 @@ impl Impairment {
                 }
                 self.in_bad_state && self.rng.gen_bool(p_bad.clamp(0.0, 1.0))
             }
-        }
-    }
-
-    fn conforms(&mut self, pkt: &Packet, rate: u64) -> bool {
-        let depth = rate as f64; // one second of burst
-        if let Some(last) = self.bucket_last_ts {
-            let elapsed = pkt.ts.saturating_sub(last) as f64 / MICROS_PER_SEC as f64;
-            self.bucket_tokens = (self.bucket_tokens + elapsed * rate as f64).min(depth);
-        }
-        self.bucket_last_ts = Some(pkt.ts);
-        let need = f64::from(pkt.wire_len());
-        if self.bucket_tokens >= need {
-            self.bucket_tokens -= need;
-            true
-        } else {
-            false
         }
     }
 }
@@ -643,7 +553,7 @@ pub struct ImpairmentPlan {
 
 impl ImpairmentProfile {
     /// The profile catalog, mildest first.
-    pub const ALL: [ImpairmentProfile; 5] = [
+    pub const ALL: [ImpairmentProfile; 6] = [
         ImpairmentProfile {
             name: "clean",
             version: 1,
@@ -753,6 +663,25 @@ impl ImpairmentProfile {
             delivered_fps_ratio: (0.28, 0.5),
             diurnal: true,
         },
+        ImpairmentProfile {
+            name: "poor-network",
+            version: 1,
+            summary: "generic degraded path: high delay, uniform jitter, burst loss, ~4.8 Mbps cap",
+            severity: 4,
+            base_delay: 70_000, // 70 ms: the paper's "large game streaming lag" marker
+            jitter: JitterModel::Uniform { max: 25_000 },
+            loss: LossModel::Burst {
+                p_enter: 0.02,
+                p_exit: 0.3,
+                p_bad: 0.5,
+            },
+            queue_limit: 50_000, // shallow: overload drops, it does not bloat
+            shape: CapacityShape::Flat(600_000), // below the 8 Mbps bad-QoE bar
+            onset_frac: None,
+            latency_ms: (75.0, 130.0),
+            delivered_fps_ratio: (0.35, 0.55),
+            diurnal: false,
+        },
     ];
 
     /// Looks a profile up by its stable name.
@@ -802,10 +731,8 @@ impl ImpairmentProfile {
         };
         let config = ImpairmentConfig {
             base_delay: self.base_delay,
-            jitter: 0,
-            jitter_model: self.jitter,
+            jitter: self.jitter,
             loss: self.loss,
-            rate_limit_bytes_per_sec: None,
             bottleneck: capacity.map(|c| Bottleneck {
                 capacity: c,
                 queue_limit: self.queue_limit,
@@ -921,26 +848,10 @@ mod tests {
     }
 
     #[test]
-    fn rate_limit_caps_throughput() {
-        // 100 Mbps offered, 1 MB/s (8 Mbps) cap over 10 seconds.
-        let pkts = trace(100_000, 100, 1196); // 1250 B wire @ 10k pps = 100 Mbps
-        let mut ch = Impairment::new(ImpairmentConfig {
-            rate_limit_bytes_per_sec: Some(1_000_000),
-            ..Default::default()
-        });
-        let out = ch.apply_all(&pkts);
-        let bytes: u64 = out.iter().map(|p| u64::from(p.wire_len())).sum();
-        let dur_s = 10.0;
-        let rate = bytes as f64 / dur_s;
-        assert!(rate <= 1_100_000.0, "rate {rate} exceeds cap");
-        assert!(rate >= 800_000.0, "rate {rate} far below cap");
-    }
-
-    #[test]
     fn jitter_stays_within_bound_and_is_reproducible() {
         let pkts = trace(1000, 1000, 100);
         let cfg = ImpairmentConfig {
-            jitter: 2_000,
+            jitter: JitterModel::Uniform { max: 2_000 },
             seed: 11,
             ..Default::default()
         };
@@ -1084,12 +995,6 @@ mod tests {
         assert_eq!(sched.rate_at(2_500_000), 300_000);
         assert_eq!(sched.rate_at(u64::MAX), 300_000);
 
-        let dip = CapacitySchedule::dip(800_000, 100_000, 1_000_000, 500_000);
-        assert_eq!(dip.rate_at(999_999), 800_000);
-        assert_eq!(dip.rate_at(1_000_000), 100_000);
-        assert_eq!(dip.rate_at(1_499_999), 100_000);
-        assert_eq!(dip.rate_at(1_500_000), 800_000);
-
         let ramp = CapacitySchedule::ramp(1_000_000, 250_000, 0, 4_000_000, 4);
         assert_eq!(ramp.rate_at(0), 1_000_000);
         assert!(ramp.rate_at(3_999_999) < ramp.rate_at(0));
@@ -1204,9 +1109,10 @@ mod tests {
     }
 
     #[test]
-    fn poor_network_preset_degrades_badly() {
+    fn default_fleet_preset_degrades_badly() {
         let pkts = trace(50_000, 100, 1196); // 100 Mbps offered over 5 s
-        let mut ch = Impairment::new(ImpairmentConfig::poor_network(1));
+        let profile = ImpairmentProfile::by_name("poor-network").unwrap();
+        let mut ch = Impairment::new(profile.instantiate(1, 5_000_000).config);
         let out = ch.apply_all(&pkts);
         // Must lose a lot of traffic and delay the rest.
         assert!(out.len() < pkts.len() / 2);
@@ -1237,7 +1143,7 @@ mod prop_tests {
                 .collect();
             let mut ch = Impairment::new(ImpairmentConfig {
                 base_delay,
-                jitter,
+                jitter: JitterModel::Uniform { max: jitter },
                 loss: LossModel::Iid { p },
                 seed,
                 ..Default::default()
@@ -1250,29 +1156,6 @@ mod prop_tests {
                 prop_assert!(pkts.iter().any(|p| p.ts >= orig && p.ts + base_delay <= o.ts));
                 prop_assert!(o.ts >= base_delay);
             }
-        }
-
-        /// A rate limit is never exceeded over the whole trace (beyond the
-        /// one-second bucket depth).
-        #[test]
-        fn rate_limit_holds_globally(
-            rate in 10_000u64..1_000_000,
-            n in 10usize..500,
-            seed in any::<u64>(),
-        ) {
-            let pkts: Vec<Packet> = (0..n as u64)
-                .map(|i| Packet::new(i * 1_000, Direction::Downstream, 1432))
-                .collect();
-            let mut ch = Impairment::new(ImpairmentConfig {
-                rate_limit_bytes_per_sec: Some(rate),
-                seed,
-                ..Default::default()
-            });
-            let out = ch.apply_all(&pkts);
-            let bytes: u64 = out.iter().map(|p| u64::from(p.wire_len())).sum();
-            let duration_s = (pkts.last().unwrap().ts as f64 / 1e6).max(1e-6);
-            // Allowance: the initial bucket depth (1 s of tokens).
-            prop_assert!(bytes as f64 <= rate as f64 * duration_s + rate as f64 + 1500.0);
         }
 
         /// A bottleneck link never forwards more bytes than capacity × time

@@ -17,7 +17,7 @@ use gamescope::deploy::{run_fleet, FleetConfig};
 use gamescope::domain::{GameTitle, Resolution, StreamSettings};
 use gamescope::pipeline::{AnalyzerConfig, QoeInputs, SessionAnalyzer};
 use gamescope::sim::{Fidelity, SessionConfig, SessionGenerator, TitleKind};
-use gamescope::trace::impair::{Impairment, ImpairmentConfig};
+use gamescope::trace::impair::{Impairment, ImpairmentProfile};
 
 fn main() {
     println!("training models (quick config)...");
@@ -36,6 +36,8 @@ fn main() {
     );
     bundle.calibration = calibrate(&calib);
 
+    // The default fleet's impaired slice.
+    let impairment = ImpairmentProfile::by_name("poor-network").expect("in the catalog");
     let mut generator = SessionGenerator::new();
     let mut run =
         |name: &str, title: GameTitle, settings: StreamSettings, impaired: bool, seed: u64| {
@@ -47,16 +49,14 @@ fn main() {
                 seed,
             });
             let qoe = if impaired {
-                let mut ch = Impairment::new(ImpairmentConfig::poor_network(seed));
+                let duration = session.vol.width * session.vol.samples.len() as u64;
+                let mut ch = Impairment::new(impairment.instantiate(seed, duration).config);
                 session.packets = ch.apply_all(&session.packets);
-                let cap = (600_000.0 * (session.vol.width as f64 / 1e6)) as u64;
-                for s in &mut session.vol.samples {
-                    s.down_bytes = s.down_bytes.min(cap);
-                }
+                ch.degrade_vol(&mut session.vol, 0);
                 QoeInputs {
                     nominal_fps: settings.fps as f64,
                     latency_ms: 95.0,
-                    loss_rate: 0.04,
+                    loss_rate: impairment.expected_loss_rate(),
                     settings_factor: settings.bitrate_factor(),
                     delivered_fps_ratio: 0.45,
                 }

@@ -165,11 +165,11 @@ FLEET LIFECYCLE:
                        alarm
 
 FLEET IMPAIRMENT:
-  --impair <profile>   route the impaired fraction of sessions through a
-                       named adversarial network profile instead of the
-                       legacy generic poor-network channel. Profiles
-                       (mildest first): clean, dsl-bloated, lossy-wifi,
-                       lte-handover, congested-evening. See
+  --impair <profile>   route every session through a named adversarial
+                       network profile (without the flag, 8% of sessions
+                       run behind poor-network). Profiles (mildest
+                       first): clean, dsl-bloated, lossy-wifi,
+                       lte-handover, congested-evening, poor-network. See
                        docs/IMPAIRMENTS.md for the knob catalog and the
                        symptom signature each leaves on /metrics and
                        /drift. With --quality or --serve the quality and
@@ -621,9 +621,9 @@ fn cmd_fleet(mut args: Vec<String>, telemetry: &Telemetry) -> Result<(), String>
             "impairment: {} v{} — {} (severity {}/4)",
             profile.name, profile.version, profile.summary, profile.severity
         );
-        cfg.impair_profile = Some(profile);
-        // The legacy default impairs only a slice of the fleet; a named
-        // profile describes the whole access network it models.
+        cfg.impair_profile = profile;
+        // The default fleet impairs only a slice; a profile named on the
+        // command line describes the whole access network it models.
         cfg.impaired_fraction = 1.0;
     }
     let registry_dir = take_value(&mut args, "--registry")?;
