@@ -216,6 +216,9 @@ pub(crate) struct NetworkDraw {
     pub degradation: Option<(u64, QoeInputs)>,
     /// Whether the session ran behind a degraded path.
     pub impaired: bool,
+    /// Name of the profile the session ran behind, when it drew the
+    /// impaired slice.
+    pub profile: Option<&'static str>,
     /// Arrival within the deployment window, µs since deployment start.
     pub arrival: u64,
 }
@@ -249,6 +252,7 @@ pub(crate) fn draw_network(
         qoe,
         degradation,
         impaired,
+        profile: impaired_draw.then_some(profile.name),
         arrival,
     }
 }
@@ -333,6 +337,11 @@ mod tests {
                 ..Default::default()
             },
         );
+        // Both pinned profiles degrade, so a session names its profile
+        // exactly when it ran impaired.
+        for r in &records {
+            assert_eq!(r.impair_profile.is_some(), r.impaired, "session {}", r.id);
+        }
         fnv1a(serde_json::to_string(&records).unwrap().as_bytes())
     }
 
@@ -342,15 +351,17 @@ mod tests {
         // The default impaired slice is always one `--impair` away and a
         // row of the regime matrix.
         assert!(ImpairmentProfile::ALL.contains(&profile));
-        // Re-pinned once, when the default impaired slice moved onto the
-        // catalog's `poor-network` profile: the profile engine's draw
-        // order and bottleneck queue replaced the separate channel's.
-        assert_eq!(fleet_digest(profile), 0x15b8_131f_cff7_9e7f);
+        // Re-pinned when the default impaired slice moved onto the
+        // catalog's `poor-network` profile (the profile engine's draw
+        // order and bottleneck queue replaced the separate channel's),
+        // and when clean sessions stopped naming the fleet's profile.
+        assert_eq!(fleet_digest(profile), 0x7c24_d784_2bc5_925f);
     }
 
     #[test]
     fn profile_fleet_records_digest_is_pinned() {
         let profile = ImpairmentProfile::by_name("lte-handover").unwrap();
-        assert_eq!(fleet_digest(profile), 0x470d_c0ec_88a2_3504);
+        // Re-pinned when clean sessions stopped naming the fleet's profile.
+        assert_eq!(fleet_digest(profile), 0xb96b_df66_17e7_a338);
     }
 }

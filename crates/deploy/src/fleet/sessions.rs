@@ -322,7 +322,7 @@ fn run_one(
         truth_mean_down_mbps: truth.mean_down_mbps,
         peak_down_mbps: truth.peak_down_mbps,
         impaired: network.impaired,
-        impair_profile: Some(cfg.impair_profile.name.to_string()),
+        impair_profile: network.profile.map(str::to_string),
         degradation_onset_us: network.degradation.map(|(onset, _)| onset),
         arrival: network.arrival,
         model_version,
