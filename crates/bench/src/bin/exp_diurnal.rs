@@ -8,15 +8,15 @@
 //! cargo run -p cgc-bench --release --bin exp_diurnal
 //! ```
 
-use cgc_bench::{cached_fleet, fleet_config};
+use cgc_bench::cached_fleet;
 use cgc_deploy::aggregate::diurnal_profile;
+use cgc_deploy::fleet::DEPLOYMENT_DAYS;
 use cgc_deploy::report::{f, table, write_json};
 
 fn main() {
     println!("== deployment load by hour of day ==\n");
     let records = cached_fleet();
-    let cfg = fleet_config();
-    let profile = diurnal_profile(&records, cfg.deployment_days);
+    let profile = diurnal_profile(&records, DEPLOYMENT_DAYS);
 
     let rows: Vec<Vec<String>> = profile
         .iter()

@@ -460,7 +460,7 @@ pub struct DiurnalProfile {
 
 /// Computes the 24-hour load profile from fleet records (arrivals carry
 /// the diurnal model; durations come from the reports). `days` must match
-/// the fleet's `deployment_days`.
+/// the fleet's window, [`DEPLOYMENT_DAYS`](crate::fleet::DEPLOYMENT_DAYS).
 pub fn diurnal_profile(records: &[SessionRecord], days: u32) -> Vec<DiurnalProfile> {
     const HOUR_US: u64 = 3_600_000_000;
     let mut started = [0usize; 24];

@@ -30,6 +30,7 @@ mod sessions;
 mod tap;
 
 pub use heartbeat::{fleet_progress_line, telemetry_reporter};
+pub use population::DEPLOYMENT_DAYS;
 pub use sessions::{run_fleet, FleetConfig, FleetModels, SessionRecord};
 pub use tap::{
     build_tap_feed, drive_tap_feed, run_tap_feed_replay, run_tap_fleet, TapDrive, TapFleetConfig,

@@ -24,13 +24,19 @@ use nettrace::units::MICROS_PER_SEC;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+/// Number of distinct unknown-title variants.
+const UNKNOWN_VARIANTS: u32 = 8;
+
+/// Length of the simulated deployment window in days (1 Dec 2024 –
+/// 1 Mar 2025); session arrivals spread over it with an evening-peaked
+/// diurnal profile.
+pub const DEPLOYMENT_DAYS: u32 = 90;
+
 /// Which titles the population plays.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TitleMix {
     /// Fraction of sessions playing non-catalog titles.
     pub unknown_fraction: f64,
-    /// Number of distinct unknown-title variants.
-    pub unknown_variants: u32,
     /// Sample catalog titles uniformly instead of by popularity.
     pub uniform_titles: bool,
 }
@@ -39,7 +45,6 @@ impl Default for TitleMix {
     fn default() -> Self {
         TitleMix {
             unknown_fraction: 0.25,
-            unknown_variants: 8,
             uniform_titles: false,
         }
     }
@@ -47,7 +52,7 @@ impl Default for TitleMix {
 
 fn sample_kind(rng: &mut StdRng, mix: &TitleMix) -> TitleKind {
     if rng.gen_bool(mix.unknown_fraction) {
-        let variant = rng.gen_range(0..mix.unknown_variants.max(1));
+        let variant = rng.gen_range(0..UNKNOWN_VARIANTS);
         let pattern = if rng.gen_bool(0.6) {
             ActivityPattern::SpectateAndPlay
         } else {
@@ -110,8 +115,8 @@ const DIURNAL_WEIGHTS: [f64; 24] = [
 ];
 
 /// Samples an arrival time within the deployment window.
-fn sample_arrival(days: u32, rng: &mut StdRng) -> u64 {
-    let day = rng.gen_range(0..days.max(1)) as u64;
+fn sample_arrival(rng: &mut StdRng) -> u64 {
+    let day = rng.gen_range(0..DEPLOYMENT_DAYS) as u64;
     let total: f64 = DIURNAL_WEIGHTS.iter().sum();
     let mut pick = rng.gen_range(0.0..total);
     let mut hour = 23usize;
@@ -232,10 +237,9 @@ pub(crate) fn draw_network(
     rng: &mut StdRng,
     impaired_fraction: f64,
     profile: &ImpairmentProfile,
-    deployment_days: u32,
 ) -> NetworkDraw {
     let impaired_draw = rng.gen_bool(impaired_fraction);
-    let arrival = sample_arrival(deployment_days, rng);
+    let arrival = sample_arrival(rng);
     let hour = ((arrival / 3_600_000_000) % 24) as usize;
     let scale = if profile.diurnal {
         diurnal_congestion_factor(hour)

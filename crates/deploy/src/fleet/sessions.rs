@@ -68,8 +68,6 @@ pub struct FleetConfig {
     pub duration_scale: f64,
     /// Fraction of sessions playing non-catalog titles.
     pub unknown_fraction: f64,
-    /// Number of distinct unknown-title variants.
-    pub unknown_variants: u32,
     /// Fraction of sessions behind degraded network paths.
     pub impaired_fraction: f64,
     /// Named impairment profile the impaired slice runs behind (the
@@ -89,9 +87,6 @@ pub struct FleetConfig {
     /// calibration passes use this so rare titles (Hearthstone is 0.04 %
     /// of playtime) still get their demand measured.
     pub uniform_titles: bool,
-    /// Length of the simulated deployment window in days; session arrivals
-    /// spread over it with an evening-peaked diurnal profile.
-    pub deployment_days: u32,
     /// Worker threads.
     pub workers: usize,
     /// Emit a pipeline-telemetry delta report (nonzero counter increments
@@ -112,14 +107,12 @@ impl Default for FleetConfig {
             seed: 20241201, // deployment start: 1 Dec 2024
             duration_scale: 0.15,
             unknown_fraction: mix.unknown_fraction,
-            unknown_variants: mix.unknown_variants,
             impaired_fraction: 0.08,
             impair_profile: ImpairmentProfile::by_name("poor-network")
                 .expect("the default profile is in the catalog"),
             quality: QualitySink::disabled(),
             obs: Obs::global(),
             uniform_titles: mix.uniform_titles,
-            deployment_days: 90, // 1 Dec 2024 – 1 Mar 2025
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
@@ -185,7 +178,6 @@ fn run_one(
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(id));
     let mix = TitleMix {
         unknown_fraction: cfg.unknown_fraction,
-        unknown_variants: cfg.unknown_variants,
         uniform_titles: cfg.uniform_titles,
     };
     let (kind, settings) = population::sample_subscriber(&mut rng, &mix);
@@ -202,7 +194,6 @@ fn run_one(
         &mut rng,
         cfg.impaired_fraction,
         &cfg.impair_profile,
-        cfg.deployment_days,
     );
     let truth = population::truth(&session);
 
