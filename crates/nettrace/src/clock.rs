@@ -49,46 +49,6 @@ pub fn shift_micros(ts: Micros, offset: SkewMicros) -> Micros {
     }
 }
 
-/// A [`Clock`] adapter that reads another clock through a constant skew
-/// offset — the per-source view of a shared merge timeline.
-///
-/// `now()` reports `inner.now() + offset` (saturating), and
-/// `sleep_until(d)` sleeps the inner clock until `d - offset`, so a
-/// source whose capture clock ran `offset` µs ahead of the fused axis
-/// still paces correctly against the shared clock.
-#[derive(Debug, Clone)]
-pub struct OffsetClock {
-    inner: SharedClock,
-    offset: SkewMicros,
-}
-
-impl OffsetClock {
-    /// Wraps `inner`, skewing every reading by `offset` µs.
-    pub fn new(inner: SharedClock, offset: SkewMicros) -> Self {
-        OffsetClock { inner, offset }
-    }
-
-    /// The skew this adapter applies, µs.
-    pub fn offset(&self) -> SkewMicros {
-        self.offset
-    }
-
-    /// A shared handle to this adapter.
-    pub fn shared(self) -> SharedClock {
-        Arc::new(self)
-    }
-}
-
-impl Clock for OffsetClock {
-    fn now(&self) -> Micros {
-        shift_micros(self.inner.now(), self.offset)
-    }
-
-    fn sleep_until(&self, deadline: Micros) {
-        self.inner.sleep_until(shift_micros(deadline, -self.offset));
-    }
-}
-
 /// Wall-clock time, anchored so `now()` reads `origin + elapsed`.
 #[derive(Debug)]
 pub struct RealClock {
@@ -236,21 +196,6 @@ mod tests {
         assert_eq!(shift_micros(100, -25), 75);
         assert_eq!(shift_micros(10, -25), 0, "saturates at the origin");
         assert_eq!(shift_micros(u64::MAX - 1, 25), u64::MAX);
-    }
-
-    #[test]
-    fn offset_clock_skews_readings_and_unskews_sleeps() {
-        let base = VirtualClock::starting_at(1_000);
-        let ahead = OffsetClock::new(base.shared(), 250);
-        assert_eq!(ahead.now(), 1_250);
-        // Sleeping to 2_000 on the skewed axis is 1_750 on the base axis.
-        ahead.sleep_until(2_000);
-        assert_eq!(base.now(), 1_750);
-        assert_eq!(ahead.now(), 2_000);
-
-        let behind = OffsetClock::new(base.shared(), -500);
-        assert_eq!(behind.now(), 1_250);
-        assert_eq!(behind.offset(), -500);
     }
 
     #[test]

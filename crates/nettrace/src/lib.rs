@@ -40,9 +40,7 @@ pub mod stats;
 pub mod units;
 pub mod vol;
 
-pub use clock::{
-    shift_micros, Clock, OffsetClock, RealClock, SharedClock, SkewMicros, VirtualClock,
-};
+pub use clock::{shift_micros, Clock, RealClock, SharedClock, SkewMicros, VirtualClock};
 pub use flow::FlowStats;
 pub use impair::{
     Bottleneck, CapacitySchedule, Impairment, ImpairmentConfig, ImpairmentPlan, ImpairmentProfile,
