@@ -2,8 +2,8 @@
 //!
 //! One serial [`TapMonitor`] saturates a core long before it saturates an
 //! ISP tap. [`ShardedTapMonitor`] scales the front end across worker
-//! threads: packets are routed by the word-wise, direction-invariant
-//! [`FiveTuple::route_hash`] onto `W` shards, each owned by a dedicated
+//! threads: packets are routed by a word-wise, direction-invariant hash
+//! ([`FiveTuple::shard`]) onto `W` shards, each owned by a dedicated
 //! worker thread running its own `TapMonitor` over a shared
 //! [`ModelBundle`]. Because the hash is direction-invariant, both
 //! directions of a conversation land on the same worker, and because each
@@ -185,7 +185,7 @@ fn shard_worker(
 /// Parallel tap front end: W worker shards, each a [`TapMonitor`].
 ///
 /// The ingest path is the hot path: per record one routing hash (three
-/// multiply-xorshift rounds, see [`FiveTuple::route_hash`]) and one copy
+/// multiply-xorshift rounds, see [`FiveTuple::shard`]) and one copy
 /// into the shard's pending buffer; per
 /// [`ingest_batch`](Self::ingest_batch) call one channel send per shard
 /// the batch touches. All heavyweight per-packet work (filtering, flow
@@ -287,7 +287,7 @@ impl ShardedTapMonitor {
     /// to the shard workers. A small batch (shallow queues) reaches the
     /// workers immediately; a large batch (deep queues) amortizes the
     /// per-dispatch send cost across thousands of records. Per record the
-    /// router pays one [`FiveTuple::route_hash`] and one copy.
+    /// router pays one [`FiveTuple::shard`] and one copy.
     pub fn ingest_batch(&mut self, records: &[TapRecord]) {
         let shards = self.senders.len();
         if shards == 1 {

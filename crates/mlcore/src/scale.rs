@@ -53,25 +53,13 @@ impl StandardScaler {
         StandardScaler { mean, std }
     }
 
-    /// Transforms one sample in place.
-    fn transform_inplace(&self, x: &mut [f64]) {
-        for ((v, m), s) in x.iter_mut().zip(&self.mean).zip(&self.std) {
-            *v = (*v - m) / s;
-        }
-    }
-
-    /// Transforms a sample, returning a new vector.
-    pub fn transform(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = x.to_vec();
-        self.transform_inplace(&mut out);
-        out
-    }
-
     /// Returns a transformed copy of a dataset.
     pub fn transform_dataset(&self, data: &Dataset) -> Dataset {
         let mut out = data.clone();
         for row in &mut out.x {
-            self.transform_inplace(row);
+            for ((v, m), s) in row.iter_mut().zip(&self.mean).zip(&self.std) {
+                *v = (*v - m) / s;
+            }
         }
         out
     }
@@ -100,19 +88,9 @@ mod tests {
     #[test]
     fn constant_feature_maps_to_zero() {
         let d = Dataset::new(vec![vec![5.0], vec![5.0]], vec![0, 1]);
-        let sc = StandardScaler::fit(&d);
-        assert_eq!(sc.transform(&[5.0]), vec![0.0]);
-        assert_eq!(sc.transform(&[6.0]), vec![1.0]);
-    }
-
-    #[test]
-    fn transform_matches_inplace() {
-        let d = Dataset::new(vec![vec![1.0], vec![3.0]], vec![0, 1]);
-        let sc = StandardScaler::fit(&d);
-        let a = sc.transform(&[2.0]);
-        let mut b = [2.0];
-        sc.transform_inplace(&mut b);
-        assert_eq!(a[0], b[0]);
+        let probe = Dataset::new(vec![vec![5.0], vec![6.0]], vec![0, 1]);
+        let t = StandardScaler::fit(&d).transform_dataset(&probe);
+        assert_eq!(t.x, [[0.0], [1.0]]);
     }
 
     #[test]
@@ -164,7 +142,10 @@ mod tests {
         let back: StandardScaler =
             serde_json::from_str(&serde_json::to_string(&sc).unwrap()).unwrap();
         assert_eq!(back, sc);
-        let probe = [1.0, -1.0, 2.5];
-        assert_eq!(sc.transform(&probe), back.transform(&probe));
+        let probe = Dataset::new(vec![vec![1.0, -1.0, 2.5]], vec![0]);
+        assert_eq!(
+            sc.transform_dataset(&probe).x,
+            back.transform_dataset(&probe).x
+        );
     }
 }

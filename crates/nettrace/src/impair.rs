@@ -236,7 +236,7 @@ pub struct CapacitySchedule {
 
 impl CapacitySchedule {
     /// Constant capacity for the whole session.
-    pub fn constant(bytes_per_sec: u64) -> Self {
+    fn constant(bytes_per_sec: u64) -> Self {
         CapacitySchedule {
             segments: vec![(0, bytes_per_sec)],
         }

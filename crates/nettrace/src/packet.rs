@@ -48,16 +48,6 @@ pub enum Direction {
     Upstream,
 }
 
-impl Direction {
-    /// The opposite direction.
-    pub fn flip(self) -> Self {
-        match self {
-            Direction::Downstream => Direction::Upstream,
-            Direction::Upstream => Direction::Downstream,
-        }
-    }
-}
-
 impl fmt::Display for Direction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -121,15 +111,15 @@ impl FiveTuple {
         }
     }
 
-    /// Stable 64-bit hash of the *normalized* tuple (FNV-1a over the
-    /// endpoint bytes). Both directions of a conversation hash identically,
-    /// and the value is independent of the process's `HashMap` seed. This is
-    /// the flow's identity ([`FiveTuple::flow_id`]): journals and traces
-    /// store it, so its values never change — the addresses go in as the
-    /// IPv4-mapped 16 bytes they always did. It costs 37 dependent byte
-    /// steps, which is why per-record routing uses
-    /// [`FiveTuple::route_hash`] instead.
-    pub fn shard_hash(&self) -> u64 {
+    /// The flow's journal/flight-recorder id: a stable 64-bit hash of the
+    /// *normalized* tuple (FNV-1a over the endpoint bytes). Both directions
+    /// of a conversation hash identically, and the value is independent of
+    /// the process's `HashMap` seed and stable across restarts. Journals
+    /// and traces store it, so its values never change — the addresses go
+    /// in as the IPv4-mapped 16 bytes they always did. It costs 37
+    /// dependent byte steps, which is why per-record routing
+    /// ([`FiveTuple::shard`]) uses a word-wise hash instead.
+    pub fn flow_id(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         fn mix(mut h: u64, bytes: &[u8]) -> u64 {
@@ -154,7 +144,7 @@ impl FiveTuple {
     /// normalization, no per-byte loop. Stable across processes, so
     /// partitioning by it is deterministic, but *not* the flow's identity:
     /// nothing may store it (that is [`FiveTuple::flow_id`]).
-    pub fn route_hash(&self) -> u64 {
+    fn route_hash(&self) -> u64 {
         /// SplitMix64 finalizer: every input bit reaches every output bit.
         fn mix(mut x: u64) -> u64 {
             x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -169,17 +159,11 @@ impl FiveTuple {
         mix(ends ^ self.proto as u64)
     }
 
-    /// Shard index for a pool of `n` workers (`n = 0` is treated as 1):
-    /// [`FiveTuple::route_hash`] scaled into `0..n` by a multiply-high, so
+    /// Shard index for a pool of `n` workers (`n = 0` is treated as 1): the
+    /// word-wise routing hash scaled into `0..n` by a multiply-high, so
     /// routing a record costs no division.
     pub fn shard(&self, n: usize) -> usize {
         ((u128::from(self.route_hash()) * n.max(1) as u128) >> 64) as usize
-    }
-
-    /// The flow's journal/flight-recorder id: the direction-invariant
-    /// [`FiveTuple::shard_hash`], stable across processes and restarts.
-    pub fn flow_id(&self) -> u64 {
-        self.shard_hash()
     }
 
     /// The flow's endpoints as a journal `FlowAddr` (this tuple is taken
@@ -274,12 +258,6 @@ mod tests {
     const GOLDEN_FLOW_ID: u64 = 0xca7e_debd_ea39_7572;
 
     #[test]
-    fn direction_flip_is_involutive() {
-        assert_eq!(Direction::Downstream.flip(), Direction::Upstream);
-        assert_eq!(Direction::Upstream.flip().flip(), Direction::Upstream);
-    }
-
-    #[test]
     fn five_tuple_reverse_and_normalize() {
         let t = FiveTuple::udp_v4([10, 0, 0, 1], 49003, [192, 168, 1, 5], 50123);
         let r = t.reversed();
@@ -310,9 +288,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_hash_matches_both_directions() {
+    fn flow_id_and_shard_match_both_directions() {
         let t = FiveTuple::udp_v4([10, 0, 0, 1], 49003, [192, 168, 1, 5], 50123);
-        assert_eq!(t.shard_hash(), t.reversed().shard_hash());
+        assert_eq!(t.flow_id(), t.reversed().flow_id());
         assert_eq!(t.shard(8), t.reversed().shard(8));
         // Zero workers degrade to a single shard instead of dividing by 0.
         assert_eq!(t.shard(0), 0);
@@ -326,7 +304,6 @@ mod tests {
         let t = FiveTuple::udp_v4([10, 0, 0, 1], 49003, [192, 168, 1, 5], 50123);
         assert_eq!(t.flow_id(), GOLDEN_FLOW_ID);
         assert_eq!(t.reversed().flow_id(), GOLDEN_FLOW_ID);
-        assert_eq!(t.shard_hash(), GOLDEN_FLOW_ID);
         assert_ne!(t.route_hash(), t.flow_id(), "routing is not identity");
     }
 
@@ -538,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_hash_spreads_flows() {
+    fn shard_spreads_flows() {
         // 4096 distinct client endpoints should not collapse onto a few
         // shards: every shard of 8 gets a meaningful share.
         let mut counts = [0usize; 8];
@@ -602,7 +579,7 @@ mod prop_tests {
         /// always land on the same worker.
         #[test]
         fn shard_is_stable_under_reversal(t in arb_tuple(), n in 1usize..64) {
-            prop_assert_eq!(t.shard_hash(), t.reversed().shard_hash());
+            prop_assert_eq!(t.flow_id(), t.reversed().flow_id());
             prop_assert_eq!(t.shard(n), t.reversed().shard(n));
             prop_assert!(t.shard(n) < n);
         }

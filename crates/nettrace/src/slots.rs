@@ -78,13 +78,6 @@ impl SlotSeries {
         }
     }
 
-    /// Convenience constructor anchored at the first packet's timestamp
-    /// (how the pipeline anchors slots at flow start).
-    pub fn anchored(packets: Vec<Packet>, width: Micros) -> Self {
-        let origin = packets.iter().map(|p| p.ts).min().unwrap_or(0);
-        Self::new(packets, origin, width)
-    }
-
     /// Number of slots (0 when the series is empty).
     pub fn len(&self) -> usize {
         self.bounds.len().saturating_sub(1)
@@ -205,20 +198,6 @@ mod tests {
         );
         assert_eq!(s.packets().len(), 1);
         assert_eq!(s.len(), 5);
-    }
-
-    #[test]
-    fn anchored_uses_first_packet() {
-        let s = SlotSeries::anchored(
-            vec![
-                pkt(7_300_000, Direction::Downstream, 1),
-                pkt(7_400_000, Direction::Downstream, 1),
-            ],
-            MICROS_PER_SEC,
-        );
-        assert_eq!(s.origin(), 7_300_000);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.slot(0).unwrap().count(None), 2);
     }
 
     #[test]

@@ -238,7 +238,7 @@ impl fmt::Display for EventKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Flow id: the direction-invariant hash of the normalized five-tuple
-    /// (`FiveTuple::shard_hash`), or a session id for per-session runs.
+    /// (`FiveTuple::flow_id`), or a session id for per-session runs.
     pub flow: u64,
     /// Tap timestamp of the decision, microseconds.
     pub ts: u64,

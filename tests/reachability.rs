@@ -7,8 +7,8 @@
 //! The scan is grep-level on purpose: it reads each library file up to
 //! its first `#[cfg(test)]`, takes the identifier after `pub fn` /
 //! `pub const`, and looks for that word anywhere in any other file —
-//! except in `pub use` statements: a crate re-exporting a name is not a
-//! caller of it.
+//! except in `pub use` statements and comment lines: a crate re-exporting
+//! a name is not a caller of it, and neither is prose.
 //! `crates/bench` (the benchmark included) is a caller, never a subject,
 //! so the surface `bench_e2e` pins cannot be flagged.
 
@@ -75,12 +75,16 @@ fn mentions(text: &str, name: &str) -> bool {
     })
 }
 
-/// `text` without its `pub use` statements, multi-line ones included.
-fn without_reexports(text: &str) -> String {
+/// `text` without its `pub use` statements (multi-line ones included)
+/// and its `//`, `///` and `//!` comment lines.
+fn callers_text(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut in_use = false;
     for line in text.lines() {
         in_use |= line.trim_start().starts_with("pub use ");
+        if line.trim_start().starts_with("//") {
+            continue;
+        }
         if in_use {
             in_use = !line.contains(';');
         } else {
@@ -94,7 +98,7 @@ fn without_reexports(text: &str) -> String {
 /// `(file, name)` for every declared name of a subject file that no
 /// other file mentions. `files` holds `(path, contents, is_subject)`.
 fn orphans(files: &[(PathBuf, String, bool)]) -> BTreeSet<(PathBuf, String)> {
-    let callers: Vec<String> = files.iter().map(|f| without_reexports(&f.1)).collect();
+    let callers: Vec<String> = files.iter().map(|f| callers_text(&f.1)).collect();
     let mut found = BTreeSet::new();
     for (i, (path, source, subject)) in files.iter().enumerate() {
         if !subject {
@@ -187,10 +191,15 @@ fn the_scan_reads_names_and_flags_a_planted_orphan() {
     assert!(mentions("a.used(1)", "used"));
     assert!(!mentions("unused(1); used_up", "used"));
 
-    // A re-export, on one line or several, mentions nothing.
+    // A re-export, on one line or several, mentions nothing; nor does a
+    // comment line.
     let reexports =
         "pub use a::planted;\npub use b::{\n    used as _,\n    LIMIT,\n};\nfn f() {}\n";
-    assert_eq!(without_reexports(reexports), "fn f() {}\n");
+    assert_eq!(callers_text(reexports), "fn f() {}\n");
+    assert_eq!(
+        callers_text("//! planted\n    /// planted\n// planted\n"),
+        ""
+    );
 
     let files = vec![
         (PathBuf::from("crates/a/src/lib.rs"), lib.to_string(), true),
@@ -204,12 +213,18 @@ fn the_scan_reads_names_and_flags_a_planted_orphan() {
             "pub use super::lib::{\n    planted,\n};\n".to_string(),
             true,
         ),
+        (
+            PathBuf::from("crates/b/src/lib.rs"),
+            "//! planted\n/// `planted` is documented here\nfn g() {\n    // planted\n}\n"
+                .to_string(),
+            true,
+        ),
     ];
     let found = orphans(&files);
     assert_eq!(
         found.into_iter().collect::<Vec<_>>(),
         [(PathBuf::from("crates/a/src/lib.rs"), "planted".to_string())],
-        "only the name nothing else mentions is flagged (a re-export is not a \
-         mention), and only in a subject file"
+        "only the name nothing else mentions is flagged (a re-export or a \
+         comment is not a mention), and only in a subject file"
     );
 }
