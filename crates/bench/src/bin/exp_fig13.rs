@@ -7,7 +7,7 @@
 //! ```
 
 use cgc_bench::cached_fleet;
-use cgc_deploy::aggregate::{qoe_by_pattern, qoe_by_title};
+use cgc_deploy::aggregate::{qoe_by_pattern, qoe_by_title, qoe_of_impaired};
 use cgc_deploy::report::{pct, table, write_json};
 use serde::Serialize;
 
@@ -15,6 +15,7 @@ use serde::Serialize;
 struct Output {
     by_title: Vec<cgc_deploy::aggregate::QoeProfile>,
     by_pattern: Vec<cgc_deploy::aggregate::QoeProfile>,
+    impaired: cgc_deploy::aggregate::QoeProfile,
 }
 
 fn main() {
@@ -22,6 +23,7 @@ fn main() {
     let records = cached_fleet();
     let by_title = qoe_by_title(&records);
     let by_pattern = qoe_by_pattern(&records);
+    let impaired = qoe_of_impaired(&records);
 
     let render = |profiles: &[cgc_deploy::aggregate::QoeProfile]| {
         let rows: Vec<Vec<String>> = profiles
@@ -95,9 +97,21 @@ fn main() {
         pct(total_corrected)
     );
 
+    println!(
+        "Impaired sessions ({}): objective bad/med/good {}/{}/{} -> effective {}/{}/{}\n(context excuses low demand, never network damage).",
+        impaired.sessions,
+        pct(impaired.objective[0]),
+        pct(impaired.objective[1]),
+        pct(impaired.objective[2]),
+        pct(impaired.effective[0]),
+        pct(impaired.effective[1]),
+        pct(impaired.effective[2])
+    );
+
     let out = Output {
         by_title,
         by_pattern,
+        impaired,
     };
     if let Ok(p) = write_json("fig13", &out) {
         println!("\nwrote {}", p.display());

@@ -232,6 +232,14 @@ pub fn qoe_by_pattern(records: &[SessionRecord]) -> Vec<QoeProfile> {
         .collect()
 }
 
+/// Objective vs effective QoE of the sessions behind an impaired path:
+/// context excuses low demand, never network damage, so calibration must
+/// leave these bad.
+pub fn qoe_of_impaired(records: &[SessionRecord]) -> QoeProfile {
+    let rs: Vec<&SessionRecord> = records.iter().filter(|r| r.impaired).collect();
+    qoe_of("impaired".to_string(), &rs)
+}
+
 /// Field validation (§5 ¶2): title classification accuracy against the
 /// withheld "server log" truth, overall and per title, over catalog
 /// sessions on healthy network paths.
