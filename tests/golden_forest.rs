@@ -203,3 +203,21 @@ fn fixture_survives_serde_roundtrip() {
         );
     }
 }
+
+/// FNV-1a over `bytes` (the digest `FlatForest::checksum` also uses).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The flat form's artifact contract, pinned: the registry stores
+/// `checksum()` beside every artifact and the JSON text is the artifact,
+/// so an in-memory layout change must move neither.
+#[test]
+fn flat_artifact_checksum_and_json_are_pinned() {
+    let flat = forest_fixture().forest.to_flat();
+    assert_eq!(flat.checksum(), 3_177_158_539_800_620_899);
+    let json = serde_json::to_string(&flat).expect("flat forest serializes");
+    assert_eq!(fnv1a(json.as_bytes()), 1_922_105_529_383_967_448);
+}
