@@ -1,20 +1,27 @@
-//! Flattened forest inference: SoA node arrays, branchless traversal.
+//! Flattened forest inference: one packed node array, branchless traversal.
 //!
 //! The pointer forest ([`RandomForest`]) walks `Box`ed tree-node enums —
 //! one cache miss per level per tree, plus a `Vec` clone per tree for the
 //! leaf distribution. That is fine for training-time evaluation but too
 //! slow for the tap hot path, where every flow classifies every slot.
 //!
-//! [`FlatForest`] compiles a trained forest into one contiguous
-//! structure-of-arrays node table shared by all trees:
+//! [`FlatForest`] compiles a trained forest into one contiguous array of
+//! 16-byte nodes shared by all trees, each node holding
 //!
-//! * `feature[i]` — split feature of node `i`, or `LEAF` (`u32::MAX`) for a
-//!   leaf;
-//! * `threshold[i]` — split threshold;
-//! * `child[i]` — for a split, the index of the *left* child (the right
-//!   child is always `child[i] + 1`: sibling pairs are allocated
+//! * `threshold` — the split threshold (0 for a leaf);
+//! * `child` — for a split, the index of the *left* child (the right
+//!   child is always `child + 1`: sibling pairs are allocated
 //!   adjacently); for a leaf, the offset of its class distribution in the
-//!   shared `proba` table.
+//!   shared `proba` table;
+//! * `feature` — the split feature, or `LEAF` (`u32::MAX`) for a leaf.
+//!
+//! A descent step therefore reads one aligned 16-byte node — one cache
+//! line — where parallel per-field arrays would cost three loads from
+//! three lines, all on the step's dependency chain. The on-disk artifact
+//! keeps the parallel-array form (`feature`, `threshold`, `child`
+//! arrays), and [`FlatForest::checksum`] hashes those arrays in that
+//! order, so the packed node is an in-memory layout only: registry
+//! artifacts written before it still load and verify.
 //!
 //! Traversal is branchless: `next = child + (x[f] > t)`, computed as an
 //! arithmetic select with the exact `x <= t` comparison the pointer tree
@@ -37,25 +44,40 @@
 // bit-identity guarantee — line up between the two layouts.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::forest::RandomForest;
 use crate::tree::Node;
 use crate::{argmax, Classifier};
 
-/// Sentinel marking a leaf in [`FlatForest`]'s `feature` array.
+/// Sentinel marking a leaf in a [`FlatNode`]'s `feature`.
 const LEAF: u32 = u32::MAX;
 
-/// A forest compiled to a flat SoA node-array layout for fast inference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FlatForest {
-    /// Split feature per node; [`LEAF`] for leaves.
-    feature: Vec<u32>,
-    /// Split threshold per node (0 for leaves).
-    threshold: Vec<f64>,
-    /// Left-child index per split node (right child is `+ 1`); for leaves,
+/// One node of the flat table. 16-byte aligned, so a node never straddles
+/// a cache line and a descent step is one load.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(16))]
+struct FlatNode {
+    /// Split threshold (0 for leaves).
+    threshold: f64,
+    /// Left-child index for a split (right child is `+ 1`); for a leaf,
     /// the element offset of the leaf's distribution in `proba`.
-    child: Vec<u32>,
+    child: u32,
+    /// Split feature; [`LEAF`] for leaves.
+    feature: u32,
+}
+
+const BLANK: FlatNode = FlatNode {
+    threshold: 0.0,
+    child: 0,
+    feature: LEAF,
+};
+
+/// A forest compiled to a flat packed-node layout for fast inference.
+#[derive(Debug, Clone)]
+pub struct FlatForest {
+    /// Every tree's nodes, sibling pairs adjacent.
+    nodes: Vec<FlatNode>,
     /// Root node index of each tree.
     roots: Vec<u32>,
     /// Max leaf depth of each tree (root-is-leaf = 0): the descent step
@@ -70,6 +92,81 @@ pub struct FlatForest {
     n_features: usize,
 }
 
+/// The artifact form of a [`FlatForest`]: the node table as three
+/// parallel arrays, in the field order every stored artifact has.
+#[derive(Serialize, Deserialize)]
+struct Wire {
+    feature: Vec<u32>,
+    threshold: Vec<f64>,
+    child: Vec<u32>,
+    roots: Vec<u32>,
+    depths: Vec<u32>,
+    proba: Vec<f64>,
+    n_classes: usize,
+    n_features: usize,
+}
+
+impl Serialize for FlatForest {
+    fn to_value(&self) -> Value {
+        Wire {
+            feature: self.nodes.iter().map(|n| n.feature).collect(),
+            threshold: self.nodes.iter().map(|n| n.threshold).collect(),
+            child: self.nodes.iter().map(|n| n.child).collect(),
+            roots: self.roots.clone(),
+            depths: self.depths.clone(),
+            proba: self.proba.clone(),
+            n_classes: self.n_classes,
+            n_features: self.n_features,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for FlatForest {
+    /// Rejects an artifact whose arrays disagree in length or whose
+    /// indices leave the table, so a damaged file fails at load and never
+    /// panics (or reads another tree's nodes) in the slot loop.
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let w = Wire::from_value(v)?;
+        let n = w.feature.len();
+        if w.threshold.len() != n || w.child.len() != n || w.depths.len() != w.roots.len() {
+            return Err(serde::Error::new("flat forest arrays differ in length"));
+        }
+        let in_range = |f: u32, c: u32| {
+            let c = c as usize;
+            if f == LEAF {
+                c + w.n_classes <= w.proba.len()
+            } else {
+                (f as usize) < w.n_features && c + 1 < n
+            }
+        };
+        if !w
+            .feature
+            .iter()
+            .zip(&w.child)
+            .all(|(&f, &c)| in_range(f, c))
+            || w.roots.iter().any(|&r| r as usize >= n)
+        {
+            return Err(serde::Error::new("flat forest index out of range"));
+        }
+        let nodes = (w.feature.iter().zip(&w.threshold).zip(&w.child))
+            .map(|((&feature, &threshold), &child)| FlatNode {
+                threshold,
+                child,
+                feature,
+            })
+            .collect();
+        Ok(FlatForest {
+            nodes,
+            roots: w.roots,
+            depths: w.depths,
+            proba: w.proba,
+            n_classes: w.n_classes,
+            n_features: w.n_features,
+        })
+    }
+}
+
 impl FlatForest {
     /// Compiles a trained pointer forest into the flat layout. Sibling
     /// node pairs are allocated adjacently so traversal needs a single
@@ -80,9 +177,7 @@ impl FlatForest {
     /// entries (far beyond any realistic model).
     pub fn from_forest(forest: &RandomForest) -> FlatForest {
         let mut flat = FlatForest {
-            feature: Vec::new(),
-            threshold: Vec::new(),
-            child: Vec::new(),
+            nodes: Vec::new(),
             roots: Vec::with_capacity(forest.n_trees()),
             depths: Vec::with_capacity(forest.n_trees()),
             proba: Vec::new(),
@@ -103,8 +198,7 @@ impl FlatForest {
                     Node::Leaf { proba } => {
                         let off = flat.proba.len();
                         assert!(off < LEAF as usize, "proba table exceeds u32 range");
-                        flat.feature[slot] = LEAF;
-                        flat.child[slot] = off as u32;
+                        flat.nodes[slot].child = off as u32;
                         flat.proba.extend_from_slice(proba);
                         max_depth = max_depth.max(depth);
                     }
@@ -115,9 +209,11 @@ impl FlatForest {
                         right,
                     } => {
                         let pair = flat.alloc(2);
-                        flat.feature[slot] = *feature as u32;
-                        flat.threshold[slot] = *threshold;
-                        flat.child[slot] = pair;
+                        flat.nodes[slot] = FlatNode {
+                            threshold: *threshold,
+                            child: pair,
+                            feature: *feature as u32,
+                        };
                         work.push((right, pair + 1, depth + 1));
                         work.push((left, pair, depth + 1));
                     }
@@ -128,13 +224,12 @@ impl FlatForest {
         flat
     }
 
-    /// Appends `n` blank node slots, returning the index of the first.
+    /// Appends `n` blank (leaf) node slots, returning the index of the
+    /// first.
     fn alloc(&mut self, n: usize) -> u32 {
-        let start = self.feature.len();
+        let start = self.nodes.len();
         assert!(start + n < LEAF as usize, "node table exceeds u32 range");
-        self.feature.resize(start + n, LEAF);
-        self.threshold.resize(start + n, 0.0);
-        self.child.resize(start + n, 0);
+        self.nodes.resize(start + n, BLANK);
         start as u32
     }
 
@@ -145,7 +240,7 @@ impl FlatForest {
 
     /// Total nodes across all trees.
     pub fn n_nodes(&self) -> usize {
-        self.feature.len()
+        self.nodes.len()
     }
 
     /// Expected feature-vector width.
@@ -153,12 +248,14 @@ impl FlatForest {
         self.n_features
     }
 
-    /// FNV-1a digest over the complete node table in a fixed field order,
-    /// with each array length mixed in before its elements. Floats hash
-    /// via their IEEE bit patterns, so any payload mutation — a flipped
-    /// bit, a re-quantized threshold, a truncated proba table — changes
-    /// the digest. The model registry stores this per-forest and verifies
-    /// it after every disk round-trip; see `serde_artifacts` tests.
+    /// FNV-1a digest over the complete node table in a fixed field order
+    /// — the artifact's `feature`, `child`, `roots`, `depths`,
+    /// `threshold` and `proba` arrays — with each array length mixed in
+    /// before its elements. Floats hash via their IEEE bit patterns, so
+    /// any payload mutation — a flipped bit, a re-quantized threshold, a
+    /// truncated proba table — changes the digest. The model registry
+    /// stores this per-forest and verifies it after every disk round-trip;
+    /// see `serde_artifacts` tests.
     pub fn checksum(&self) -> u64 {
         fn mix(h: &mut u64, v: u64) {
             for b in v.to_le_bytes() {
@@ -166,27 +263,30 @@ impl FlatForest {
                 *h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
+        fn mix_all(h: &mut u64, len: usize, words: impl Iterator<Item = u64>) {
+            mix(h, len as u64);
+            words.for_each(|w| mix(h, w));
+        }
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for (len, words) in [
-            (self.feature.len(), &self.feature),
-            (self.child.len(), &self.child),
-            (self.roots.len(), &self.roots),
-            (self.depths.len(), &self.depths),
-        ] {
-            mix(&mut h, len as u64);
-            for &w in words {
-                mix(&mut h, u64::from(w));
-            }
-        }
-        for (len, floats) in [
-            (self.threshold.len(), &self.threshold),
-            (self.proba.len(), &self.proba),
-        ] {
-            mix(&mut h, len as u64);
-            for &f in floats {
-                mix(&mut h, f.to_bits());
-            }
-        }
+        let n = self.nodes.len();
+        mix_all(&mut h, n, self.nodes.iter().map(|n| u64::from(n.feature)));
+        mix_all(&mut h, n, self.nodes.iter().map(|n| u64::from(n.child)));
+        mix_all(
+            &mut h,
+            self.roots.len(),
+            self.roots.iter().map(|&w| u64::from(w)),
+        );
+        mix_all(
+            &mut h,
+            self.depths.len(),
+            self.depths.iter().map(|&w| u64::from(w)),
+        );
+        mix_all(&mut h, n, self.nodes.iter().map(|n| n.threshold.to_bits()));
+        mix_all(
+            &mut h,
+            self.proba.len(),
+            self.proba.iter().map(|f| f.to_bits()),
+        );
         mix(&mut h, self.n_classes as u64);
         mix(&mut h, self.n_features as u64);
         h
@@ -196,15 +296,38 @@ impl FlatForest {
     #[inline]
     fn descend(&self, root: u32, x: &[f64]) -> usize {
         let mut i = root as usize;
-        let mut f = self.feature[i];
-        while f != LEAF {
+        let mut n = self.nodes[i];
+        while n.feature != LEAF {
             // `!(x <= t)` (not `x > t`) so NaN features go right, exactly
             // like the pointer tree's if/else.
-            let go_right = !(x[f as usize] <= self.threshold[i]) as u32;
-            i = (self.child[i] + go_right) as usize;
-            f = self.feature[i];
+            let go_right = !(x[n.feature as usize] <= n.threshold) as u32;
+            i = (n.child + go_right) as usize;
+            n = self.nodes[i];
         }
         i
+    }
+
+    /// One lockstep step for a lane at node `i`: the next node index, or
+    /// `i` itself once the lane sits on a leaf.
+    #[inline(always)]
+    fn step(&self, i: usize, x: &[f64]) -> usize {
+        let n = self.nodes[i];
+        let at_leaf = n.feature == LEAF;
+        // Lanes already at a leaf stay put; `fi = 0` keeps the (discarded)
+        // feature load in bounds — any split anywhere implies
+        // `n_features >= 1`, and with zero splits `steps == 0` skips the
+        // loop entirely.
+        let fi = if at_leaf { 0 } else { n.feature as usize };
+        let go_right = !(x[fi] <= n.threshold) as u32;
+        // For a leaf lane `child` is a proba offset and the +1 may wrap at
+        // the u32 edge; the result is discarded, so wrap instead of
+        // overflowing.
+        let next = n.child.wrapping_add(go_right) as usize;
+        if at_leaf {
+            i
+        } else {
+            next
+        }
     }
 
     /// Walks `N` trees in lockstep, returning their leaf node indices.
@@ -221,36 +344,26 @@ impl FlatForest {
     ///   via conditional moves.
     #[inline]
     fn descend_n<const N: usize>(&self, roots: [u32; N], steps: u32, x: &[f64]) -> [usize; N] {
-        let mut idx = [0usize; N];
-        for (slot, root) in idx.iter_mut().zip(roots) {
-            *slot = root as usize;
-        }
+        let mut idx = roots.map(|r| r as usize);
         for _ in 0..steps {
             for i in idx.iter_mut() {
-                let f = self.feature[*i];
-                let at_leaf = f == LEAF;
-                // Lanes already at a leaf stay put; `fi = 0` keeps the
-                // (discarded) feature load in bounds — any split anywhere
-                // implies `n_features >= 1`, and with zero splits
-                // `steps == 0` skips the loop entirely.
-                let fi = if at_leaf { 0 } else { f as usize };
-                let go_right = !(x[fi] <= self.threshold[*i]) as u32;
-                // For a leaf lane `child` is a proba offset and the +1 may
-                // wrap at the u32 edge; the result is discarded, so wrap
-                // instead of overflowing.
-                let next = self.child[*i].wrapping_add(go_right) as usize;
-                *i = if at_leaf { *i } else { next };
+                *i = self.step(*i, x);
             }
         }
         idx
     }
 
+    /// Class distribution stored at leaf node `leaf`.
+    #[inline]
+    fn dist(&self, leaf: usize) -> &[f64] {
+        let off = self.nodes[leaf].child as usize;
+        &self.proba[off..off + self.n_classes]
+    }
+
     /// Leaf class distribution one tree assigns to `x`.
     #[inline]
     fn leaf(&self, root: u32, x: &[f64]) -> &[f64] {
-        let leaf = self.descend(root, x);
-        let off = self.child[leaf] as usize;
-        &self.proba[off..off + self.n_classes]
+        self.dist(self.descend(root, x))
     }
 
     /// Sums every tree's leaf distribution for `x` into `out` and divides
@@ -273,9 +386,7 @@ impl FlatForest {
             }
             let leaves: [usize; LANES] = self.descend_n(roots, steps, x);
             for leaf in leaves {
-                let off = self.child[leaf] as usize;
-                let dist = &self.proba[off..off + self.n_classes];
-                for (a, v) in out.iter_mut().zip(dist) {
+                for (a, v) in out.iter_mut().zip(self.dist(leaf)) {
                     *a += v;
                 }
             }
@@ -301,12 +412,7 @@ impl FlatForest {
         let mut idx = [root as usize; N];
         for _ in 0..steps {
             for (i, x) in idx.iter_mut().zip(xs) {
-                let f = self.feature[*i];
-                let at_leaf = f == LEAF;
-                let fi = if at_leaf { 0 } else { f as usize };
-                let go_right = !(x[fi] <= self.threshold[*i]) as u32;
-                let next = self.child[*i].wrapping_add(go_right) as usize;
-                *i = if at_leaf { *i } else { next };
+                *i = self.step(*i, x);
             }
         }
         idx
@@ -342,10 +448,8 @@ impl FlatForest {
                     let group: [&[f64]; ROWS] = std::array::from_fn(|l| cx[row + l].as_ref());
                     let leaves: [usize; ROWS] = self.descend_rows(root, steps, group);
                     for (l, leaf) in leaves.into_iter().enumerate() {
-                        let off = self.child[leaf] as usize;
-                        let dist = &self.proba[off..off + nc];
                         let acc = &mut cout[(row + l) * nc..(row + l + 1) * nc];
-                        for (a, v) in acc.iter_mut().zip(dist) {
+                        for (a, v) in acc.iter_mut().zip(self.dist(leaf)) {
                             *a += v;
                         }
                     }
@@ -498,6 +602,31 @@ mod tests {
             assert_eq!(flat.predict_proba(x), back.predict_proba(x));
         }
         assert_eq!(flat.n_nodes(), back.n_nodes());
+    }
+
+    #[test]
+    fn inconsistent_node_arrays_are_rejected() {
+        let (_, flat, _) = fitted(7);
+        let damaged = |field: &str, edit: &dyn Fn(&mut Vec<Value>)| {
+            let mut v = flat.to_value();
+            let Value::Object(fields) = &mut v else {
+                unreachable!("a flat forest serializes to an object")
+            };
+            let (_, Value::Array(items)) = fields.iter_mut().find(|(k, _)| k == field).unwrap()
+            else {
+                unreachable!("`{field}` is an array")
+            };
+            edit(items);
+            FlatForest::from_value(&v)
+        };
+        assert!(FlatForest::from_value(&flat.to_value()).is_ok());
+        assert!(damaged("threshold", &|a| drop(a.pop())).is_err());
+        assert!(damaged("depths", &|a| drop(a.pop())).is_err());
+        // Node 0's child past the table, its feature past the row width,
+        // a root past the table.
+        assert!(damaged("child", &|a| a[0] = Value::UInt(u64::from(u32::MAX - 1))).is_err());
+        assert!(damaged("feature", &|a| a[0] = Value::UInt(99)).is_err());
+        assert!(damaged("roots", &|a| a[0] = Value::UInt(1 << 30)).is_err());
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl RandomForest {
         &self.trees
     }
 
-    /// Compiles this forest into the flat SoA inference layout.
+    /// Compiles this forest into the flat packed-node inference layout.
     pub fn to_flat(&self) -> crate::flat::FlatForest {
         crate::flat::FlatForest::from_forest(self)
     }
