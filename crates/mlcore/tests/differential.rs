@@ -1,6 +1,6 @@
 //! Differential equivalence suite: flat vs pointer forest inference.
 //!
-//! The flat SoA layout (`mlcore::flat`) rewrites the inference kernel, so
+//! The flat node layout (`mlcore::flat`) rewrites the inference kernel, so
 //! its correctness is proven differentially — for random forests × random
 //! inputs, [`FlatForest`] must produce **bit-identical** results to the
 //! pointer [`RandomForest`] on `predict`, `predict_proba`, and
@@ -9,6 +9,8 @@
 
 use mlcore::{Classifier, Dataset, FlatForest, RandomForest, RandomForestConfig};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Random labeled rows: (features, label) with 1–4 features and ≤ 4
 /// classes. Feature values span a wide range so split thresholds land in
@@ -177,4 +179,94 @@ fn flat_roundtrip_stays_equivalent_to_pointer() {
     for (x, _) in &rows {
         assert_eq!(forest.predict_proba(x), back.predict_proba(x));
     }
+}
+
+/// Feature values that route differently from any finite threshold:
+/// signed zeros, infinities and NaN (which falls right).
+const SPECIALS: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+
+/// Bit-identity of `a` and `b` (so `-0.0` and `0.0` differ).
+fn assert_bits_eq(a: &[f64], b: &[f64], ctx: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(a), bits(b), "{ctx}");
+}
+
+/// Trains a forest of a deployed shape — depth 10, `n_trees` trees over
+/// `n_features` features and `n_classes` classes — and checks every
+/// inference surface bit for bit against the pointer forest. Probes are
+/// the training rows, each with one feature swapped for a special value,
+/// and rows made of one special value; batch calls cover row counts above
+/// the 64-row cache block that are not multiples of the 8-row group.
+fn deployed_shape_agrees(n_trees: usize, n_features: usize, n_classes: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Class centres on a coarse lattice plus wide noise: classes overlap,
+    // so trees grow to full depth with mixed leaves.
+    let rows: Vec<(Vec<f64>, usize)> = (0..240)
+        .map(|_| {
+            let c = rng.gen_range(0..n_classes);
+            let x = (0..n_features)
+                .map(|f| ((c * (f + 3)) % 7) as f64 + rng.gen_range(-4.0f64..4.0))
+                .collect();
+            (x, c)
+        })
+        .collect();
+    let x: Vec<Vec<f64>> = rows.iter().map(|(r, _)| r.clone()).collect();
+    let y: Vec<usize> = rows.iter().map(|(_, c)| *c).collect();
+    let data = Dataset::new(x.clone(), y).with_n_classes(n_classes);
+    let cfg = RandomForestConfig {
+        n_trees,
+        max_depth: 10,
+        seed,
+        ..Default::default()
+    };
+    let forest = RandomForest::fit(&data, &cfg);
+    let flat = forest.to_flat();
+    assert_eq!(flat.n_trees(), n_trees);
+
+    let mut probes = x.clone();
+    for (i, row) in x.iter().enumerate() {
+        let mut p = row.clone();
+        p[i % n_features] = SPECIALS[i % SPECIALS.len()];
+        probes.push(p);
+    }
+    probes.extend(SPECIALS.iter().map(|&v| vec![v; n_features]));
+
+    let mut out = vec![0.0; n_classes];
+    for p in &probes {
+        let want = forest.predict_proba(p);
+        assert_bits_eq(&want, &flat.predict_proba(p), &format!("proba on {p:?}"));
+        flat.predict_proba_into(p, &mut out);
+        assert_bits_eq(&want, &out, &format!("proba_into on {p:?}"));
+    }
+    for rows in [65, 71, 131, probes.len()] {
+        assert!(rows > 64 && rows % 8 != 0, "batch of {rows} rows");
+        let batch = &probes[..rows];
+        let mut scores = vec![0.0; rows * n_classes];
+        flat.predict_proba_batch_into(batch, &mut scores);
+        for (p, got) in batch.iter().zip(scores.chunks(n_classes)) {
+            assert_bits_eq(&forest.predict_proba(p), got, &format!("batch row {p:?}"));
+        }
+        assert_eq!(forest.predict_batch(batch), flat.predict_batch(batch));
+    }
+}
+
+#[test]
+fn stage_shaped_forest_agrees() {
+    deployed_shape_agrees(60, 4, 4, 101);
+}
+
+#[test]
+fn pattern_shaped_forest_agrees() {
+    deployed_shape_agrees(100, 9, 2, 102);
+}
+
+#[test]
+fn title_shaped_forest_agrees() {
+    deployed_shape_agrees(150, 51, 13, 103);
+}
+
+#[test]
+fn forest_with_a_partial_lane_group_agrees() {
+    // 61 % 4 == 1: one tree descends outside the 4-tree lockstep groups.
+    deployed_shape_agrees(61, 4, 4, 104);
 }
