@@ -22,6 +22,7 @@ use cgc_domain::{ActivityPattern, QoeLevel, Stage};
 use cgc_obs::event::EventKind;
 use cgc_obs::quality::ModelKind;
 use cgc_obs::trace::{trace_id, TraceStage};
+use mlcore::argmax;
 use nettrace::packet::Packet;
 use nettrace::units::{secs_to_micros, Micros};
 use nettrace::vol::{VolSample, VolSeries};
@@ -308,27 +309,23 @@ impl<'b> SessionAnalyzer<'b> {
             .expect("extractor initialized")
             .push(sample);
         let t1 = sampled.then(std::time::Instant::now);
-        let stage = if self.obs.drift.is_enabled() {
-            // One probability pass yields both the argmax stage and the
-            // drift signal; same flat-forest walk, same stack buffer, so
-            // enabling drift adds no allocation to the slot loop.
-            let p = self.bundle.stage.probabilities(&feats);
-            let (mut best, mut runner_up) = (0usize, 0.0f64);
-            for (i, &v) in p.iter().enumerate() {
-                if v > p[best] {
-                    runner_up = p[best];
-                    best = i;
-                } else if v > runner_up && i != best {
-                    runner_up = v;
-                }
-            }
+        // One probability pass yields the stage and, when drift is on, its
+        // signal. `argmax` breaks ties as `StageClassifier::classify` does,
+        // so enabling drift never changes a verdict.
+        let p = self.bundle.stage.probabilities(&feats);
+        let best = argmax(&p);
+        if self.obs.drift.is_enabled() {
+            let runner_up = p
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != best)
+                .map(|(_, &v)| v)
+                .fold(0.0f64, f64::max);
             self.obs
                 .drift
                 .observe(ModelKind::Stage, p[best], (p[best] - runner_up).max(0.0));
-            crate::stage::STAGE_CLASSES[best]
-        } else {
-            self.bundle.stage.classify(&feats)
-        };
+        }
+        let stage = crate::stage::STAGE_CLASSES[best];
         let slot = (self.slots_seen - 1) as u32;
         if let (Some(t0), Some(t1)) = (t0, t1) {
             let t2 = std::time::Instant::now();
@@ -802,6 +799,50 @@ pub(crate) mod tests {
             total == 1 + classified || total == 2 + classified,
             "observations {total}, classified slots {classified}"
         );
+    }
+
+    #[test]
+    fn drift_sink_keeps_the_stage_on_an_exact_tie() {
+        use cgc_obs::drift::{DriftConfig, DriftEngine};
+        use cgc_obs::Registry;
+        // Two stump trees, one voting Idle and one Passive: every slot
+        // scores [0.5, 0.5, 0, 0] exactly.
+        let stump = |proba: &str| {
+            format!(
+                r#"{{"root":{{"Leaf":{{"proba":{proba}}}}},"n_classes":4,"n_features":4,"importances":[0,0,0,0]}}"#
+            )
+        };
+        let json = format!(
+            r#"{{"forest":{{"trees":[{},{}],"n_classes":4}}}}"#,
+            stump("[1,0,0,0]"),
+            stump("[0,1,0,0]")
+        );
+        let bundle = ModelBundle {
+            stage: serde_json::from_str(&json).expect("tie forest parses"),
+            ..tiny_bundle()
+        };
+        let s = session(7);
+        let run = |obs: Obs| {
+            let mut a = SessionAnalyzer::with_obs(
+                &bundle,
+                AnalyzerConfig::default(),
+                QoeInputs::default(),
+                obs,
+                0,
+                0,
+            );
+            a.analyze(&s.packets, &s.vol);
+            a.finish().stage_slots
+        };
+        let registry = Registry::new();
+        let plain = run(Obs::on(&registry));
+        let (sink, _engine) = DriftEngine::new(DriftConfig::default(), &registry);
+        let drifted = run(Obs {
+            drift: sink,
+            ..Obs::on(&registry)
+        });
+        assert!(plain[10..].iter().all(|&st| st == Stage::Passive));
+        assert_eq!(plain, drifted);
     }
 
     #[test]

@@ -87,13 +87,11 @@ impl StageClassifier {
     }
 
     /// Classifies one slot's feature vector into a stage. Runs on the flat
-    /// forest with a stack score buffer — no allocation per slot.
+    /// forest with a stack score buffer — no allocation per slot. An exact
+    /// tie goes to the later class ([`argmax`]); the zero padding of
+    /// [`Self::probabilities`] never wins, as the scores sum to 1.
     pub fn classify(&self, features: &[f64; 4]) -> Stage {
-        let mut scores = [0.0f64; 4];
-        let nc = self.flat.n_classes();
-        self.flat.predict_proba_into(features, &mut scores[..nc]);
-        let id = argmax(&scores[..nc]);
-        STAGE_CLASSES[id.min(STAGE_CLASSES.len() - 1)]
+        STAGE_CLASSES[argmax(&self.probabilities(features))]
     }
 
     /// Class probabilities in [`STAGE_CLASSES`] order (padded with zeros if
