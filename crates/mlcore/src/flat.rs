@@ -44,6 +44,8 @@
 // bit-identity guarantee — line up between the two layouts.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
+use std::hint::select_unpredictable;
+
 use serde::{Deserialize, Serialize, Value};
 
 use crate::forest::RandomForest;
@@ -67,6 +69,7 @@ struct FlatNode {
     feature: u32,
 }
 
+/// A freshly allocated slot, filled in by [`FlatForest::from_forest`].
 const BLANK: FlatNode = FlatNode {
     threshold: 0.0,
     child: 0,
@@ -124,8 +127,8 @@ impl Serialize for FlatForest {
 
 impl Deserialize for FlatForest {
     /// Rejects an artifact whose arrays disagree in length or whose
-    /// indices leave the table, so a damaged file fails at load and never
-    /// panics (or reads another tree's nodes) in the slot loop.
+    /// indices leave the table, so a damaged file fails at load rather
+    /// than panicking on an index in the slot loop.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let w = Wire::from_value(v)?;
         let n = w.feature.len();
@@ -296,38 +299,38 @@ impl FlatForest {
     #[inline]
     fn descend(&self, root: u32, x: &[f64]) -> usize {
         let mut i = root as usize;
-        let mut n = self.nodes[i];
+        let mut n = &self.nodes[i];
         while n.feature != LEAF {
             // `!(x <= t)` (not `x > t`) so NaN features go right, exactly
             // like the pointer tree's if/else.
             let go_right = !(x[n.feature as usize] <= n.threshold) as u32;
             i = (n.child + go_right) as usize;
-            n = self.nodes[i];
+            n = &self.nodes[i];
         }
         i
     }
 
     /// One lockstep step for a lane at node `i`: the next node index, or
     /// `i` itself once the lane sits on a leaf.
+    ///
+    /// Both selects are `select_unpredictable`: with a node's fields behind
+    /// one bounds check, LLVM otherwise turns the leaf test into a branch
+    /// around the lane's loads, and that branch mispredicts at every leaf.
     #[inline(always)]
     fn step(&self, i: usize, x: &[f64]) -> usize {
-        let n = self.nodes[i];
+        let n = &self.nodes[i];
         let at_leaf = n.feature == LEAF;
         // Lanes already at a leaf stay put; `fi = 0` keeps the (discarded)
         // feature load in bounds — any split anywhere implies
         // `n_features >= 1`, and with zero splits `steps == 0` skips the
         // loop entirely.
-        let fi = if at_leaf { 0 } else { n.feature as usize };
+        let fi = select_unpredictable(at_leaf, 0, n.feature as usize);
         let go_right = !(x[fi] <= n.threshold) as u32;
         // For a leaf lane `child` is a proba offset and the +1 may wrap at
         // the u32 edge; the result is discarded, so wrap instead of
         // overflowing.
         let next = n.child.wrapping_add(go_right) as usize;
-        if at_leaf {
-            i
-        } else {
-            next
-        }
+        select_unpredictable(at_leaf, i, next)
     }
 
     /// Walks `N` trees in lockstep, returning their leaf node indices.
