@@ -310,30 +310,8 @@ impl FlatForest {
         i
     }
 
-    /// One lockstep step for a lane at node `i`: the next node index, or
-    /// `i` itself once the lane sits on a leaf.
-    ///
-    /// Both selects are `select_unpredictable`: with a node's fields behind
-    /// one bounds check, LLVM otherwise turns the leaf test into a branch
-    /// around the lane's loads, and that branch mispredicts at every leaf.
-    #[inline(always)]
-    fn step(&self, i: usize, x: &[f64]) -> usize {
-        let n = &self.nodes[i];
-        let at_leaf = n.feature == LEAF;
-        // Lanes already at a leaf stay put; `fi = 0` keeps the (discarded)
-        // feature load in bounds — any split anywhere implies
-        // `n_features >= 1`, and with zero splits `steps == 0` skips the
-        // loop entirely.
-        let fi = select_unpredictable(at_leaf, 0, n.feature as usize);
-        let go_right = !(x[fi] <= n.threshold) as u32;
-        // For a leaf lane `child` is a proba offset and the +1 may wrap at
-        // the u32 edge; the result is discarded, so wrap instead of
-        // overflowing.
-        let next = n.child.wrapping_add(go_right) as usize;
-        select_unpredictable(at_leaf, i, next)
-    }
-
-    /// Walks `N` trees in lockstep, returning their leaf node indices.
+    /// Walks `N` trees in lockstep on one row, returning their leaf node
+    /// indices.
     ///
     /// Two tricks keep this off the two stalls a naive walk hits:
     ///
@@ -341,16 +319,27 @@ impl FlatForest {
     ///   on the previous step's child index — so `N` independent trees
     ///   step together, giving the out-of-order core `N` chains to
     ///   overlap;
-    /// * per-tree `while not leaf` exits mispredict at every leaf, so the
-    ///   loop instead runs a *fixed* step count — `steps`, which must be
-    ///   `>=` every grouped tree's depth — with leaves holding position
-    ///   via conditional moves.
+    /// * per-tree `while not leaf` loops exit at a different step for every
+    ///   tree, so the loop instead runs a *fixed* step count — `steps`,
+    ///   which must be `>=` every grouped tree's depth.
+    ///
+    /// A lane on its leaf skips the step, and that skip is a branch on
+    /// purpose. This is the slot loop's kernel: consecutive calls are one
+    /// flow's consecutive slots, whose leaf depths repeat, so the branch
+    /// predicts and settled lanes cost almost nothing. On such correlated
+    /// rows it beats conditional moves; on independent rows it loses to
+    /// them, which is why [`Self::descend_rows`] keeps them.
     #[inline]
     fn descend_n<const N: usize>(&self, roots: [u32; N], steps: u32, x: &[f64]) -> [usize; N] {
         let mut idx = roots.map(|r| r as usize);
         for _ in 0..steps {
             for i in idx.iter_mut() {
-                *i = self.step(*i, x);
+                let n = &self.nodes[*i];
+                if n.feature != LEAF {
+                    // `!(x <= t)`: NaN goes right, as in `descend`.
+                    let go_right = !(x[n.feature as usize] <= n.threshold) as u32;
+                    *i = (n.child + go_right) as usize;
+                }
             }
         }
         idx
@@ -410,12 +399,29 @@ impl FlatForest {
     /// count is the tree's exact depth — no lane runs a wasted iteration —
     /// and the loop trip count stays identical across the whole sweep,
     /// which branch prediction loves.
+    ///
+    /// The rows of a batch are unrelated, so where each lane reaches its
+    /// leaf does not repeat: a lane on its leaf holds position through
+    /// conditional moves, never a branch. `select_unpredictable` keeps
+    /// them conditional moves; with a node's fields behind one bounds
+    /// check, LLVM would otherwise branch around a settled lane's loads.
     #[inline]
     fn descend_rows<const N: usize>(&self, root: u32, steps: u32, xs: [&[f64]; N]) -> [usize; N] {
         let mut idx = [root as usize; N];
         for _ in 0..steps {
             for (i, x) in idx.iter_mut().zip(xs) {
-                *i = self.step(*i, x);
+                let n = &self.nodes[*i];
+                let at_leaf = n.feature == LEAF;
+                // `fi = 0` keeps a settled lane's (discarded) feature load
+                // in bounds: a tree with `steps > 0` has a split, so
+                // `n_features >= 1`.
+                let fi = select_unpredictable(at_leaf, 0, n.feature as usize);
+                let go_right = !(x[fi] <= n.threshold) as u32;
+                // A leaf's `child` is a proba offset and the +1 may wrap at
+                // the u32 edge; the result is discarded, so wrap instead of
+                // overflowing.
+                let next = n.child.wrapping_add(go_right) as usize;
+                *i = select_unpredictable(at_leaf, *i, next);
             }
         }
         idx
