@@ -23,15 +23,16 @@
 //! order, so the packed node is an in-memory layout only: registry
 //! artifacts written before it still load and verify.
 //!
-//! Traversal is branchless: `next = child + (x[f] > t)`, computed as an
-//! arithmetic select with the exact `x <= t` comparison the pointer tree
-//! uses (so NaN features fall right in both implementations), and the
-//! kernel descends several trees in lockstep for a fixed step count so
-//! the walk neither stalls on one load chain nor mispredicts at leaf
-//! exits (see `descend_n`). Probability accumulation follows tree order
-//! with the same `f64` operations as the pointer forest, making
-//! `predict` / `predict_proba` **bit-identical** — proven by the
-//! differential proptests and the committed golden fixtures under
+//! The child choice is branchless: `next = child + (x[f] > t)`, computed
+//! as an arithmetic select with the exact `x <= t` comparison the pointer
+//! tree uses (so NaN features fall right in both implementations), and
+//! the kernels descend several trees (or rows) in lockstep for a fixed
+//! step count so the walk neither stalls on one load chain nor exits
+//! per tree (see `descend_n` and `descend_rows`, which differ only in
+//! how a lane on its leaf holds position). Probability accumulation
+//! follows tree order with the same `f64` operations as the pointer
+//! forest, making `predict` / `predict_proba` **bit-identical** — proven
+//! by the differential proptests and the committed golden fixtures under
 //! `tests/fixtures/`.
 //!
 //! Training code is untouched: fit a [`RandomForest`], then call
@@ -211,6 +212,8 @@ impl FlatForest {
                         left,
                         right,
                     } => {
+                        // `descend_n` reads `x[feature]` unchecked.
+                        assert!(*feature < flat.n_features, "split feature out of range");
                         let pair = flat.alloc(2);
                         flat.nodes[slot] = FlatNode {
                             threshold: *threshold,
@@ -329,15 +332,26 @@ impl FlatForest {
     /// predicts and settled lanes cost almost nothing. On such correlated
     /// rows it beats conditional moves; on independent rows it loses to
     /// them, which is why [`Self::descend_rows`] keeps them.
+    ///
+    /// The node and feature loads are unchecked: dropping their two bounds
+    /// checks per step measured ×1.2 more `slots_per_s` on `slot-series`.
     #[inline]
     fn descend_n<const N: usize>(&self, roots: [u32; N], steps: u32, x: &[f64]) -> [usize; N] {
+        let x = &x[..self.n_features];
         let mut idx = roots.map(|r| r as usize);
         for _ in 0..steps {
             for i in idx.iter_mut() {
-                let n = &self.nodes[*i];
+                // SAFETY: `*i` is a root or a split's `child` or `child + 1`,
+                // and `from_forest` builds, `from_value` checks, every one
+                // of those inside `nodes`; nothing else writes the fields.
+                let n = unsafe { self.nodes.get_unchecked(*i) };
                 if n.feature != LEAF {
+                    // SAFETY: a split's feature is below `n_features`
+                    // (asserted in `from_forest`, checked in `from_value`),
+                    // and `x` was cut to exactly `n_features` above.
+                    let xf = unsafe { *x.get_unchecked(n.feature as usize) };
                     // `!(x <= t)`: NaN goes right, as in `descend`.
-                    let go_right = !(x[n.feature as usize] <= n.threshold) as u32;
+                    let go_right = !(xf <= n.threshold) as u32;
                     *i = (n.child + go_right) as usize;
                 }
             }
@@ -636,6 +650,17 @@ mod tests {
         assert!(damaged("child", &|a| a[0] = Value::UInt(u64::from(u32::MAX - 1))).is_err());
         assert!(damaged("feature", &|a| a[0] = Value::UInt(99)).is_err());
         assert!(damaged("roots", &|a| a[0] = Value::UInt(1 << 30)).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "split feature out of range")]
+    fn pointer_split_past_the_row_width_is_refused() {
+        // A damaged pointer forest: feature 5 of 2-feature rows.
+        let json = r#"{"trees":[{"root":{"Split":{"feature":5,"threshold":0.0,
+            "left":{"Leaf":{"proba":[1.0,0.0]}},"right":{"Leaf":{"proba":[0.0,1.0]}}}},
+            "n_classes":2,"n_features":2,"importances":[0.0,0.0]}],"n_classes":2}"#;
+        let forest: RandomForest = serde_json::from_str(json).unwrap();
+        let _ = forest.to_flat();
     }
 
     #[test]
