@@ -136,6 +136,10 @@ impl Deserialize for FlatForest {
         if w.threshold.len() != n || w.child.len() != n || w.depths.len() != w.roots.len() {
             return Err(serde::Error::new("flat forest arrays differ in length"));
         }
+        // `descend_rows` reads `x[0]` for a settled lane whenever it steps.
+        if w.n_features == 0 && w.depths.iter().any(|&d| d > 0) {
+            return Err(serde::Error::new("flat forest steps over zero features"));
+        }
         let in_range = |f: u32, c: u32| {
             let c = c as usize;
             if f == LEAF {
@@ -333,8 +337,9 @@ impl FlatForest {
     /// rows it beats conditional moves; on independent rows it loses to
     /// them, which is why [`Self::descend_rows`] keeps them.
     ///
-    /// The node and feature loads are unchecked: dropping their two bounds
-    /// checks per step measured ×1.2 more `slots_per_s` on `slot-series`.
+    /// Node and feature loads are unchecked, here and in `descend_rows`:
+    /// `from_forest` builds and `from_value` checks every index a walk can
+    /// reach.
     #[inline]
     fn descend_n<const N: usize>(&self, roots: [u32; N], steps: u32, x: &[f64]) -> [usize; N] {
         let x = &x[..self.n_features];
@@ -384,12 +389,8 @@ impl FlatForest {
         out.fill(0.0);
         let full = self.roots.len() / LANES * LANES;
         for g in (0..full).step_by(LANES) {
-            let mut roots = [0u32; LANES];
-            let mut steps = 0u32;
-            for (l, slot) in roots.iter_mut().enumerate() {
-                *slot = self.roots[g + l];
-                steps = steps.max(self.depths[g + l]);
-            }
+            let roots = std::array::from_fn(|l| self.roots[g + l]);
+            let steps = self.depths[g..g + LANES].iter().copied().max().unwrap_or(0);
             let leaves: [usize; LANES] = self.descend_n(roots, steps, x);
             for leaf in leaves {
                 for (a, v) in out.iter_mut().zip(self.dist(leaf)) {
@@ -417,20 +418,25 @@ impl FlatForest {
     /// The rows of a batch are unrelated, so where each lane reaches its
     /// leaf does not repeat: a lane on its leaf holds position through
     /// conditional moves, never a branch. `select_unpredictable` keeps
-    /// them conditional moves; with a node's fields behind one bounds
-    /// check, LLVM would otherwise branch around a settled lane's loads.
+    /// them conditional moves; with a node's fields behind one load, LLVM
+    /// would otherwise branch around a settled lane's work.
     #[inline]
     fn descend_rows<const N: usize>(&self, root: u32, steps: u32, xs: [&[f64]; N]) -> [usize; N] {
+        let xs = xs.map(|x| &x[..self.n_features]);
         let mut idx = [root as usize; N];
         for _ in 0..steps {
             for (i, x) in idx.iter_mut().zip(xs) {
-                let n = &self.nodes[*i];
+                // SAFETY: as in `descend_n`.
+                let n = unsafe { self.nodes.get_unchecked(*i) };
                 let at_leaf = n.feature == LEAF;
-                // `fi = 0` keeps a settled lane's (discarded) feature load
-                // in bounds: a tree with `steps > 0` has a split, so
-                // `n_features >= 1`.
+                // A settled lane reads (and discards) `x[0]`.
                 let fi = select_unpredictable(at_leaf, 0, n.feature as usize);
-                let go_right = !(x[fi] <= n.threshold) as u32;
+                // SAFETY: every row was cut to `n_features` above. A split's
+                // feature is below it (asserted in `from_forest`, checked in
+                // `from_value`), and so is `fi = 0`: `steps > 0` needs a
+                // split (`from_forest`) or `n_features > 0` (`from_value`).
+                let xf = unsafe { *x.get_unchecked(fi) };
+                let go_right = !(xf <= n.threshold) as u32;
                 // A leaf's `child` is a proba offset and the +1 may wrap at
                 // the u32 edge; the result is discarded, so wrap instead of
                 // overflowing.
@@ -650,6 +656,25 @@ mod tests {
         assert!(damaged("child", &|a| a[0] = Value::UInt(u64::from(u32::MAX - 1))).is_err());
         assert!(damaged("feature", &|a| a[0] = Value::UInt(99)).is_err());
         assert!(damaged("roots", &|a| a[0] = Value::UInt(1 << 30)).is_err());
+
+        // All leaves, zero features, yet a tree claims depth 1.
+        let stumps = RandomForest::fit(
+            &Dataset::new(vec![vec![1.0], vec![2.0]], vec![0, 0]),
+            &RandomForestConfig::default(),
+        )
+        .to_flat();
+        let mut v = stumps.to_value();
+        let Value::Object(fields) = &mut v else {
+            unreachable!("a flat forest serializes to an object")
+        };
+        for (k, f) in fields.iter_mut() {
+            match (k.as_str(), f) {
+                ("n_features", f) => *f = Value::UInt(0),
+                ("depths", Value::Array(d)) => d[0] = Value::UInt(1),
+                _ => {}
+            }
+        }
+        assert!(FlatForest::from_value(&v).is_err());
     }
 
     #[test]
