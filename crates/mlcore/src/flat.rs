@@ -182,7 +182,8 @@ impl FlatForest {
     ///
     /// # Panics
     /// Panics if the forest exceeds `u32::MAX` nodes or leaf-probability
-    /// entries (far beyond any realistic model).
+    /// entries (far beyond any realistic model), or if a split names a
+    /// feature past the forest's width (a damaged pointer forest).
     pub fn from_forest(forest: &RandomForest) -> FlatForest {
         let mut flat = FlatForest {
             nodes: Vec::new(),
