@@ -183,7 +183,8 @@ impl FlatForest {
     /// # Panics
     /// Panics if the forest exceeds `u32::MAX` nodes or leaf-probability
     /// entries (far beyond any realistic model), or if a split names a
-    /// feature past the forest's width (a damaged pointer forest).
+    /// feature past the forest's width, which neither training nor
+    /// [`RandomForest`]'s deserializer lets through.
     pub fn from_forest(forest: &RandomForest) -> FlatForest {
         let mut flat = FlatForest {
             nodes: Vec::new(),
@@ -676,17 +677,6 @@ mod tests {
             }
         }
         assert!(FlatForest::from_value(&v).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "split feature out of range")]
-    fn pointer_split_past_the_row_width_is_refused() {
-        // A damaged pointer forest: feature 5 of 2-feature rows.
-        let json = r#"{"trees":[{"root":{"Split":{"feature":5,"threshold":0.0,
-            "left":{"Leaf":{"proba":[1.0,0.0]}},"right":{"Leaf":{"proba":[0.0,1.0]}}}},
-            "n_classes":2,"n_features":2,"importances":[0.0,0.0]}],"n_classes":2}"#;
-        let forest: RandomForest = serde_json::from_str(json).unwrap();
-        let _ = forest.to_flat();
     }
 
     #[test]

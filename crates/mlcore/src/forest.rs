@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::data::Dataset;
 use crate::tree::{DecisionTree, TreeConfig};
@@ -43,10 +43,37 @@ impl Default for RandomForestConfig {
 }
 
 /// A trained Random Forest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     n_classes: usize,
+}
+
+/// The stored form of a [`RandomForest`], before it is checked.
+#[derive(Deserialize)]
+struct ForestWire {
+    trees: Vec<DecisionTree>,
+    n_classes: usize,
+}
+
+impl Deserialize for RandomForest {
+    /// Rejects a forest whose trees disagree with it, or with each other,
+    /// on the class count or the feature width (each tree checks its own
+    /// nodes against its own shape).
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let w = ForestWire::from_value(v)?;
+        let n_features = w.trees.first().map_or(0, DecisionTree::n_features);
+        if w.trees
+            .iter()
+            .any(|t| t.n_classes() != w.n_classes || t.n_features() != n_features)
+        {
+            return Err(serde::Error::new("forest trees differ in shape"));
+        }
+        Ok(RandomForest {
+            trees: w.trees,
+            n_classes: w.n_classes,
+        })
+    }
 }
 
 impl RandomForest {
@@ -393,6 +420,37 @@ mod mdi_tests {
         // The noise feature carries almost nothing.
         assert!(imp[2] < 0.1, "noise importance {}", imp[2]);
         assert!(imp[0] + imp[1] > 0.9);
+    }
+
+    #[test]
+    fn damaged_forest_files_fail_to_load() {
+        // `(root, n_features)` per tree, two classes throughout.
+        let load = |trees: &[(&str, usize)]| {
+            let trees: Vec<String> = trees
+                .iter()
+                .map(|(root, d)| {
+                    format!(r#"{{"root":{root},"n_classes":2,"n_features":{d},"importances":[]}}"#)
+                })
+                .collect();
+            let json = format!(r#"{{"trees":[{}],"n_classes":2}}"#, trees.join(","));
+            serde_json::from_str::<RandomForest>(&json)
+        };
+        let split = |feature: usize, left: &str| {
+            format!(
+                r#"{{"Split":{{"feature":{feature},"threshold":0.0,"left":{left},
+                    "right":{{"Leaf":{{"proba":[0.0,1.0]}}}}}}}}"#
+            )
+        };
+        let leaf = r#"{"Leaf":{"proba":[1.0,0.0]}}"#;
+        let sound = split(0, &split(1, leaf));
+        assert!(load(&[(&sound, 2), (leaf, 2)]).is_ok());
+        // A split past the row width, at the root and below it.
+        assert!(load(&[(&split(5, leaf), 2)]).is_err());
+        assert!(load(&[(&split(0, &split(2, leaf)), 2)]).is_err());
+        // A three-entry leaf in a two-class tree.
+        assert!(load(&[(&split(0, r#"{"Leaf":{"proba":[1.0,0.0,0.0]}}"#), 2)]).is_err());
+        // Trees of different widths in one forest.
+        assert!(load(&[(&sound, 2), (leaf, 3)]).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::data::Dataset;
 use crate::Classifier;
@@ -54,7 +54,7 @@ pub(crate) enum Node {
 }
 
 /// A trained CART decision tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DecisionTree {
     root: Node,
     n_classes: usize,
@@ -62,6 +62,46 @@ pub struct DecisionTree {
     /// Per-feature total Gini decrease accumulated while growing, weighted
     /// by node sample counts (the raw form of MDI importance).
     importances: Vec<f64>,
+}
+
+/// The stored form of a [`DecisionTree`], before it is checked.
+#[derive(Deserialize)]
+struct TreeWire {
+    root: Node,
+    n_classes: usize,
+    n_features: usize,
+    importances: Vec<f64>,
+}
+
+impl Deserialize for DecisionTree {
+    /// Rejects a tree with a split on a feature past its width or a leaf
+    /// that does not hold one entry per class, so a damaged model file
+    /// fails at load instead of panicking (or worse, in the flat
+    /// forest's unchecked walk) on a feature vector.
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let w = TreeWire::from_value(v)?;
+        let mut work = vec![&w.root];
+        while let Some(node) = work.pop() {
+            match node {
+                Node::Leaf { proba } if proba.len() != w.n_classes => {
+                    return Err(serde::Error::new(
+                        "tree leaf does not hold one entry per class",
+                    ));
+                }
+                Node::Leaf { .. } => {}
+                Node::Split { feature, .. } if *feature >= w.n_features => {
+                    return Err(serde::Error::new("tree split feature out of range"));
+                }
+                Node::Split { left, right, .. } => work.extend([&**left, &**right]),
+            }
+        }
+        Ok(DecisionTree {
+            root: w.root,
+            n_classes: w.n_classes,
+            n_features: w.n_features,
+            importances: w.importances,
+        })
+    }
 }
 
 fn gini(counts: &[usize], total: usize) -> f64 {
