@@ -333,11 +333,13 @@ impl FlatForest {
     ///   which must be `>=` every grouped tree's depth.
     ///
     /// A lane on its leaf skips the step, and that skip is a branch on
-    /// purpose. This is the slot loop's kernel: consecutive calls are one
-    /// flow's consecutive slots, whose leaf depths repeat, so the branch
-    /// predicts and settled lanes cost almost nothing. On such correlated
-    /// rows it beats conditional moves; on independent rows it loses to
-    /// them, which is why [`Self::descend_rows`] keeps them.
+    /// purpose: a settled lane then costs a predicted branch instead of a
+    /// full step of conditional moves. It predicts on the stage forest's
+    /// real rows in any order — one flow's consecutive slots, the tap's
+    /// round-robin over flows, or shuffled — because those rows end on a
+    /// few common paths. On independent uniform rows it mispredicts;
+    /// [`Self::descend_rows`], whose lanes are unrelated rows, holds
+    /// settled lanes with conditional moves instead.
     ///
     /// Node and feature loads are unchecked, here and in `descend_rows`:
     /// `from_forest` builds and `from_value` checks every index a walk can
@@ -382,33 +384,82 @@ impl FlatForest {
     /// Sums every tree's leaf distribution for `x` into `out` and divides
     /// by the tree count — in tree order, with the same `f64` operation
     /// sequence as the pointer forest, so results stay bit-identical.
+    ///
     /// Trees descend [`LANES`](Self::accumulate_row) at a time (see
-    /// [`Self::descend_n`]).
+    /// [`Self::descend_n`]), a chunk of trees at a time; the chunk's leaf
+    /// offsets are buffered and only then summed ([`Self::sum_leaves`]),
+    /// so the additions never wait on a walk and the walks never wait on
+    /// the additions.
     fn accumulate_row(&self, x: &[f64], out: &mut [f64]) {
         /// Interleaved descents per step: enough independent chains to
         /// hide node-load latency without spilling the index state.
         const LANES: usize = 4;
+        /// Trees walked before their leaves are summed; a multiple of
+        /// `LANES`, and above the deployed stage forest's 60 trees.
+        const CHUNK: usize = 64;
         out.fill(0.0);
-        let full = self.roots.len() / LANES * LANES;
-        for g in (0..full).step_by(LANES) {
-            let roots = std::array::from_fn(|l| self.roots[g + l]);
-            let steps = self.depths[g..g + LANES].iter().copied().max().unwrap_or(0);
-            let leaves: [usize; LANES] = self.descend_n(roots, steps, x);
-            for leaf in leaves {
-                for (a, v) in out.iter_mut().zip(self.dist(leaf)) {
-                    *a += v;
+        let mut buf = [0usize; CHUNK];
+        for (roots, depths) in self.roots.chunks(CHUNK).zip(self.depths.chunks(CHUNK)) {
+            let offsets = &mut buf[..roots.len()];
+            let groups = roots.chunks_exact(LANES);
+            let tail = groups.remainder();
+            let full = roots.len() - tail.len();
+            for ((roots, depths), found) in groups
+                .zip(depths.chunks_exact(LANES))
+                .zip(offsets.chunks_exact_mut(LANES))
+            {
+                let roots: [u32; LANES] = roots.try_into().expect("an exact chunk");
+                let steps = depths.iter().copied().max().unwrap_or(0);
+                for (f, leaf) in found.iter_mut().zip(self.descend_n(roots, steps, x)) {
+                    *f = self.nodes[leaf].child as usize;
                 }
             }
-        }
-        for &root in &self.roots[full..] {
-            for (a, v) in out.iter_mut().zip(self.leaf(root, x)) {
-                *a += v;
+            for (&root, found) in tail.iter().zip(&mut offsets[full..]) {
+                *found = self.nodes[self.descend(root, x)].child as usize;
             }
+            self.sum_leaves(offsets, out);
         }
         let n = self.roots.len() as f64;
         for a in out.iter_mut() {
             *a /= n;
         }
+    }
+
+    /// Adds the leaf distributions at `proba` offsets `offsets` into
+    /// `out`, in offset order, up to four classes at a time: their running
+    /// sums stay in registers across the leaves instead of going through
+    /// `out` in memory once per leaf.
+    fn sum_leaves(&self, offsets: &[usize], out: &mut [f64]) {
+        let nc = out.len();
+        let mut quads = out.chunks_exact_mut(4);
+        for (k, acc) in quads.by_ref().enumerate() {
+            self.sum_classes::<4>(offsets, 4 * k, acc);
+        }
+        let rest = quads.into_remainder();
+        let first = nc - rest.len();
+        let mut pairs = rest.chunks_exact_mut(2);
+        for (k, acc) in pairs.by_ref().enumerate() {
+            self.sum_classes::<2>(offsets, first + 2 * k, acc);
+        }
+        let last = pairs.into_remainder();
+        if !last.is_empty() {
+            self.sum_classes::<1>(offsets, nc - 1, last);
+        }
+    }
+
+    /// [`Self::sum_leaves`] for the `W` classes from `class` on.
+    #[inline(always)]
+    fn sum_classes<const W: usize>(&self, offsets: &[usize], class: usize, out: &mut [f64]) {
+        let mut acc: [f64; W] = (&*out).try_into().expect("W classes");
+        for &off in offsets {
+            let dist: &[f64; W] = self.proba[off + class..off + class + W]
+                .try_into()
+                .expect("W classes");
+            for (a, v) in acc.iter_mut().zip(dist) {
+                *a += v;
+            }
+        }
+        out.copy_from_slice(&acc);
     }
 
     /// Walks `N` *rows* down the same tree in lockstep. The batch dual of
