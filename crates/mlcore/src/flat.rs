@@ -398,7 +398,7 @@ impl FlatForest {
         /// `LANES`, and above the deployed stage forest's 60 trees.
         const CHUNK: usize = 64;
         out.fill(0.0);
-        let mut buf = [0usize; CHUNK];
+        let mut buf = [0u32; CHUNK];
         for (roots, depths) in self.roots.chunks(CHUNK).zip(self.depths.chunks(CHUNK)) {
             let offsets = &mut buf[..roots.len()];
             let groups = roots.chunks_exact(LANES);
@@ -411,11 +411,11 @@ impl FlatForest {
                 let roots: [u32; LANES] = roots.try_into().expect("an exact chunk");
                 let steps = depths.iter().copied().max().unwrap_or(0);
                 for (f, leaf) in found.iter_mut().zip(self.descend_n(roots, steps, x)) {
-                    *f = self.nodes[leaf].child as usize;
+                    *f = self.nodes[leaf].child;
                 }
             }
             for (&root, found) in tail.iter().zip(&mut offsets[full..]) {
-                *found = self.nodes[self.descend(root, x)].child as usize;
+                *found = self.nodes[self.descend(root, x)].child;
             }
             self.sum_leaves(offsets, out);
         }
@@ -429,7 +429,7 @@ impl FlatForest {
     /// `out`, in offset order, up to four classes at a time: their running
     /// sums stay in registers across the leaves instead of going through
     /// `out` in memory once per leaf.
-    fn sum_leaves(&self, offsets: &[usize], out: &mut [f64]) {
+    fn sum_leaves(&self, offsets: &[u32], out: &mut [f64]) {
         let nc = out.len();
         let mut quads = out.chunks_exact_mut(4);
         for (k, acc) in quads.by_ref().enumerate() {
@@ -449,12 +449,11 @@ impl FlatForest {
 
     /// [`Self::sum_leaves`] for the `W` classes from `class` on.
     #[inline(always)]
-    fn sum_classes<const W: usize>(&self, offsets: &[usize], class: usize, out: &mut [f64]) {
+    fn sum_classes<const W: usize>(&self, offsets: &[u32], class: usize, out: &mut [f64]) {
         let mut acc: [f64; W] = (&*out).try_into().expect("W classes");
         for &off in offsets {
-            let dist: &[f64; W] = self.proba[off + class..off + class + W]
-                .try_into()
-                .expect("W classes");
+            let off = off as usize + class;
+            let dist: &[f64; W] = self.proba[off..off + W].try_into().expect("W classes");
             for (a, v) in acc.iter_mut().zip(dist) {
                 *a += v;
             }
