@@ -387,9 +387,10 @@ impl FlatForest {
     ///
     /// Trees descend [`LANES`](Self::accumulate_row) at a time (see
     /// [`Self::descend_n`]), a chunk of trees at a time; the chunk's leaf
-    /// offsets are buffered and only then summed ([`Self::sum_leaves`]),
-    /// so the additions never wait on a walk and the walks never wait on
-    /// the additions.
+    /// offsets are buffered and only then summed ([`Self::sum_leaves`]).
+    /// Summing as each group settles, with the sums in `out`, measured
+    /// slower: every tree's addition then waited on the previous one's
+    /// store to `out`.
     fn accumulate_row(&self, x: &[f64], out: &mut [f64]) {
         /// Interleaved descents per step: enough independent chains to
         /// hide node-load latency without spilling the index state.
