@@ -7,11 +7,11 @@
 //! cargo run -p cgc-bench --release --bin exp_table5
 //! ```
 
-use cgc_core::pattern::{PatternInferrer, PatternInferrerConfig};
+use cgc_core::pattern::PatternInferrerConfig;
 use cgc_deploy::report::{f, table, write_json};
 use cgc_deploy::train::{pattern_dataset, TrainConfig};
 use cgc_features::transitions::TransitionAccumulator;
-use mlcore::permutation_importance;
+use mlcore::{permutation_importance, RandomForest};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -29,8 +29,9 @@ fn main() {
         ..Default::default()
     });
     let (train, test) = data.stratified_split(0.3, 5);
-    let inferrer = PatternInferrer::train(&train, PatternInferrerConfig::default());
-    let imp = permutation_importance(inferrer.forest(), &test, 8, 55);
+    // The deployed pattern forest, flattened as `PatternInferrer::train` does.
+    let forest = RandomForest::fit(&train, &PatternInferrerConfig::default().forest).into_flat();
+    let imp = permutation_importance(&forest, &test, 8, 55);
 
     let names: Vec<String> = TransitionAccumulator::feature_names()
         .iter()

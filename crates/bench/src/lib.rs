@@ -22,7 +22,7 @@ use gamesim::{Fidelity, Session, SessionConfig, SessionGenerator, TitleKind};
 use mlcore::augment::augment_multiply;
 use mlcore::forest::{RandomForest, RandomForestConfig};
 use mlcore::metrics::{accuracy, ConfusionMatrix};
-use mlcore::{Classifier, Dataset};
+use mlcore::{Classifier, Dataset, FlatForest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -106,8 +106,8 @@ pub struct TitleEval {
     pub accuracy: f64,
     /// Confusion matrix over the 13 titles.
     pub confusion: ConfusionMatrix,
-    /// The fitted forest (for importance analyses).
-    pub forest: RandomForest,
+    /// The fitted forest, flattened (for importance analyses).
+    pub forest: FlatForest,
     /// The test dataset used.
     pub test: Dataset,
 }
@@ -125,7 +125,7 @@ pub fn eval_title(
     let train = LaunchCorpus::dataset(&corpus.train, cfg, kind);
     let train = augment_multiply(&train, augment.max(1), 0.05, 11);
     let test = LaunchCorpus::dataset(&corpus.test, cfg, kind);
-    let forest = RandomForest::fit(&train, forest_cfg);
+    let forest = RandomForest::fit(&train, forest_cfg).into_flat();
     let preds = forest.predict_batch(&test.x);
     TitleEval {
         accuracy: accuracy(&test.y, &preds),
@@ -210,14 +210,23 @@ pub fn stage_dataset_from(
 /// Loads (or trains and caches) the full-quality model bundle used by the
 /// deployment experiments. The cache lives in the results directory so
 /// `run_all` trains once.
+///
+/// # Panics
+/// Trains only when the file is missing: a file that fails to load (a
+/// damaged or stale-format bundle) panics with its path and the error
+/// instead of being overwritten, and so does a failed save.
 pub fn cached_bundle() -> ModelBundle {
-    let path = cgc_deploy::report::results_dir().join("bundle.json");
-    if let Ok(b) = ModelBundle::load(&path) {
-        return b;
+    let dir = cgc_deploy::report::results_dir();
+    let path = dir.join("bundle.json");
+    match ModelBundle::load(&path) {
+        Ok(b) => return b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => panic!("cannot load {}: {e}", path.display()),
     }
     let bundle = cgc_deploy::train::train_bundle(&cgc_deploy::train::TrainConfig::default());
-    std::fs::create_dir_all(cgc_deploy::report::results_dir()).ok();
-    bundle.save(&path).ok();
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| bundle.save(&path))
+        .unwrap_or_else(|e| panic!("cannot save {}: {e}", path.display()));
     bundle
 }
 

@@ -8,10 +8,11 @@
 //! tap.
 
 use cgc_lifecycle::{Artifact, LiveModel, ModelDescriptor};
-use mlcore::Classifier;
+use mlcore::{Classifier, FlatForest};
 use nettrace::units::{Micros, MICROS_PER_SEC};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::io;
+use std::ops::RangeInclusive;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -68,22 +69,41 @@ impl ModelBundle {
     }
 }
 
+/// Loads a classifier's `flat` forest, refusing one whose row width is not
+/// `n_features` or whose class count is outside `classes`: the classifier
+/// would otherwise panic on its first row.
+pub(crate) fn load_forest(
+    v: &Value,
+    n_features: usize,
+    classes: RangeInclusive<usize>,
+) -> Result<FlatForest, serde::Error> {
+    let flat = FlatForest::from_value(v.field("flat")?)?;
+    if flat.n_features() != n_features || !classes.contains(&flat.n_classes()) {
+        return Err(serde::Error::new(format!(
+            "forest of {} features and {} classes, the classifier needs {n_features} and {classes:?}",
+            flat.n_features(),
+            flat.n_classes(),
+        )));
+    }
+    Ok(flat)
+}
+
 impl Artifact for ModelBundle {
     fn descriptors(&self) -> Vec<ModelDescriptor> {
         vec![
             ModelDescriptor {
                 model: "title".into(),
-                n_classes: self.title.forest().n_classes(),
+                n_classes: self.title.flat.n_classes(),
                 flat_checksum: self.title.flat_checksum(),
             },
             ModelDescriptor {
                 model: "stage".into(),
-                n_classes: self.stage.forest().n_classes(),
+                n_classes: self.stage.flat.n_classes(),
                 flat_checksum: self.stage.flat_checksum(),
             },
             ModelDescriptor {
                 model: "pattern".into(),
-                n_classes: self.pattern.forest().n_classes(),
+                n_classes: self.pattern.flat.n_classes(),
                 flat_checksum: self.pattern.flat_checksum(),
             },
         ]

@@ -12,6 +12,8 @@ use mlcore::forest::{RandomForest, RandomForestConfig};
 use mlcore::{argmax, Classifier, Dataset, FlatForest};
 use serde::{Deserialize, Serialize, Value};
 
+use crate::bundle::load_forest;
+
 /// Pattern inference configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PatternInferrerConfig {
@@ -52,33 +54,23 @@ pub struct PatternPrediction {
     pub decided_after_slots: u64,
 }
 
-/// A trained gameplay-activity-pattern inferrer.
-///
-/// Inference runs per slot on the tap hot path, so it uses the
-/// [`FlatForest`] compiled from the trained forest (rebuilt on
-/// deserialization — wire format unchanged).
-#[derive(Debug, Clone)]
+/// A trained gameplay-activity-pattern inferrer: the flat forest compiled
+/// from the fitted one, which it holds, serializes and loads, and its
+/// gating configuration.
+#[derive(Debug, Clone, Serialize)]
 pub struct PatternInferrer {
-    forest: RandomForest,
-    flat: FlatForest,
+    pub(crate) flat: FlatForest,
     config: PatternInferrerConfig,
 }
 
-impl Serialize for PatternInferrer {
-    fn to_value(&self) -> Value {
-        // Mirror the old derived `{ forest, config }` layout.
-        Value::Object(vec![
-            ("forest".to_string(), self.forest.to_value()),
-            ("config".to_string(), self.config.to_value()),
-        ])
-    }
-}
-
 impl Deserialize for PatternInferrer {
+    /// Refuses a forest that is not 9 features wide with 2 classes, the
+    /// shape [`Self::infer`] serves.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let forest = RandomForest::from_value(v.field("forest")?)?;
-        let config = PatternInferrerConfig::from_value(v.field("config")?)?;
-        Ok(PatternInferrer::from_parts(forest, config))
+        Ok(PatternInferrer {
+            flat: load_forest(v, 9, 2..=2)?,
+            config: PatternInferrerConfig::from_value(v.field("config")?)?,
+        })
     }
 }
 
@@ -95,14 +87,8 @@ impl PatternInferrer {
             "transition features are 9-dimensional"
         );
         assert_eq!(data.n_classes, 2, "two activity patterns");
-        Self::from_parts(RandomForest::fit(data, &config.forest), config)
-    }
-
-    fn from_parts(forest: RandomForest, config: PatternInferrerConfig) -> PatternInferrer {
-        let flat = forest.to_flat();
         PatternInferrer {
-            forest,
-            flat,
+            flat: RandomForest::fit(data, &config.forest).into_flat(),
             config,
         }
     }
@@ -127,15 +113,9 @@ impl PatternInferrer {
     /// configuration (threshold sweeps reuse one forest).
     pub fn with_config(&self, config: PatternInferrerConfig) -> PatternInferrer {
         PatternInferrer {
-            forest: self.forest.clone(),
             flat: self.flat.clone(),
             config,
         }
-    }
-
-    /// Access to the underlying forest (for importance analyses).
-    pub fn forest(&self) -> &RandomForest {
-        &self.forest
     }
 
     /// Content digest of the compiled inference forest (model-registry

@@ -807,18 +807,11 @@ pub(crate) mod tests {
         use cgc_obs::Registry;
         // Two stump trees, one voting Idle and one Passive: every slot
         // scores [0.5, 0.5, 0, 0] exactly.
-        let stump = |proba: &str| {
-            format!(
-                r#"{{"root":{{"Leaf":{{"proba":{proba}}}}},"n_classes":4,"n_features":4,"importances":[0,0,0,0]}}"#
-            )
-        };
-        let json = format!(
-            r#"{{"forest":{{"trees":[{},{}],"n_classes":4}}}}"#,
-            stump("[1,0,0,0]"),
-            stump("[0,1,0,0]")
-        );
+        let json = r#"{"flat":{"feature":[4294967295,4294967295],"threshold":[0,0],
+            "child":[0,4],"roots":[0,1],"depths":[0,0],"proba":[1,0,0,0,0,1,0,0],
+            "n_classes":4,"n_features":4}}"#;
         let bundle = ModelBundle {
-            stage: serde_json::from_str(&json).expect("tie forest parses"),
+            stage: serde_json::from_str(json).expect("tie forest parses"),
             ..tiny_bundle()
         };
         let s = session(7);

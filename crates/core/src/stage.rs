@@ -12,6 +12,8 @@ use mlcore::forest::{RandomForest, RandomForestConfig};
 use mlcore::{argmax, Classifier, Dataset, FlatForest};
 use serde::{Deserialize, Serialize, Value};
 
+use crate::bundle::load_forest;
+
 /// Class order of the stage classifier: the three gameplay stages in
 /// [`Stage::GAMEPLAY`] order, then launch.
 pub const STAGE_CLASSES: [Stage; 4] = [Stage::Idle, Stage::Passive, Stage::Active, Stage::Launch];
@@ -43,29 +45,20 @@ impl Default for StageClassifierConfig {
     }
 }
 
-/// A trained player-activity-stage classifier.
-///
-/// The pointer forest is kept for training/serialization; inference runs
-/// on the [`FlatForest`] compiled from it, which is rebuilt on
-/// deserialization (the wire format carries only the forest).
-#[derive(Debug, Clone)]
+/// A trained player-activity-stage classifier: the flat forest compiled
+/// from the fitted one, which it holds, serializes and loads.
+#[derive(Debug, Clone, Serialize)]
 pub struct StageClassifier {
-    forest: RandomForest,
-    flat: FlatForest,
-}
-
-impl Serialize for StageClassifier {
-    fn to_value(&self) -> Value {
-        // Mirror the derived format of the old `{ forest }` struct so
-        // bundles saved before the flat layout still load.
-        Value::Object(vec![("forest".to_string(), self.forest.to_value())])
-    }
+    pub(crate) flat: FlatForest,
 }
 
 impl Deserialize for StageClassifier {
+    /// Refuses a forest that is not 4 features wide with 1–4 classes,
+    /// the shape [`Self::probabilities`] serves.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let forest = RandomForest::from_value(v.field("forest")?)?;
-        Ok(StageClassifier::from_forest(forest))
+        Ok(StageClassifier {
+            flat: load_forest(v, 4, 1..=STAGE_CLASSES.len())?,
+        })
     }
 }
 
@@ -78,12 +71,9 @@ impl StageClassifier {
     pub fn train(data: &Dataset, config: StageClassifierConfig) -> StageClassifier {
         assert_eq!(data.n_features(), 4, "stage features are 4-dimensional");
         assert!(data.n_classes <= 4, "at most 4 stage classes");
-        Self::from_forest(RandomForest::fit(data, &config.forest))
-    }
-
-    fn from_forest(forest: RandomForest) -> StageClassifier {
-        let flat = forest.to_flat();
-        StageClassifier { forest, flat }
+        StageClassifier {
+            flat: RandomForest::fit(data, &config.forest).into_flat(),
+        }
     }
 
     /// Classifies one slot's feature vector into a stage. Runs on the flat
@@ -101,11 +91,6 @@ impl StageClassifier {
         let nc = self.flat.n_classes();
         self.flat.predict_proba_into(features, &mut p[..nc]);
         p
-    }
-
-    /// The underlying trained forest (pointer form).
-    pub fn forest(&self) -> &RandomForest {
-        &self.forest
     }
 
     /// Content digest of the compiled inference forest (model-registry

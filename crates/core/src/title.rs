@@ -14,6 +14,8 @@ use mlcore::{argmax, Classifier, Dataset, FlatForest};
 use nettrace::packet::Packet;
 use serde::{Deserialize, Serialize, Value};
 
+use crate::bundle::load_forest;
+
 /// Title classifier configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TitleClassifierConfig {
@@ -53,33 +55,25 @@ pub struct TitlePrediction {
     pub confidence: f64,
 }
 
-/// A trained game title classifier.
-///
-/// Inference runs on the [`FlatForest`] compiled from the trained forest;
-/// the flat form is rebuilt on deserialization, so the wire format is
-/// unchanged from the pointer-only version.
-#[derive(Debug, Clone)]
+/// A trained game title classifier: the flat forest compiled from the
+/// fitted one, which it holds, serializes and loads, and its
+/// configuration.
+#[derive(Debug, Clone, Serialize)]
 pub struct TitleClassifier {
-    forest: RandomForest,
-    flat: FlatForest,
+    pub(crate) flat: FlatForest,
     config: TitleClassifierConfig,
 }
 
-impl Serialize for TitleClassifier {
-    fn to_value(&self) -> Value {
-        // Mirror the old derived `{ forest, config }` layout.
-        Value::Object(vec![
-            ("forest".to_string(), self.forest.to_value()),
-            ("config".to_string(), self.config.to_value()),
-        ])
-    }
-}
-
 impl Deserialize for TitleClassifier {
+    /// Refuses a forest whose width is not the configured attribute
+    /// count, or with more classes than the catalog has titles.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let forest = RandomForest::from_value(v.field("forest")?)?;
         let config = TitleClassifierConfig::from_value(v.field("config")?)?;
-        Ok(TitleClassifier::from_parts(forest, config))
+        let n_features = config.attr.n_attributes();
+        Ok(TitleClassifier {
+            flat: load_forest(v, n_features, 1..=GameTitle::ALL.len())?,
+            config,
+        })
     }
 }
 
@@ -95,14 +89,8 @@ impl TitleClassifier {
             config.attr.n_attributes(),
             "dataset width does not match attribute config"
         );
-        Self::from_parts(RandomForest::fit(data, &config.forest), config)
-    }
-
-    fn from_parts(forest: RandomForest, config: TitleClassifierConfig) -> TitleClassifier {
-        let flat = forest.to_flat();
         TitleClassifier {
-            forest,
-            flat,
+            flat: RandomForest::fit(data, &config.forest).into_flat(),
             config,
         }
     }
@@ -151,11 +139,6 @@ impl TitleClassifier {
     /// The attribute configuration the model was trained with.
     pub fn attr_config(&self) -> &LaunchAttrConfig {
         &self.config.attr
-    }
-
-    /// Access to the underlying forest (for importance analyses).
-    pub fn forest(&self) -> &RandomForest {
-        &self.forest
     }
 
     /// Content digest of the compiled inference forest (model-registry

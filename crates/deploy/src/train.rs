@@ -303,7 +303,6 @@ pub(crate) fn quick_bundle() -> std::sync::Arc<ModelBundle> {
 mod tests {
     use super::*;
     use mlcore::metrics::accuracy;
-    use mlcore::Classifier;
 
     #[test]
     fn title_dataset_shape() {
@@ -353,7 +352,13 @@ mod tests {
         // Quick train/test sanity.
         let (train, test) = d.stratified_split(0.3, 1);
         let m = PatternInferrer::train(&train, PatternInferrerConfig::default());
-        let preds: Vec<usize> = test.x.iter().map(|x| m.forest().predict(x)).collect();
+        let preds: Vec<usize> = (test.x.iter())
+            .map(|x| {
+                m.infer(x.as_slice().try_into().expect("9 features"))
+                    .0
+                    .index()
+            })
+            .collect();
         let acc = accuracy(&test.y, &preds);
         // Short (90 s) prefixes are genuinely hard; the full-session
         // accuracy is measured in the experiments.

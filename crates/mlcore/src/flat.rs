@@ -1,12 +1,15 @@
 //! Flattened forest inference: one packed node array, branchless traversal.
 //!
-//! The pointer forest ([`RandomForest`]) walks `Box`ed tree-node enums —
-//! one cache miss per level per tree, plus a `Vec` clone per tree for the
-//! leaf distribution. That is fine for training-time evaluation but too
-//! slow for the tap hot path, where every flow classifies every slot.
+//! The flat forest is the one form a trained forest takes after training:
+//! classifiers hold it, model bundles and registry artifacts ship it, and
+//! [`FlatForest`]'s deserializer is the one load path and the one
+//! validator. The pointer forest ([`RandomForest`]) walks `Box`ed
+//! tree-node enums — one cache miss per level per tree — and lives only
+//! from `fit` to [`RandomForest::into_flat`], and in the tests as the
+//! differential oracle.
 //!
-//! [`FlatForest`] compiles a trained forest into one contiguous array of
-//! 16-byte nodes shared by all trees, each node holding
+//! [`FlatForest`] holds one contiguous array of 16-byte nodes shared by
+//! all trees, each node holding
 //!
 //! * `threshold` — the split threshold (0 for a leaf);
 //! * `child` — for a split, the index of the *left* child (the right
@@ -17,11 +20,16 @@
 //!
 //! A descent step therefore reads one aligned 16-byte node — one cache
 //! line — where parallel per-field arrays would cost three loads from
-//! three lines, all on the step's dependency chain. The on-disk artifact
-//! keeps the parallel-array form (`feature`, `threshold`, `child`
-//! arrays), and [`FlatForest::checksum`] hashes those arrays in that
-//! order, so the packed node is an in-memory layout only: registry
-//! artifacts written before it still load and verify.
+//! three lines, all on the step's dependency chain. The stored form keeps
+//! parallel arrays (`feature`, `threshold`, `child`), and
+//! [`FlatForest::checksum`] hashes those arrays in that order, so the
+//! packed node is an in-memory layout only.
+//!
+//! Loading checks every index and walks every tree: each node is reached
+//! once, and each tree's stored depth is its deepest leaf. A file that
+//! fails either check is refused with a `serde::Error`, so no loaded
+//! forest can send the unchecked walk out of bounds, into a loop, or past
+//! a leaf.
 //!
 //! The child choice is branchless: `next = child + (x[f] > t)`, computed
 //! as an arithmetic select with the exact `x <= t` comparison the pointer
@@ -34,10 +42,6 @@
 //! forest, making `predict` / `predict_proba` **bit-identical** — proven
 //! by the differential proptests and the committed golden fixtures under
 //! `tests/fixtures/`.
-//!
-//! Training code is untouched: fit a [`RandomForest`], then call
-//! [`RandomForest::into_flat`] (or [`FlatForest::from_forest`]) once and
-//! serve inference from the flat form.
 
 // The descent kernels deliberately use `!(x <= t)` rather than
 // `partial_cmp`: it is the exact predicate the pointer tree's if/else
@@ -96,8 +100,8 @@ pub struct FlatForest {
     n_features: usize,
 }
 
-/// The artifact form of a [`FlatForest`]: the node table as three
-/// parallel arrays, in the field order every stored artifact has.
+/// The stored form of a [`FlatForest`]: the node table as three parallel
+/// arrays.
 #[derive(Serialize, Deserialize)]
 struct Wire {
     feature: Vec<u32>,
@@ -127,18 +131,18 @@ impl Serialize for FlatForest {
 }
 
 impl Deserialize for FlatForest {
-    /// Rejects an artifact whose arrays disagree in length or whose
-    /// indices leave the table, so a damaged file fails at load rather
-    /// than panicking on an index in the slot loop.
+    /// Rejects a forest with no trees, arrays that disagree in length,
+    /// an index that leaves its table, or a tree that is not a tree of
+    /// its stored depth, so a damaged file fails at load rather than
+    /// panicking on an index or looping forever in the slot loop.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let w = Wire::from_value(v)?;
         let n = w.feature.len();
         if w.threshold.len() != n || w.child.len() != n || w.depths.len() != w.roots.len() {
             return Err(serde::Error::new("flat forest arrays differ in length"));
         }
-        // `descend_rows` reads `x[0]` for a settled lane whenever it steps.
-        if w.n_features == 0 && w.depths.iter().any(|&d| d > 0) {
-            return Err(serde::Error::new("flat forest steps over zero features"));
+        if w.roots.is_empty() {
+            return Err(serde::Error::new("flat forest has no trees"));
         }
         let in_range = |f: u32, c: u32| {
             let c = c as usize;
@@ -156,6 +160,29 @@ impl Deserialize for FlatForest {
             || w.roots.iter().any(|&r| r as usize >= n)
         {
             return Err(serde::Error::new("flat forest index out of range"));
+        }
+        // Each node reached at most once bounds the walk by the table size
+        // and rules out cycles. The deepest leaf must be the stored depth:
+        // the lockstep kernels run that many steps, then read every lane's
+        // node as a leaf.
+        let mut seen = vec![false; n];
+        for (&root, &depth) in w.roots.iter().zip(&w.depths) {
+            let mut deepest = 0;
+            let mut work = vec![(root as usize, 0u32)];
+            while let Some((i, d)) = work.pop() {
+                if std::mem::replace(&mut seen[i], true) {
+                    return Err(serde::Error::new("flat forest node reached twice"));
+                }
+                if w.feature[i] == LEAF {
+                    deepest = deepest.max(d);
+                } else {
+                    let c = w.child[i] as usize;
+                    work.extend([(c, d + 1), (c + 1, d + 1)]);
+                }
+            }
+            if deepest != depth {
+                return Err(serde::Error::new("flat forest depth is not its tree's"));
+            }
         }
         let nodes = (w.feature.iter().zip(&w.threshold).zip(&w.child))
             .map(|((&feature, &threshold), &child)| FlatNode {
@@ -183,8 +210,7 @@ impl FlatForest {
     /// # Panics
     /// Panics if the forest exceeds `u32::MAX` nodes or leaf-probability
     /// entries (far beyond any realistic model), or if a split names a
-    /// feature past the forest's width, which neither training nor
-    /// [`RandomForest`]'s deserializer lets through.
+    /// feature past the forest's width, which training never produces.
     pub fn from_forest(forest: &RandomForest) -> FlatForest {
         let mut flat = FlatForest {
             nodes: Vec::new(),
@@ -205,11 +231,11 @@ impl FlatForest {
             while let Some((node, slot, depth)) = work.pop() {
                 let slot = slot as usize;
                 match node {
-                    Node::Leaf { proba } => {
+                    Node::Leaf { at } => {
                         let off = flat.proba.len();
                         assert!(off < LEAF as usize, "proba table exceeds u32 range");
                         flat.nodes[slot].child = off as u32;
-                        flat.proba.extend_from_slice(proba);
+                        flat.proba.extend_from_slice(tree.dist(*at));
                         max_depth = max_depth.max(depth);
                     }
                     Node::Split {
@@ -343,7 +369,7 @@ impl FlatForest {
     ///
     /// Node and feature loads are unchecked, here and in `descend_rows`:
     /// `from_forest` builds and `from_value` checks every index a walk can
-    /// reach.
+    /// reach, and every tree's depth, so each lane ends on its leaf.
     #[inline]
     fn descend_n<const N: usize>(&self, roots: [u32; N], steps: u32, x: &[f64]) -> [usize; N] {
         let x = &x[..self.n_features];
@@ -486,8 +512,9 @@ impl FlatForest {
                 let fi = select_unpredictable(at_leaf, 0, n.feature as usize);
                 // SAFETY: every row was cut to `n_features` above. A split's
                 // feature is below it (asserted in `from_forest`, checked in
-                // `from_value`), and so is `fi = 0`: `steps > 0` needs a
-                // split (`from_forest`) or `n_features > 0` (`from_value`).
+                // `from_value`), and so is `fi = 0`: `steps` is the tree's
+                // depth (built by `from_forest`, checked by `from_value`),
+                // so `steps > 0` means the tree has a split.
                 let xf = unsafe { *x.get_unchecked(fi) };
                 let go_right = !(xf <= n.threshold) as u32;
                 // A leaf's `child` is a proba offset and the +1 may wrap at
@@ -704,6 +731,9 @@ mod tests {
         assert!(FlatForest::from_value(&flat.to_value()).is_ok());
         assert!(damaged("threshold", &|a| drop(a.pop())).is_err());
         assert!(damaged("depths", &|a| drop(a.pop())).is_err());
+        // A depth past the tree's deepest leaf would only waste steps, but
+        // it is not what training writes.
+        assert!(damaged("depths", &|a| a[0] = Value::UInt(u64::from(u32::MAX))).is_err());
         // Node 0's child past the table, its feature past the row width,
         // a root past the table.
         assert!(damaged("child", &|a| a[0] = Value::UInt(u64::from(u32::MAX - 1))).is_err());

@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 use crate::tree::{DecisionTree, TreeConfig};
@@ -42,38 +42,14 @@ impl Default for RandomForestConfig {
     }
 }
 
-/// A trained Random Forest.
-#[derive(Debug, Clone, Serialize)]
+/// A trained Random Forest. It has no stored form: it lives from
+/// [`RandomForest::fit`] to [`RandomForest::into_flat`], and the
+/// [`FlatForest`](crate::flat::FlatForest) is what classifiers hold, ship
+/// and load.
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     n_classes: usize,
-}
-
-/// The stored form of a [`RandomForest`], before it is checked.
-#[derive(Deserialize)]
-struct ForestWire {
-    trees: Vec<DecisionTree>,
-    n_classes: usize,
-}
-
-impl Deserialize for RandomForest {
-    /// Rejects a forest whose trees disagree with it, or with each other,
-    /// on the class count or the feature width (each tree checks its own
-    /// nodes against its own shape).
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let w = ForestWire::from_value(v)?;
-        let n_features = w.trees.first().map_or(0, DecisionTree::n_features);
-        if w.trees
-            .iter()
-            .any(|t| t.n_classes() != w.n_classes || t.n_features() != n_features)
-        {
-            return Err(serde::Error::new("forest trees differ in shape"));
-        }
-        Ok(RandomForest {
-            trees: w.trees,
-            n_classes: w.n_classes,
-        })
-    }
 }
 
 impl RandomForest {
@@ -106,29 +82,6 @@ impl RandomForest {
             trees,
             n_classes: data.n_classes,
         }
-    }
-
-    /// Mean-decrease-in-impurity importance per feature, averaged over the
-    /// trees and normalized to sum to 1 — the fast, training-time
-    /// alternative to permutation importance.
-    pub fn mdi_importances(&self) -> Vec<f64> {
-        let Some(first) = self.trees.first() else {
-            return Vec::new();
-        };
-        let d = first.mdi_importances().len();
-        let mut acc = vec![0.0f64; d];
-        for t in &self.trees {
-            for (a, v) in acc.iter_mut().zip(t.mdi_importances()) {
-                *a += v;
-            }
-        }
-        let total: f64 = acc.iter().sum();
-        if total > 0.0 {
-            for a in &mut acc {
-                *a /= total;
-            }
-        }
-        acc
     }
 
     /// Number of trees.
@@ -316,24 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
-        let d = blobs(8, 80);
-        let f = RandomForest::fit(
-            &d,
-            &RandomForestConfig {
-                n_trees: 5,
-                ..Default::default()
-            },
-        );
-        let json = serde_json::to_string(&f).unwrap();
-        let back: RandomForest = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.n_trees(), 5);
-        for x in d.x.iter().take(10) {
-            assert_eq!(f.predict(x), back.predict(x));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "empty dataset")]
     fn empty_dataset_panics() {
         let _ = RandomForest::fit(&Dataset::default(), &RandomForestConfig::default());
@@ -380,90 +315,5 @@ mod prop_tests {
                 prop_assert_eq!(forest.predict(xi), argmax);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod mdi_tests {
-    use super::*;
-
-    fn blobs(seed: u64, n: usize) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let centers = [(0.0, 0.0), (4.0, 4.0)];
-        let mut x = Vec::new();
-        let mut y = Vec::new();
-        for _ in 0..n {
-            let c = rng.gen_range(0..2usize);
-            x.push(vec![
-                centers[c].0 + rng.gen_range(-1.0f64..1.0),
-                centers[c].1 + rng.gen_range(-1.0f64..1.0),
-                rng.gen_range(-1.0f64..1.0), // pure noise feature
-            ]);
-            y.push(c);
-        }
-        Dataset::new(x, y)
-    }
-
-    #[test]
-    fn mdi_importances_find_informative_features() {
-        let d = blobs(4, 300);
-        let f = RandomForest::fit(
-            &d,
-            &RandomForestConfig {
-                n_trees: 25,
-                ..Default::default()
-            },
-        );
-        let imp = f.mdi_importances();
-        assert_eq!(imp.len(), 3);
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        // The noise feature carries almost nothing.
-        assert!(imp[2] < 0.1, "noise importance {}", imp[2]);
-        assert!(imp[0] + imp[1] > 0.9);
-    }
-
-    #[test]
-    fn damaged_forest_files_fail_to_load() {
-        // `(root, n_features)` per tree, two classes throughout.
-        let load = |trees: &[(&str, usize)]| {
-            let trees: Vec<String> = trees
-                .iter()
-                .map(|(root, d)| {
-                    format!(r#"{{"root":{root},"n_classes":2,"n_features":{d},"importances":[]}}"#)
-                })
-                .collect();
-            let json = format!(r#"{{"trees":[{}],"n_classes":2}}"#, trees.join(","));
-            serde_json::from_str::<RandomForest>(&json)
-        };
-        let split = |feature: usize, left: &str| {
-            format!(
-                r#"{{"Split":{{"feature":{feature},"threshold":0.0,"left":{left},
-                    "right":{{"Leaf":{{"proba":[0.0,1.0]}}}}}}}}"#
-            )
-        };
-        let leaf = r#"{"Leaf":{"proba":[1.0,0.0]}}"#;
-        let sound = split(0, &split(1, leaf));
-        assert!(load(&[(&sound, 2), (leaf, 2)]).is_ok());
-        // A split past the row width, at the root and below it.
-        assert!(load(&[(&split(5, leaf), 2)]).is_err());
-        assert!(load(&[(&split(0, &split(2, leaf)), 2)]).is_err());
-        // A three-entry leaf in a two-class tree.
-        assert!(load(&[(&split(0, r#"{"Leaf":{"proba":[1.0,0.0,0.0]}}"#), 2)]).is_err());
-        // Trees of different widths in one forest.
-        assert!(load(&[(&sound, 2), (leaf, 3)]).is_err());
-    }
-
-    #[test]
-    fn stump_has_zero_importance() {
-        // Pure data: the tree never splits.
-        let d = Dataset::new(vec![vec![1.0], vec![2.0]], vec![0, 0]);
-        let f = RandomForest::fit(
-            &d,
-            &RandomForestConfig {
-                n_trees: 3,
-                ..Default::default()
-            },
-        );
-        assert_eq!(f.mdi_importances(), vec![0.0]);
     }
 }

@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 use crate::Classifier;
@@ -39,11 +39,12 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) enum Node {
     Leaf {
-        /// Normalized class distribution at the leaf.
-        proba: Vec<f64>,
+        /// Offset of the leaf's normalized class distribution in its
+        /// tree's `proba` table.
+        at: usize,
     },
     Split {
         feature: usize,
@@ -53,55 +54,20 @@ pub(crate) enum Node {
     },
 }
 
-/// A trained CART decision tree.
-#[derive(Debug, Clone, Serialize)]
+/// A trained CART decision tree. It has no stored form: a forest of
+/// them is flattened ([`crate::flat::FlatForest`]) to be shipped.
+///
+/// Leaf distributions live in one table per tree, not one allocation per
+/// leaf: a forest is dropped right after flattening, and its small freed
+/// blocks, scattered through the heap, are what the serving path's
+/// per-flow allocations reuse next.
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
     root: Node,
+    /// Leaf class distributions, `n_classes` each.
+    proba: Vec<f64>,
     n_classes: usize,
     n_features: usize,
-    /// Per-feature total Gini decrease accumulated while growing, weighted
-    /// by node sample counts (the raw form of MDI importance).
-    importances: Vec<f64>,
-}
-
-/// The stored form of a [`DecisionTree`], before it is checked.
-#[derive(Deserialize)]
-struct TreeWire {
-    root: Node,
-    n_classes: usize,
-    n_features: usize,
-    importances: Vec<f64>,
-}
-
-impl Deserialize for DecisionTree {
-    /// Rejects a tree with a split on a feature past its width or a leaf
-    /// that does not hold one entry per class, so a damaged model file
-    /// fails at load instead of panicking (or worse, in the flat
-    /// forest's unchecked walk) on a feature vector.
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let w = TreeWire::from_value(v)?;
-        let mut work = vec![&w.root];
-        while let Some(node) = work.pop() {
-            match node {
-                Node::Leaf { proba } if proba.len() != w.n_classes => {
-                    return Err(serde::Error::new(
-                        "tree leaf does not hold one entry per class",
-                    ));
-                }
-                Node::Leaf { .. } => {}
-                Node::Split { feature, .. } if *feature >= w.n_features => {
-                    return Err(serde::Error::new("tree split feature out of range"));
-                }
-                Node::Split { left, right, .. } => work.extend([&**left, &**right]),
-            }
-        }
-        Ok(DecisionTree {
-            root: w.root,
-            n_classes: w.n_classes,
-            n_features: w.n_features,
-            importances: w.importances,
-        })
-    }
 }
 
 fn gini(counts: &[usize], total: usize) -> f64 {
@@ -137,12 +103,12 @@ impl DecisionTree {
         rng: &mut StdRng,
     ) -> DecisionTree {
         assert!(!idx.is_empty(), "cannot fit a tree on zero samples");
-        let mut importances = vec![0.0; data.n_features()];
+        let mut proba = Vec::new();
         DecisionTree {
-            root: grow(data, idx.to_vec(), config, rng, 0, &mut importances),
+            root: grow(&mut proba, data, idx.to_vec(), config, rng, 0),
+            proba,
             n_classes: data.n_classes,
             n_features: data.n_features(),
-            importances,
         }
     }
 
@@ -163,16 +129,6 @@ impl DecisionTree {
         d(&self.root)
     }
 
-    /// Mean-decrease-in-impurity importance per feature, normalized to sum
-    /// to 1 (all zeros for a stump).
-    pub fn mdi_importances(&self) -> Vec<f64> {
-        let total: f64 = self.importances.iter().sum();
-        if total <= 0.0 {
-            return vec![0.0; self.importances.len()];
-        }
-        self.importances.iter().map(|v| v / total).collect()
-    }
-
     /// Expected feature-vector width.
     pub fn n_features(&self) -> usize {
         self.n_features
@@ -183,6 +139,12 @@ impl DecisionTree {
         &self.root
     }
 
+    /// The class distribution of the leaf whose [`Node::Leaf`] offset is
+    /// `at`.
+    pub(crate) fn dist(&self, at: usize) -> &[f64] {
+        &self.proba[at..at + self.n_classes]
+    }
+
     /// Walks the tree for `x` and returns the leaf's stored class
     /// distribution without cloning it — the allocation-free core of
     /// [`Classifier::predict_proba`].
@@ -191,7 +153,7 @@ impl DecisionTree {
         let mut node = &self.root;
         loop {
             match node {
-                Node::Leaf { proba } => return proba,
+                Node::Leaf { at } => return self.dist(*at),
                 Node::Split {
                     feature,
                     threshold,
@@ -209,24 +171,28 @@ impl DecisionTree {
     }
 }
 
+/// Grows the subtree over `idx`, appending its leaf distributions to
+/// `proba` in depth-first, left-first order.
 fn grow(
+    proba: &mut Vec<f64>,
     data: &Dataset,
     idx: Vec<usize>,
     config: &TreeConfig,
     rng: &mut StdRng,
     depth: usize,
-    importances: &mut [f64],
 ) -> Node {
     let counts = class_counts(data, &idx);
     let total = idx.len();
     let node_gini = gini(&counts, total);
 
-    let make_leaf = |counts: &[usize]| Node::Leaf {
-        proba: counts.iter().map(|&c| c as f64 / total as f64).collect(),
+    let make_leaf = |proba: &mut Vec<f64>| {
+        let at = proba.len();
+        proba.extend(counts.iter().map(|&c| c as f64 / total as f64));
+        Node::Leaf { at }
     };
 
     if depth >= config.max_depth || total < config.min_samples_split || node_gini == 0.0 {
-        return make_leaf(&counts);
+        return make_leaf(proba);
     }
 
     // Candidate features.
@@ -281,18 +247,16 @@ fn grow(
     // bounded by depth and the non-empty-children requirement.
     match best {
         Some((feature, threshold, g)) if g <= node_gini + 1e-12 => {
-            // MDI: impurity decrease weighted by the node's sample share.
-            importances[feature] += (node_gini - g) * total as f64;
             let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
                 idx.iter().partition(|&&i| data.x[i][feature] <= threshold);
             Node::Split {
                 feature,
                 threshold,
-                left: Box::new(grow(data, left_idx, config, rng, depth + 1, importances)),
-                right: Box::new(grow(data, right_idx, config, rng, depth + 1, importances)),
+                left: Box::new(grow(proba, data, left_idx, config, rng, depth + 1)),
+                right: Box::new(grow(proba, data, right_idx, config, rng, depth + 1)),
             }
         }
-        _ => make_leaf(&counts),
+        _ => make_leaf(proba),
     }
 }
 
@@ -424,16 +388,5 @@ mod tests {
         let d = blobs();
         let t = DecisionTree::fit(&d, &TreeConfig::default(), &mut rng());
         let _ = t.predict(&[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let d = blobs();
-        let t = DecisionTree::fit(&d, &TreeConfig::default(), &mut rng());
-        let json = serde_json::to_string(&t).unwrap();
-        let back: DecisionTree = serde_json::from_str(&json).unwrap();
-        for i in 0..d.len() {
-            assert_eq!(t.predict(&d.x[i]), back.predict(&d.x[i]));
-        }
     }
 }

@@ -1,8 +1,9 @@
-//! On-disk artifact-format contract for the model registry: forest
-//! serialization must round-trip bit-identically, and any damaged
-//! artifact — truncated, field-stripped, or value-tampered — must fail
-//! loudly at load or be caught by the flat-forest checksum, never load
-//! quietly into a mis-classifying model.
+//! On-disk artifact-format contract for model bundles and the model
+//! registry: flat-forest serialization must round-trip bit-identically,
+//! and any damaged artifact — truncated, field-stripped, structurally
+//! broken or value-tampered — must fail loudly at load or be caught by
+//! the flat-forest checksum, never load quietly into a mis-classifying,
+//! panicking or hanging model.
 
 use mlcore::data::Dataset;
 use mlcore::flat::FlatForest;
@@ -10,6 +11,7 @@ use mlcore::forest::{RandomForest, RandomForestConfig};
 use mlcore::Classifier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Deserialize, Serialize, Value};
 
 fn blobs(seed: u64, n: usize) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -29,35 +31,20 @@ fn blobs(seed: u64, n: usize) -> Dataset {
 }
 
 fn fitted(seed: u64) -> (FlatForest, Dataset) {
+    fitted_with(seed, 10)
+}
+
+fn fitted_with(seed: u64, n_trees: usize) -> (FlatForest, Dataset) {
     let d = blobs(seed, 160);
     let f = RandomForest::fit(
         &d,
         &RandomForestConfig {
-            n_trees: 10,
+            n_trees,
             seed,
             ..Default::default()
         },
     );
     (f.into_flat(), d)
-}
-
-#[test]
-fn pointer_forest_roundtrips_bit_identically() {
-    let d = blobs(11, 160);
-    let f = RandomForest::fit(
-        &d,
-        &RandomForestConfig {
-            n_trees: 8,
-            seed: 11,
-            ..Default::default()
-        },
-    );
-    let json = serde_json::to_string(&f).unwrap();
-    let back: RandomForest = serde_json::from_str(&json).unwrap();
-    for x in &d.x {
-        assert_eq!(f.predict_proba(x), back.predict_proba(x));
-    }
-    assert_eq!(f.to_flat().checksum(), back.to_flat().checksum());
 }
 
 #[test]
@@ -137,4 +124,53 @@ fn value_tampering_changes_the_checksum() {
             "tampered payload must not verify"
         ),
     }
+}
+
+#[test]
+fn split_that_names_itself_as_child_is_rejected() {
+    // One tree: node 0 splits into nodes 0 and 1, so every row at or
+    // below the threshold would walk back to node 0 forever. One tree is
+    // below the four-lane group, so it is walked by the loop that runs
+    // until it finds a leaf.
+    let cyclic = r#"{"feature":[0,4294967295],"threshold":[0.0,0.0],"child":[0,0],
+        "roots":[0],"depths":[1],"proba":[1.0,0.0],"n_classes":2,"n_features":1}"#;
+    assert!(serde_json::from_str::<FlatForest>(cyclic).is_err());
+    // The same table with node 0 splitting into its own leaf pair loads.
+    let sound = r#"{"feature":[0,4294967295,4294967295],"threshold":[0.0,0.0,0.0],
+        "child":[1,0,2],"roots":[0],"depths":[1],"proba":[1.0,0.0,0.0,1.0],
+        "n_classes":2,"n_features":1}"#;
+    let back: FlatForest = serde_json::from_str(sound).unwrap();
+    assert_eq!(back.predict_proba(&[-1.0]), vec![1.0, 0.0]);
+}
+
+#[test]
+fn understated_depth_is_rejected() {
+    // Four trees walk in lockstep for the stored depth; a depth of 0 would
+    // leave every lane on its root split and read a child index as a
+    // probability offset.
+    let (flat, _) = fitted_with(18, 4);
+    let Value::Object(mut fields) = flat.to_value() else {
+        unreachable!("a flat forest serializes to an object")
+    };
+    for (k, v) in &mut fields {
+        if k == "depths" {
+            *v = Value::Array(vec![Value::UInt(0); 4]);
+        }
+    }
+    assert!(FlatForest::from_value(&Value::Object(fields)).is_err());
+}
+
+#[test]
+fn node_shared_between_trees_is_rejected() {
+    // Two roots on one node: a table that is not a forest of trees.
+    let (flat, _) = fitted_with(19, 2);
+    let Value::Object(mut fields) = flat.to_value() else {
+        unreachable!("a flat forest serializes to an object")
+    };
+    for (k, v) in &mut fields {
+        if k == "roots" {
+            *v = Value::Array(vec![Value::UInt(0); 2]);
+        }
+    }
+    assert!(FlatForest::from_value(&Value::Object(fields)).is_err());
 }

@@ -1,16 +1,19 @@
-//! Golden-fixture tests pinning serialized-model → prediction outputs.
+//! Golden-fixture tests pinning model → prediction outputs.
 //!
-//! Small trained models are committed under `tests/fixtures/` together
-//! with their expected predictions. A model-format or traversal refactor
-//! that silently changes any verdict — or any probability bit — fails
-//! here. The flat layout is additionally checked against the same
-//! expectations, so pointer and flat inference stay pinned to one truth.
+//! Expected predictions of a small forest and a small tree are committed
+//! under `tests/fixtures/`, the forest in its stored (flat) form beside
+//! them. A model-format, training or traversal refactor that silently
+//! changes any verdict — or any probability bit — fails here. The pointer
+//! models have no stored form: they are refit from [`training_data`]
+//! (deterministic) and checked against the same expectations, so pointer
+//! and flat inference stay pinned to one truth, and the refit forest must
+//! flatten to the stored one.
 //!
 //! Regenerate (after an *intentional* model-format change) with:
 //! `GOLDEN_REGEN=1 cargo test --test golden_forest` — then commit the
 //! rewritten fixtures.
 
-use mlcore::{Classifier, Dataset, DecisionTree, RandomForest, RandomForestConfig};
+use mlcore::{Classifier, Dataset, DecisionTree, FlatForest, RandomForest, RandomForestConfig};
 use serde::{Deserialize, Serialize};
 
 fn fixture_dir() -> std::path::PathBuf {
@@ -60,13 +63,12 @@ struct Expectation {
 
 #[derive(Serialize, Deserialize)]
 struct ForestFixture {
-    forest: RandomForest,
+    forest: FlatForest,
     expected: Vec<Expectation>,
 }
 
 #[derive(Serialize, Deserialize)]
 struct TreeFixture {
-    tree: DecisionTree,
     expected: Vec<Expectation>,
 }
 
@@ -89,50 +91,58 @@ fn load_or_regen<T: Serialize + Deserialize>(name: &str, build: impl FnOnce() ->
     serde_json::from_str(&text).expect("fixture deserializes")
 }
 
+/// What the model predicts on every probe.
+fn expectations(model: &impl Classifier) -> Vec<Expectation> {
+    probes()
+        .into_iter()
+        .map(|x| Expectation {
+            predict: model.predict(&x),
+            proba: model.predict_proba(&x),
+            x,
+        })
+        .collect()
+}
+
+/// The pinned forest, refit: training is deterministic under its seed.
+fn fit_forest() -> RandomForest {
+    RandomForest::fit(
+        &training_data(),
+        &RandomForestConfig {
+            n_trees: 7,
+            max_depth: 6,
+            seed: 2024,
+            ..Default::default()
+        },
+    )
+}
+
+/// The pinned tree, refit.
+fn fit_tree() -> DecisionTree {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    DecisionTree::fit(
+        &training_data(),
+        &mlcore::tree::TreeConfig {
+            max_depth: 5,
+            ..Default::default()
+        },
+        &mut rng,
+    )
+}
+
 fn forest_fixture() -> ForestFixture {
     load_or_regen("forest_small.json", || {
-        let forest = RandomForest::fit(
-            &training_data(),
-            &RandomForestConfig {
-                n_trees: 7,
-                max_depth: 6,
-                seed: 2024,
-                ..Default::default()
-            },
-        );
-        let expected = probes()
-            .into_iter()
-            .map(|x| Expectation {
-                predict: forest.predict(&x),
-                proba: forest.predict_proba(&x),
-                x,
-            })
-            .collect();
-        ForestFixture { forest, expected }
+        let forest = fit_forest();
+        ForestFixture {
+            expected: expectations(&forest),
+            forest: forest.into_flat(),
+        }
     })
 }
 
 fn tree_fixture() -> TreeFixture {
-    load_or_regen("tree_small.json", || {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let tree = DecisionTree::fit(
-            &training_data(),
-            &mlcore::tree::TreeConfig {
-                max_depth: 5,
-                ..Default::default()
-            },
-            &mut rng,
-        );
-        let expected = probes()
-            .into_iter()
-            .map(|x| Expectation {
-                predict: tree.predict(&x),
-                proba: tree.predict_proba(&x),
-                x,
-            })
-            .collect();
-        TreeFixture { tree, expected }
+    load_or_regen("tree_small.json", || TreeFixture {
+        expected: expectations(&fit_tree()),
     })
 }
 
@@ -145,63 +155,52 @@ fn assert_bits_eq(a: &[f64], b: &[f64], ctx: &str) {
     }
 }
 
+/// Checks `model` against every expectation, bit for bit.
+fn assert_pinned(model: &impl Classifier, expected: &[Expectation], what: &str) {
+    for e in expected {
+        assert_eq!(
+            model.predict(&e.x),
+            e.predict,
+            "{what} predict on {:?}",
+            e.x
+        );
+        assert_bits_eq(
+            &model.predict_proba(&e.x),
+            &e.proba,
+            &format!("{what} proba on {:?}", e.x),
+        );
+    }
+}
+
 #[test]
 fn forest_fixture_predictions_are_pinned() {
     let fx = forest_fixture();
-    for e in &fx.expected {
-        assert_eq!(fx.forest.predict(&e.x), e.predict, "predict on {:?}", e.x);
-        assert_bits_eq(
-            &fx.forest.predict_proba(&e.x),
-            &e.proba,
-            &format!("pointer proba on {:?}", e.x),
-        );
-    }
+    let forest = fit_forest();
+    assert_pinned(&forest, &fx.expected, "pointer");
+    assert_eq!(forest.to_flat().checksum(), fx.forest.checksum());
 }
 
 #[test]
 fn flat_forest_matches_pinned_fixture_exactly() {
     let fx = forest_fixture();
-    let flat = fx.forest.to_flat();
-    for e in &fx.expected {
-        assert_eq!(flat.predict(&e.x), e.predict, "flat predict on {:?}", e.x);
-        assert_bits_eq(
-            &flat.predict_proba(&e.x),
-            &e.proba,
-            &format!("flat proba on {:?}", e.x),
-        );
-    }
+    assert_pinned(&fx.forest, &fx.expected, "flat");
     // Batch path pins to the same expectations.
     let xs: Vec<Vec<f64>> = fx.expected.iter().map(|e| e.x.clone()).collect();
     let preds: Vec<usize> = fx.expected.iter().map(|e| e.predict).collect();
-    assert_eq!(flat.predict_batch(&xs), preds);
+    assert_eq!(fx.forest.predict_batch(&xs), preds);
 }
 
 #[test]
 fn tree_fixture_predictions_are_pinned() {
-    let fx = tree_fixture();
-    for e in &fx.expected {
-        assert_eq!(fx.tree.predict(&e.x), e.predict, "predict on {:?}", e.x);
-        assert_bits_eq(
-            &fx.tree.predict_proba(&e.x),
-            &e.proba,
-            &format!("tree proba on {:?}", e.x),
-        );
-    }
+    assert_pinned(&fit_tree(), &tree_fixture().expected, "tree");
 }
 
 #[test]
 fn fixture_survives_serde_roundtrip() {
     let fx = forest_fixture();
     let json = serde_json::to_string(&fx.forest).unwrap();
-    let back: RandomForest = serde_json::from_str(&json).unwrap();
-    for e in &fx.expected {
-        assert_eq!(back.predict(&e.x), e.predict);
-        assert_bits_eq(
-            &back.predict_proba(&e.x),
-            &e.proba,
-            &format!("roundtrip proba on {:?}", e.x),
-        );
-    }
+    let back: FlatForest = serde_json::from_str(&json).unwrap();
+    assert_pinned(&back, &fx.expected, "roundtrip");
 }
 
 /// FNV-1a over `bytes` (the digest `FlatForest::checksum` also uses).
@@ -216,8 +215,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// so an in-memory layout change must move neither.
 #[test]
 fn flat_artifact_checksum_and_json_are_pinned() {
-    let flat = forest_fixture().forest.to_flat();
+    let flat = forest_fixture().forest;
     assert_eq!(flat.checksum(), 3_177_158_539_800_620_899);
+    assert_eq!(fit_forest().to_flat().checksum(), flat.checksum());
     let json = serde_json::to_string(&flat).expect("flat forest serializes");
     assert_eq!(fnv1a(json.as_bytes()), 1_922_105_529_383_967_448);
 }
