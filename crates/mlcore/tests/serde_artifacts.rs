@@ -143,34 +143,34 @@ fn split_that_names_itself_as_child_is_rejected() {
     assert_eq!(back.predict_proba(&[-1.0]), vec![1.0, 0.0]);
 }
 
+/// `flat`'s stored form with field `name` replaced by `value`, loaded
+/// again.
+fn reload_with(flat: &FlatForest, name: &str, value: Value) -> Result<FlatForest, serde::Error> {
+    let Value::Object(mut fields) = flat.to_value() else {
+        unreachable!("a flat forest serializes to an object")
+    };
+    for (k, v) in &mut fields {
+        if k == name {
+            *v = value.clone();
+        }
+    }
+    FlatForest::from_value(&Value::Object(fields))
+}
+
 #[test]
 fn understated_depth_is_rejected() {
     // Four trees walk in lockstep for the stored depth; a depth of 0 would
     // leave every lane on its root split and read a child index as a
     // probability offset.
     let (flat, _) = fitted_with(18, 4);
-    let Value::Object(mut fields) = flat.to_value() else {
-        unreachable!("a flat forest serializes to an object")
-    };
-    for (k, v) in &mut fields {
-        if k == "depths" {
-            *v = Value::Array(vec![Value::UInt(0); 4]);
-        }
-    }
-    assert!(FlatForest::from_value(&Value::Object(fields)).is_err());
+    let zeros = Value::Array(vec![Value::UInt(0); 4]);
+    assert!(reload_with(&flat, "depths", zeros).is_err());
 }
 
 #[test]
 fn node_shared_between_trees_is_rejected() {
     // Two roots on one node: a table that is not a forest of trees.
     let (flat, _) = fitted_with(19, 2);
-    let Value::Object(mut fields) = flat.to_value() else {
-        unreachable!("a flat forest serializes to an object")
-    };
-    for (k, v) in &mut fields {
-        if k == "roots" {
-            *v = Value::Array(vec![Value::UInt(0); 2]);
-        }
-    }
-    assert!(FlatForest::from_value(&Value::Object(fields)).is_err());
+    let same_root = Value::Array(vec![Value::UInt(0); 2]);
+    assert!(reload_with(&flat, "roots", same_root).is_err());
 }
